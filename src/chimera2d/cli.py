@@ -4,7 +4,7 @@ Subcommands: ``generate`` (synthetic trend+seasonal series), ``fit``
 (gradient-descent training to a JSON checkpoint), ``forecast``
 (closed-loop rollout), ``eval`` (forecast metrics), ``bench-scan``
 (timing table for the scan paths), and ``selftest`` (the full invariant
-registry).
+registry; its last output line is a JSON summary).
 
 Exit codes: 0 success, 1 runtime failure, 2 bad configuration or usage.
 Errors are reported as a single machine-parsable line on stderr of the
@@ -303,6 +303,11 @@ def cmd_selftest(args) -> int:
             failures += 1
         print(line)
     print(f"{len(results) - failures}/{len(results)} invariants passed")
+    print(json.dumps({
+        "passed": len(results) - failures,
+        "failed": failures,
+        "results": [dataclasses.asdict(res) for res in results],
+    }))
     return 1 if failures else 0
 
 

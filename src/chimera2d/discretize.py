@@ -4,11 +4,22 @@ The continuous model carries four transition matrices (two companion
 along time, two diagonal along variates), input columns B1/B2, readout
 rows C1/C2, and one step size per axis. ZOH gives
 
-    Abar = exp(dt * A),   Bbar = A^{-1} (Abar - I) B,
+    Abar = exp(dt * A),   Bbar = (integral of exp(s * A) over [0, dt]) B.
 
-with the phi1-series fallback Bbar = dt * phi1(dt*A) B when A is close
-to singular; phi1(z) = (e^z - 1)/z. Abar1/Abar2 use the time step,
-Abar3/Abar4 the variate step.
+For a non-diagonal A both come from one exponential of the augmented
+matrix (Van Loan 1978, "Computing integrals involving the matrix
+exponential"):
+
+    exp(dt * [[A, B], [0, 0]]) = [[Abar, Bbar], [0, 1]],
+
+which needs no inverse of A, so it is exact at every step size and for
+singular A alike. For a diagonal A both are elementwise, Abar = exp(dt*a)
+and Bbar = expm1(dt*a) / a * B (dt * B where dt*a == 0). Abar1/Abar2 use
+the time step, Abar3/Abar4 the variate step.
+
+B, C and the step sizes may carry any leading batch shape (one entry per
+grid cell on the selective path); the transition matrices are shared, so
+a whole grid costs one vectorized exponential per transition matrix.
 """
 
 from __future__ import annotations
@@ -17,15 +28,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structured import DIAGONAL, StructuredMatrix, expm
+from .structured import DENSE, DIAGONAL, StructuredMatrix, expm
 
-# below this smallest singular value the inverse branch is abandoned
-SINGULARITY_THRESHOLD = 1e-8
+# smallest step size: softplus underflows to 0.0 for very negative
+# preactivations, and the step must stay strictly positive
+DT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class ContinuousSSM2D:
-    """Continuous-time parameter set, before discretization."""
+    """Continuous-time parameter set, before discretization. B/C have
+    shape (..., N) and dt1/dt2 the batch shape (...): () for one cell,
+    (V, T) for a selective grid."""
 
     A1: StructuredMatrix
     A2: StructuredMatrix
@@ -35,18 +49,18 @@ class ContinuousSSM2D:
     B2: np.ndarray
     C1: np.ndarray
     C2: np.ndarray
-    dt1: float
-    dt2: float
+    dt1: float | np.ndarray
+    dt2: float | np.ndarray
 
     def __post_init__(self):
-        if self.dt1 <= 0 or self.dt2 <= 0:
+        if (np.asarray(self.dt1) <= 0).any() or (np.asarray(self.dt2) <= 0).any():
             raise ValueError("step sizes must be positive")
         n = self.A1.n
         for mat in (self.A2, self.A3, self.A4):
             if mat.n != n:
                 raise ValueError("all transition matrices must share N")
         for vec in (self.B1, self.B2, self.C1, self.C2):
-            if np.asarray(vec).shape != (n,):
+            if np.shape(vec)[-1:] != (n,):
                 raise ValueError("B and C vectors must have length N")
 
 
@@ -65,62 +79,45 @@ class DiscreteSSM2D:
 
     @property
     def n(self) -> int:
-        return self.Abar1.shape[0]
+        return self.Abar1.shape[-1]
 
 
-def phi1(m: np.ndarray, rel_tol: float = 1e-16) -> np.ndarray:
-    """phi1(M) = sum_k M^k / (k+1)!, truncated when terms stop mattering."""
-    n = m.shape[0]
-    term = np.eye(n)
-    total = term.copy()
-    scale = max(np.abs(total).max(), 1.0)
-    for k in range(1, 200):
-        term = term @ m / (k + 1)
-        total += term
-        if np.abs(term).max() < rel_tol * scale:
-            break
-        scale = max(np.abs(total).max(), scale)
-    return total
-
-
-def _expm_scaled(a: StructuredMatrix, dt: float) -> np.ndarray:
-    """exp(dt * A), keeping the elementwise path for diagonal A."""
-    if a.kind == DIAGONAL:
-        return expm(StructuredMatrix(DIAGONAL, dt * a.data))
-    return expm(StructuredMatrix("dense", dt * a.dense()))
-
-
-def zoh_pair(a: StructuredMatrix, b: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Discretize one (A, B) pair: returns (exp(dt*A), ZOH input matrix)."""
-    if dt <= 0:
+def zoh_pair(a: StructuredMatrix, b, dt) -> tuple[np.ndarray, np.ndarray]:
+    """Discretize one (A, B) pair: returns (exp(dt*A), ZOH input matrix)
+    for B of shape (..., N) and dt of the batch shape (...)."""
+    dt = np.asarray(dt, dtype=float)
+    if (dt <= 0).any():
         raise ValueError("step size must be positive")
     b = np.asarray(b, dtype=float)
-    abar = _expm_scaled(a, dt)
+    if not np.isfinite(b).all():
+        raise ValueError("non-finite input matrix")
     if a.kind == DIAGONAL:
-        diag = dt * np.asarray(a.data, dtype=float)
-        # dt * phi1(dt*a) elementwise, exact at a == 0
-        bbar = np.where(diag == 0.0, dt, np.expm1(diag) / np.where(diag == 0.0, 1.0, a.data)) * b
-        return abar, bbar
-    a_dense = a.dense()
-    svals = np.linalg.svd(a_dense, compute_uv=False)
-    if svals.min() > SINGULARITY_THRESHOLD:
-        bbar = np.linalg.solve(a_dense, (abar - np.eye(a.n)) @ b)
-    else:
-        bbar = dt * (phi1(dt * a_dense) @ b)
-    return abar, bbar
+        diag = dt[..., None] * a.data
+        # expm1(dt*a) / a elementwise, and its limit dt where dt*a == 0
+        bbar = np.where(diag == 0.0, dt[..., None], np.expm1(diag) / np.where(diag == 0.0, 1.0, a.data)) * b
+        return expm(a, dt), bbar
+    n = a.n
+    # B enters scaled below unit size (Bbar is linear in B): a large B
+    # column would otherwise set the exponential's scaling and cost Abar
+    # its accuracy
+    scale = 1.0 + np.abs(b).max(axis=-1, keepdims=True)
+    aug = np.zeros(b.shape[:-1] + (n + 1, n + 1))
+    aug[..., :n, :n] = a.dense()
+    aug[..., :n, n] = b / scale
+    e = expm(StructuredMatrix(DENSE, aug), dt)
+    return e[..., :n, :n], e[..., :n, n] * scale
 
 
 def discretize_all(p: ContinuousSSM2D) -> DiscreteSSM2D:
     """Discretize the full parameter set (time step for A1/A2, variate
-    step for A3/A4; B1 rides the (A1, dt1) pair, B2 the (A4, dt2) pair)."""
+    step for A3/A4; B1 rides the (A1, dt1) pair, B2 the (A4, dt2) pair).
+    The result carries the batch shape of p's B, C and step sizes."""
     abar1, bbar1 = zoh_pair(p.A1, p.B1, p.dt1)
-    abar2 = _expm_scaled(p.A2, p.dt1)
-    abar3 = _expm_scaled(p.A3, p.dt2)
     abar4, bbar2 = zoh_pair(p.A4, p.B2, p.dt2)
     return DiscreteSSM2D(
         Abar1=abar1,
-        Abar2=abar2,
-        Abar3=abar3,
+        Abar2=expm(p.A2, p.dt1),
+        Abar3=expm(p.A3, p.dt2),
         Abar4=abar4,
         Bbar1=bbar1,
         Bbar2=bbar2,

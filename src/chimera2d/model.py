@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .discretize import ContinuousSSM2D, discretize_all
+from .discretize import DT_FLOOR, ContinuousSSM2D, discretize_all
 from .recurrence import as_series, closed_loop_decode
 from .scan import scan_forward
 from .selective import SelectiveProjections, inv_softplus, project_grid_params, softplus
@@ -54,9 +54,6 @@ class ModelConfig:
         if self.out_channels == 0:
             self.out_channels = self.channels
 
-
-# smallest allowed discretization step (softplus output underflows below it)
-DT_FLOOR = 1e-12
 
 SSM_PARAM_NAMES = ("a1", "a2", "a3", "a4", "b1", "b2", "c1", "c2", "dt1_raw", "dt2_raw")
 PROJ_PARAM_NAMES = (

@@ -3,9 +3,9 @@
 Per cell (v, t) the projections compute B1, B2, C1, C2 as affine maps of
 the input vector x[v,t], and the step sizes as softplus(affine), keeping
 them strictly positive. The transition matrices A1..A4 stay shared and
-input-independent; the per-cell discretization then flows through the
-standard ZOH path, so the Abar matrices depend on the input only through
-the step sizes.
+input-independent; the discretization then flows through the standard
+ZOH path, batched over the grid, so the Abar matrices depend on the input
+only through the step sizes.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import ContinuousSSM2D, DiscreteSSM2D, discretize_all
+from .discretize import DT_FLOOR, ContinuousSSM2D, DiscreteSSM2D, discretize_all
 from .recurrence import as_series
 from .scan import CellParams
 from .structured import StructuredMatrix
@@ -79,21 +79,23 @@ def project_cell_params(
     x: np.ndarray,
     a_set: tuple[StructuredMatrix, StructuredMatrix, StructuredMatrix, StructuredMatrix],
 ) -> DiscreteSSM2D:
-    """Discrete parameters for a single cell input x (length d)."""
+    """Discrete parameters for cell inputs x of shape (..., d): one cell
+    for x of length d, and the leading shape of x as the batch shape
+    otherwise."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input")
     a1, a2, a3, a4 = a_set
     cont = ContinuousSSM2D(
         A1=a1, A2=a2, A3=a3, A4=a4,
-        B1=proj.W_B1 @ x + proj.b_B1,
-        B2=proj.W_B2 @ x + proj.b_B2,
-        C1=proj.W_C1 @ x + proj.b_C1,
-        C2=proj.W_C2 @ x + proj.b_C2,
+        B1=x @ proj.W_B1.T + proj.b_B1,
+        B2=x @ proj.W_B2.T + proj.b_B2,
+        C1=x @ proj.W_C1.T + proj.b_C1,
+        C2=x @ proj.W_C2.T + proj.b_C2,
         # softplus underflows to 0.0 for very negative preactivations;
         # floor keeps the step strictly positive
-        dt1=max(float(softplus(proj.w_d1 @ x + proj.b_d1)), 1e-12),
-        dt2=max(float(softplus(proj.w_d2 @ x + proj.b_d2)), 1e-12),
+        dt1=np.maximum(softplus(x @ proj.w_d1 + proj.b_d1), DT_FLOOR),
+        dt2=np.maximum(softplus(x @ proj.w_d2 + proj.b_d2), DT_FLOOR),
     )
     return discretize_all(cont)
 
@@ -103,17 +105,6 @@ def project_grid_params(
     x,
     a_set: tuple[StructuredMatrix, StructuredMatrix, StructuredMatrix, StructuredMatrix],
 ) -> CellParams:
-    """Per-cell parameters for a whole (V, T, d) grid, for the scan path."""
-    x = as_series(x)
-    v_count, t_count, _ = x.shape
-    n = a_set[0].n
-    out = {
-        name: np.empty((v_count, t_count, n, n)) for name in ("Abar1", "Abar2", "Abar3", "Abar4")
-    }
-    out.update({name: np.empty((v_count, t_count, n)) for name in ("Bbar1", "Bbar2", "C1", "C2")})
-    for v in range(v_count):
-        for t in range(t_count):
-            dp = project_cell_params(proj, x[v, t], a_set)
-            for name in out:
-                out[name][v, t] = getattr(dp, name)
-    return CellParams(**out)
+    """Per-cell parameters for a whole (V, T, d) grid, for the scan path:
+    one projection and one batched discretization over all cells."""
+    return CellParams(**vars(project_cell_params(proj, as_series(x), a_set)))

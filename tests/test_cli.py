@@ -190,3 +190,18 @@ def test_selftest_exits_zero(capsys):
     declared = [n for group in invariants.MODULE_INVARIANTS.values() for n in group]
     for name in declared:
         assert f"PASS {name}" in out
+
+
+def test_selftest_ends_with_json_summary(capsys, monkeypatch):
+    def broken():
+        raise AssertionError("off by one")
+
+    monkeypatch.setitem(invariants.REGISTRY, "discretize.step_resolution", broken)
+    assert cmd_dispatch(["selftest"]) == 1
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    declared = [n for group in invariants.MODULE_INVARIANTS.values() for n in group]
+    assert summary["passed"] == len(declared) - 1
+    assert summary["failed"] == 1
+    assert [r["name"] for r in summary["results"]] == declared
+    failed = [r for r in summary["results"] if not r["passed"]]
+    assert failed == [{"name": "discretize.step_resolution", "passed": False, "detail": "off by one"}]

@@ -11,7 +11,6 @@ from chimera2d import (
     discretize_all,
     zoh_pair,
 )
-from chimera2d.discretize import phi1
 
 
 def test_zero_matrix_limit():
@@ -39,28 +38,23 @@ def test_diagonal_closed_form():
     assert np.allclose(bbar, expected_b, atol=1e-13)
 
 
-def test_phi1_at_zero():
-    assert np.allclose(phi1(np.zeros((2, 2))), np.eye(2), atol=1e-15)
-
-
-def test_branch_agreement_invertible():
+def test_input_matrix_exact_at_every_step():
+    # diagonalizable dense A = S diag(lam) S^{-1}: the exact ZOH input
+    # matrix is S (expm1(dt lam) / lam * S^{-1} b), accurate at any dt
     rng = np.random.default_rng(4)
     n = 3
-    for _ in range(10):
-        a = rng.standard_normal((n, n))
-        if abs(np.linalg.det(a)) <= 1e-6:
-            continue
-        b = rng.standard_normal(n)
-        dt = 0.2
-        abar, bbar = zoh_pair(dense_matrix(a), b, dt)
-        via_inverse = np.linalg.solve(a, (abar - np.eye(n)) @ b)
-        via_series = dt * phi1(dt * a) @ b
-        assert np.allclose(via_inverse, via_series, rtol=1e-9, atol=1e-12)
-        assert np.allclose(bbar, via_inverse, rtol=1e-9, atol=1e-12)
+    s = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    lam = -rng.uniform(0.2, 2.0, n)
+    a = dense_matrix(s @ np.diag(lam) @ np.linalg.inv(s))
+    b = rng.standard_normal(n)
+    for dt in (1e-2, 1e-4, 1e-8, 1e-10, 1e-12):
+        _, bbar = zoh_pair(a, b, dt)
+        expected = s @ (np.expm1(dt * lam) / lam * np.linalg.solve(s, b))
+        assert np.allclose(bbar, expected, rtol=1e-12, atol=0.0), f"dt={dt}"
 
 
-def test_singular_matrix_uses_series_branch():
-    # nilpotent shift is singular: the series gives the exact polynomial answer
+def test_singular_matrix_exact_input_matrix():
+    # the nilpotent shift is singular: Bbar is the exact polynomial answer
     n = 2
     shift = np.array([[0.0, 0.0], [1.0, 0.0]])
     b = np.array([1.0, 1.0])

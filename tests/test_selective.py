@@ -115,3 +115,68 @@ def test_nonfinite_input_rejected():
     a_set = stable_a_set(np.random.default_rng(5), 2)
     with pytest.raises(ValueError):
         project_cell_params(proj, np.array([np.inf]), a_set)
+
+
+FIELDS = ("Abar1", "Abar2", "Abar3", "Abar4", "Bbar1", "Bbar2", "C1", "C2")
+
+
+def _assert_grid_matches_cells(proj, x, a_set):
+    grid = project_grid_params(proj, x, a_set)
+    for v in range(x.shape[0]):
+        for t in range(x.shape[1]):
+            cell = project_cell_params(proj, x[v, t], a_set)
+            for name in FIELDS:
+                ref = getattr(cell, name)
+                err = np.max(np.abs(getattr(grid, name)[v, t] - ref))
+                assert err <= 1e-12 * np.max(np.abs(ref)), f"{name} at ({v}, {t}): {err:.3e}"
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_grid_matches_cells(n):
+    rng = np.random.default_rng(6)
+    d = 3
+    proj = SelectiveProjections.init_random(n, d, seed=n)
+    _assert_grid_matches_cells(proj, rng.standard_normal((3, 5, d)), stable_a_set(rng, n))
+
+
+def test_grid_matches_cells_at_the_step_floor():
+    from chimera2d.discretize import DT_FLOOR
+
+    rng = np.random.default_rng(7)
+    n, d = 2, 2
+    # preactivations between -80 and 0: softplus underflows past the
+    # floor on part of the grid and stays above it elsewhere
+    proj = replace(
+        SelectiveProjections.init_random(n, d, seed=7),
+        w_d1=np.array([40.0, 0.0]), b_d1=-40.0, w_d2=np.array([0.0, 40.0]), b_d2=-40.0,
+    )
+    x = rng.uniform(-1.0, 1.0, (4, 6, d))
+    steps = softplus(x @ proj.w_d1 + proj.b_d1)
+    assert np.any(steps < DT_FLOOR) and np.any(steps > DT_FLOOR)
+    _assert_grid_matches_cells(proj, x, stable_a_set(rng, n))
+
+
+def test_grid_matches_cells_on_large_inputs():
+    rng = np.random.default_rng(8)
+    n, d = 3, 4
+    proj = SelectiveProjections.init_random(n, d, seed=8)
+    _assert_grid_matches_cells(proj, 1e3 * rng.standard_normal((3, 4, d)), stable_a_set(rng, n))
+
+
+def test_grid_rejects_nonfinite_input_cell():
+    rng = np.random.default_rng(9)
+    proj = SelectiveProjections.init_random(2, 2, seed=9)
+    x = rng.standard_normal((3, 4, 2))
+    x[1, 2, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        project_grid_params(proj, x, stable_a_set(rng, 2))
+
+
+def test_grid_rejects_step_that_overflows_transition():
+    rng = np.random.default_rng(10)
+    n, d = 2, 2
+    a_set = (companion_from_coeffs([-4.0, -4.0]),) + stable_a_set(rng, n)[1:]
+    # softplus(1e308) = 1e308, and 1e308 * -4 overflows
+    proj = replace(SelectiveProjections.zeros(n, d), b_d1=1e308)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite entries"):
+        project_grid_params(proj, rng.standard_normal((2, 3, d)), a_set)

@@ -95,6 +95,37 @@ def test_expm_nilpotent_shift_is_linear():
     assert np.allclose(out, np.eye(2) + dt * shift, atol=1e-14)
 
 
+def test_expm_stack_matches_each_matrix():
+    import scipy.linalg
+
+    rng = np.random.default_rng(12)
+    # 1-norms from about 1e-3 to 10: every Pade degree and the squaring path
+    stack = rng.standard_normal((24, 3, 3)) * np.geomspace(1e-3, 4.0, 24)[:, None, None]
+    out = expm(StructuredMatrix("dense", stack))
+    for z, e in zip(stack, out):
+        alone = expm(dense_matrix(z))
+        assert np.max(np.abs(e - alone)) <= 1e-14 * np.max(np.abs(alone))
+        ref = scipy.linalg.expm(z)
+        assert np.max(np.abs(e - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_expm_batched_steps():
+    m = companion_from_coeffs([-0.3, -0.2])
+    d = diagonal_matrix([-1.0, 0.5])
+    ts = np.array([[1e-12, 0.1], [1.0, 30.0]])
+    for mat in (m, d):
+        out = expm(mat, ts)
+        assert out.shape == (2, 2, 2, 2)
+        for idx in np.ndindex(ts.shape):
+            alone = expm(mat, ts[idx])
+            assert np.max(np.abs(out[idx] - alone)) <= 1e-14 * np.max(np.abs(alone))
+
+
+def test_expm_rejects_nonfinite_product():
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        expm(companion_from_coeffs([-4.0, 0.0]), 1e308)
+
+
 def test_expm_doubling():
     rng = np.random.default_rng(2)
     e = 0.5 * rng.standard_normal((3, 3))
