@@ -22,7 +22,7 @@ from .recurrence import (
     bidirectional_forward,
     closed_loop_decode,
 )
-from .scan import ScanElement, op_star, inclusive_scan, scan_forward, CellParams
+from .scan import ScanElement, op_star, inclusive_scan, scan_forward
 from .conv import impulse_kernels, conv_apply
 from .selective import SelectiveProjections, project_cell_params, project_grid_params
 from .variants import mamba2d_forward, materialize_matrices
@@ -49,7 +49,6 @@ __all__ = [
     "op_star",
     "inclusive_scan",
     "scan_forward",
-    "CellParams",
     "impulse_kernels",
     "conv_apply",
     "SelectiveProjections",

@@ -3,8 +3,8 @@
 Subcommands: ``generate`` (synthetic trend+seasonal series), ``fit``
 (gradient-descent training to a JSON checkpoint), ``forecast``
 (closed-loop rollout), ``eval`` (forecast metrics), ``bench-scan``
-(timing table for the scan paths), and ``selftest`` (the full invariant
-registry; its last output line is a JSON summary).
+(timing table: sequential recurrence vs scan), and ``selftest`` (the
+full invariant registry; its last output line is a JSON summary).
 
 Exit codes: 0 success, 1 runtime failure, 2 bad configuration or usage.
 Errors are reported as a single machine-parsable line on stderr of the
@@ -27,7 +27,7 @@ from .ar import simulate_sar
 from .metrics import compute_metrics
 from .model import ChimeraModel, ModelConfig, fit
 from .recurrence import forward_recurrence
-from .scan import resolve_threads, scan_forward
+from .scan import scan_forward
 from . import invariants
 
 DEFAULT_BENCH_SIZES = (256, 512, 1024, 2048, 4096)
@@ -271,23 +271,21 @@ def _bench_once(fn, repeats: int = 5) -> float:
 
 def cmd_bench_scan(args) -> int:
     cfg = RunConfig.load(args.config, args.seed)
-    threads = resolve_threads(args.threads)
     rng = np.random.default_rng(cfg.seed)
     dp = invariants._random_dp(rng, cfg.state_dim)
     rows = []
     for t_count in cfg.bench_sizes:
         x = rng.standard_normal((BENCH_VARIATES, t_count, BENCH_CHANNELS))
         seq = _bench_once(lambda: forward_recurrence(dp, x))
-        scan = _bench_once(lambda: scan_forward(dp, x, schedule="rowscan", threads=threads))
-        wave = _bench_once(lambda: scan_forward(dp, x, schedule="wavefront"))
-        rows.append((t_count, seq, scan, wave))
+        scan = _bench_once(lambda: scan_forward(dp, x))
+        rows.append((t_count, seq, scan))
     path = _out_path(args, "bench.csv")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("T,sequential_s,scan_s,wavefront_s\n")
-        for t_count, seq, scan, wave in rows:
-            fh.write(f"{t_count},{seq:.6f},{scan:.6f},{wave:.6f}\n")
-    for t_count, seq, scan, wave in rows:
-        print(f"T={t_count:5d}  sequential={seq:.4f}s  scan={scan:.4f}s  wavefront={wave:.4f}s")
+        fh.write("T,sequential_s,scan_s\n")
+        for t_count, seq, scan in rows:
+            fh.write(f"{t_count},{seq:.6f},{scan:.6f}\n")
+    for t_count, seq, scan in rows:
+        print(f"T={t_count:5d}  sequential={seq:.4f}s  scan={scan:.4f}s")
     print(f"wrote {path}")
     return 0
 
@@ -328,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--seed", type=int, help="PRNG seed (overrides config)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int,
-                       help="worker threads (default: CHIMERA2D_THREADS or 1)")
         return p
 
     common(sub.add_parser("generate", help="write a synthetic series CSV")) \
@@ -345,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--insample", required=True, help="in-sample history CSV")
     p.add_argument("--season", type=int, default=1, help="seasonal period for MASE")
     p.set_defaults(fn=cmd_eval)
-    common(sub.add_parser("bench-scan", help="time sequential vs scan paths")) \
+    common(sub.add_parser("bench-scan", help="time the sequential recurrence vs the scan")) \
         .set_defaults(fn=cmd_bench_scan)
     common(sub.add_parser("selftest", help="run the invariant registry")) \
         .set_defaults(fn=cmd_selftest)

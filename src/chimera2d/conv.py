@@ -2,9 +2,10 @@
 
 A time-invariant system's response is translation invariant, so the
 whole map is a causal 2D convolution. The kernels are read off from the
-hidden-state response to a unit impulse at the grid origin: K1/K2 hold
-the (N-vector) h1/h2 responses per offset, and the scalar kernel applied
-to the input is C1 K1 + C2 K2.
+hidden-state response to a unit impulse at the grid origin, one pass
+through the scan: K1/K2 hold the (N-vector) h1/h2 responses per offset,
+and the scalar kernel applied to the input is C1 K1 + C2 K2. Both need
+constant parameters.
 """
 
 from __future__ import annotations
@@ -12,16 +13,18 @@ from __future__ import annotations
 import numpy as np
 
 from .discretize import DiscreteSSM2D
-from .recurrence import as_series, forward_recurrence
+from .recurrence import as_series, require_constant
+from .scan import scan_forward
 
 
 def impulse_kernels(dp: DiscreteSSM2D, v_count: int, t_count: int) -> tuple[np.ndarray, np.ndarray]:
     """Hidden-state impulse responses per offset, shapes (V, T, N)."""
     if v_count < 1 or t_count < 1:
         raise ValueError("kernel extents must be positive")
+    require_constant(dp, "impulse_kernels")
     impulse = np.zeros((v_count, t_count, 1))
     impulse[0, 0, 0] = 1.0
-    _, (h1, h2) = forward_recurrence(dp, impulse)
+    _, (h1, h2) = scan_forward(dp, impulse, return_hidden=True)
     return h1[:, :, :, 0], h2[:, :, :, 0]
 
 

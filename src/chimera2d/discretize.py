@@ -66,7 +66,9 @@ class ContinuousSSM2D:
 
 @dataclass(frozen=True)
 class DiscreteSSM2D:
-    """Discrete parameter set driving the 2D recurrence."""
+    """Discrete parameter set driving the 2D recurrence. Abar* have shape
+    (..., N, N) and Bbar*/C* shape (..., N); the batch shape (...) is ()
+    for constant parameters and (V, T) for per-cell (selective) ones."""
 
     Abar1: np.ndarray
     Abar2: np.ndarray
@@ -80,6 +82,20 @@ class DiscreteSSM2D:
     @property
     def n(self) -> int:
         return self.Abar1.shape[-1]
+
+    def on_grid(self, v_count: int, t_count: int) -> "DiscreteSSM2D":
+        """The parameters with batch shape (V, T): constant fields are
+        broadcast, fields already on the grid pass through unchanged."""
+        grid = (v_count, t_count)
+        fields = {}
+        for name, a in vars(self).items():
+            a = np.asarray(a)
+            lead = a.ndim - (2 if name.startswith("Abar") else 1)
+            batch = a.shape[:lead]
+            if batch not in ((), grid):
+                raise ValueError(f"{name} has batch shape {batch}; expected () or the grid {grid}")
+            fields[name] = a if batch == grid else np.broadcast_to(a, grid + a.shape)
+        return DiscreteSSM2D(**fields)
 
 
 def zoh_pair(a: StructuredMatrix, b, dt) -> tuple[np.ndarray, np.ndarray]:

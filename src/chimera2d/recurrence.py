@@ -12,7 +12,8 @@ Cell update, with zero state outside the grid:
     y[v, t]  = C1 h1[v, t] + C2 h2[v, t]
 
 The input term is the outer product (N,1) @ (1,d), so each channel runs
-through the same state dynamics independently.
+through the same state dynamics independently. Per-cell (selective)
+parameters enter the same update indexed at [v, t].
 """
 
 from __future__ import annotations
@@ -34,28 +35,42 @@ def as_series(x) -> np.ndarray:
     return x
 
 
+def require_constant(dp: DiscreteSSM2D, caller: str) -> None:
+    """Reject per-cell parameters where one parameter set must serve
+    every cell."""
+    n = dp.n
+    shapes = [np.shape(a) for a in vars(dp).values()]
+    if shapes != [(n, n)] * 4 + [(n,)] * 4:
+        raise ValueError(
+            f"{caller} needs constant parameters (Abar* of shape ({n}, {n}), "
+            f"Bbar*/C* of shape ({n},)), got shapes {shapes}"
+        )
+
+
 def forward_recurrence(dp: DiscreteSSM2D, x) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Run the 2D recurrence; returns (y, (h1, h2)) with hidden grids of
-    shape (V, T, N, d)."""
+    shape (V, T, N, d). `dp` may be constant (batch shape ()) or per-cell
+    on the input's (V, T) grid."""
     x = as_series(x)
     v_count, t_count, d = x.shape
+    c = dp.on_grid(v_count, t_count)
     n = dp.n
     h1 = np.zeros((v_count, t_count, n, d))
     h2 = np.zeros((v_count, t_count, n, d))
     y = np.zeros((v_count, t_count, d))
     for v in range(v_count):
         for t in range(t_count):
-            bx1 = np.outer(dp.Bbar1, x[v, t])
-            bx2 = np.outer(dp.Bbar2, x[v, t])
+            bx1 = np.outer(c.Bbar1[v, t], x[v, t])
+            bx2 = np.outer(c.Bbar2[v, t], x[v, t])
             s1 = bx1
             if t > 0:
-                s1 = s1 + dp.Abar1 @ h1[v, t - 1] + dp.Abar2 @ h2[v, t - 1]
+                s1 = s1 + c.Abar1[v, t] @ h1[v, t - 1] + c.Abar2[v, t] @ h2[v, t - 1]
             s2 = bx2
             if v > 0:
-                s2 = s2 + dp.Abar3 @ h1[v - 1, t] + dp.Abar4 @ h2[v - 1, t]
+                s2 = s2 + c.Abar3[v, t] @ h1[v - 1, t] + c.Abar4[v, t] @ h2[v - 1, t]
             h1[v, t] = s1
             h2[v, t] = s2
-            y[v, t] = dp.C1 @ s1 + dp.C2 @ s2
+            y[v, t] = c.C1[v, t] @ s1 + c.C2[v, t] @ s2
     return y, (h1, h2)
 
 
@@ -82,6 +97,7 @@ def closed_loop_decode(
     emitted outputs for the `horizon` generated columns are returned."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
+    require_constant(dp, "closed_loop_decode")
     x_ctx = as_series(x_ctx)
     d1 = np.asarray(d1, dtype=float)
     d2 = np.asarray(d2, dtype=float)

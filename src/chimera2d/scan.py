@@ -27,26 +27,20 @@ cross-time state h1 along the row is a single 1D chain
 
     h1[t] = Abar1[t] h1[t-1] + (Abar2[t] h2[t-1] + Bbar1[t] x[t]),
 
-computed as an inclusive scan of elements (Abar1, Abar2, Bbar1 x;
-0, 0, h2) whose third-column blocks carry (h1, h2). The row scans run
-in tree mode, optionally chunked across worker threads. A wavefront
-schedule (vectorized over each anti-diagonal) is kept as an alternative;
-both are gated on the sequential oracle by the test suite.
+the first row of the 2x3 element with the cross term folded into the
+translation. Each row's chain runs as one work-efficient tree scan
+(Blelloch 1990, "Prefix sums and their applications") on a single
+thread; the test suite gates it on the sequential oracle.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .discretize import DiscreteSSM2D
 from .recurrence import as_series
-
-# stacked element: 6 arrays with a shared leading batch axis
-Blocks = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -78,82 +72,37 @@ class ScanElement:
         return ScanElement(eye, zsq, z, zsq.copy(), eye.copy(), z.copy())
 
 
-def _combine(p: Blocks, q: Blocks) -> Blocks:
-    """Batched composition; arrays broadcast over the leading axis."""
-    p1, p2, p3, p4, p5, p6 = p
-    q1, q2, q3, q4, q5, q6 = q
-    return (
-        q1 @ p1 + q2 @ p4,
-        q1 @ p2 + q2 @ p5,
-        q1 @ p3 + q2 @ p6 + q3,
-        q4 @ p1 + q5 @ p4,
-        q4 @ p2 + q5 @ p5,
-        q4 @ p3 + q5 @ p6 + q6,
-    )
-
-
 def op_star(p: ScanElement, q: ScanElement) -> ScanElement:
     """Compose two elements (q after p)."""
     if p.p1.shape != q.p1.shape or p.p3.shape != q.p3.shape:
         raise ValueError("shape mismatch between scan elements")
-    return ScanElement(*_combine(
-        (p.p1, p.p2, p.p3, p.p4, p.p5, p.p6),
-        (q.p1, q.p2, q.p3, q.p4, q.p5, q.p6),
-    ))
+    return ScanElement(
+        q.p1 @ p.p1 + q.p2 @ p.p4,
+        q.p1 @ p.p2 + q.p2 @ p.p5,
+        q.p1 @ p.p3 + q.p2 @ p.p6 + q.p3,
+        q.p4 @ p.p1 + q.p5 @ p.p4,
+        q.p4 @ p.p2 + q.p5 @ p.p5,
+        q.p4 @ p.p3 + q.p5 @ p.p6 + q.p6,
+    )
 
 
-def _index(p: Blocks, sel) -> Blocks:
-    return tuple(b[sel] for b in p)  # type: ignore[return-value]
-
-
-def _scan_blocks(p: Blocks) -> Blocks:
-    """Inclusive scan over the leading axis by recursive pairing:
-    combine adjacent pairs, scan the halved sequence, interleave back.
-    Work-efficient and only ever composes left-to-right (no identity
-    needed on the right)."""
-    m = p[0].shape[0]
-    if m == 1:
-        return p
-    half = m // 2
-    reduced = _combine(_index(p, slice(0, 2 * half, 2)), _index(p, slice(1, 2 * half, 2)))
-    inner = _scan_blocks(reduced)
-    out = tuple(np.empty(b.shape, dtype=float) for b in p)
-    for o, raw, s in zip(out, p, inner):
-        o[0] = raw[0]
-        o[1::2] = s  # position 2i+1 is exactly inner[i]
-    if m > 2:
-        # position 2i (i >= 1) is inner[i-1] composed with the raw element
-        n_evens = len(range(2, m, 2))
-        evens = _combine(_index(inner, slice(0, n_evens)), _index(p, slice(2, m, 2)))
-        for o, e in zip(out, evens):
-            o[2::2] = e
-    return out  # type: ignore[return-value]
-
-
-def _scan_blocks_chunked(p: Blocks, threads: int) -> Blocks:
-    """Chunk the sequence, tree-scan chunks in a thread pool, then fold
-    the chunk carries sequentially and push each carry into its chunk."""
-    m = p[0].shape[0]
-    threads = max(1, threads)
-    if threads == 1 or m < 2 * threads:
-        return _scan_blocks(p)
-    bounds = np.linspace(0, m, threads + 1, dtype=int)
-    chunks = [_index(p, slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        scanned = list(pool.map(_scan_blocks, chunks))
-        carried = [scanned[0]]
-        carry = _index(scanned[0], slice(-1, None))
-        for chunk in scanned[1:]:
-            carried.append(_combine(carry, chunk))
-            carry = _index(carried[-1], slice(-1, None))
-    return tuple(np.concatenate(bs, axis=0) for bs in zip(*carried))  # type: ignore[return-value]
+def inclusive_scan(elems: list[ScanElement]) -> list[ScanElement]:
+    """Inclusive prefix scan: output[i] = elems[0] * ... * elems[i],
+    folded left to right."""
+    if not elems:
+        raise ValueError("empty input")
+    out = [elems[0]]
+    for e in elems[1:]:
+        out.append(op_star(out[-1], e))
+    return out
 
 
 def _scan_affine(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inclusive scan of the affine chain h[i] = a[i] h[i-1] + g[i],
-    via pairs (a, g) composed as (a2 a1, a2 g1 + g2). This is the 2x3
-    block composition restricted to its first row with the cross term
-    already folded into g; same recursive tree as `_scan_blocks`."""
+    via pairs (a, g) composed as (a2 a1, a2 g1 + g2), by recursive
+    pairing: combine adjacent pairs, scan the halved sequence,
+    interleave back. Work-efficient, and only ever composes left to
+    right (no identity needed on the right)."""
     m = a.shape[0]
     if m == 1:
         return a, g
@@ -166,188 +115,46 @@ def _scan_affine(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     out_a = np.empty(a.shape)
     out_g = np.empty(g.shape)
     out_a[0], out_g[0] = a[0], g[0]
+    # position 2i+1 is exactly the halved scan's entry i
     out_a[1::2], out_g[1::2] = sa, sg
     if m > 2:
+        # position 2i (i >= 1) is the halved scan's entry i-1 composed
+        # with the raw element
         n_evens = len(range(2, m, 2))
         out_a[2::2] = a[2::2] @ sa[:n_evens]
         out_g[2::2] = a[2::2] @ sg[:n_evens] + g[2::2]
     return out_a, out_g
 
 
-def _scan_affine_chunked(a: np.ndarray, g: np.ndarray, threads: int):
-    m = a.shape[0]
-    threads = max(1, threads)
-    if threads == 1 or m < 2 * threads:
-        return _scan_affine(a, g)
-    bounds = np.linspace(0, m, threads + 1, dtype=int)
-    spans = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        scanned = list(pool.map(lambda s: _scan_affine(a[s[0] : s[1]], g[s[0] : s[1]]), spans))
-    out_a = [scanned[0][0]]
-    out_g = [scanned[0][1]]
-    for ca, cg in scanned[1:]:
-        carry_a, carry_g = out_a[-1][-1], out_g[-1][-1]
-        out_a.append(ca @ carry_a)
-        out_g.append(ca @ carry_g + cg)
-    return np.concatenate(out_a), np.concatenate(out_g)
-
-
-def inclusive_scan(
-    elems: list[ScanElement],
-    mode: str = "tree",
-    threads: int = 1,
-) -> list[ScanElement]:
-    """Inclusive prefix scan: output[i] = elems[0] * ... * elems[i]."""
-    if not elems:
-        raise ValueError("empty input")
-    if mode == "sequential":
-        out = [elems[0]]
-        for e in elems[1:]:
-            out.append(op_star(out[-1], e))
-        return out
-    if mode != "tree":
-        raise ValueError(f"unknown scan mode {mode!r}")
-    stacked: Blocks = tuple(
-        np.stack([getattr(e, f"p{i}") for e in elems]) for i in range(1, 7)
-    )  # type: ignore[assignment]
-    scanned = _scan_blocks_chunked(stacked, threads)
-    return [ScanElement(*(b[i] for b in scanned)) for i in range(len(elems))]
-
-
-@dataclass(frozen=True)
-class CellParams:
-    """Per-cell discrete parameters on a (V, T) grid. Constant across
-    cells in the data-independent case; produced by the selective
-    projections otherwise. Shapes: Abar* (V,T,N,N), Bbar*/C* (V,T,N)."""
-
-    Abar1: np.ndarray
-    Abar2: np.ndarray
-    Abar3: np.ndarray
-    Abar4: np.ndarray
-    Bbar1: np.ndarray
-    Bbar2: np.ndarray
-    C1: np.ndarray
-    C2: np.ndarray
-
-    @property
-    def grid(self) -> tuple[int, int]:
-        return self.Abar1.shape[0], self.Abar1.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.Abar1.shape[-1]
-
-    @staticmethod
-    def from_constant(dp: DiscreteSSM2D, v_count: int, t_count: int) -> "CellParams":
-        n = dp.n
-
-        def mat(a):
-            return np.broadcast_to(a, (v_count, t_count, n, n))
-
-        def vec(b):
-            return np.broadcast_to(b, (v_count, t_count, n))
-
-        return CellParams(
-            mat(dp.Abar1), mat(dp.Abar2), mat(dp.Abar3), mat(dp.Abar4),
-            vec(dp.Bbar1), vec(dp.Bbar2), vec(dp.C1), vec(dp.C2),
-        )
-
-
-def resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("CHIMERA2D_THREADS")
-    return max(1, int(env)) if env else 1
-
-
-def scan_forward(
-    cells: CellParams | DiscreteSSM2D,
-    x,
-    schedule: str = "rowscan",
-    threads: int | None = None,
-    return_hidden: bool = False,
-):
+def scan_forward(dp: DiscreteSSM2D, x, return_hidden: bool = False):
     """Scan-based forward pass, equal to the sequential recurrence.
 
-    `cells` may be a constant DiscreteSSM2D or full per-cell parameters.
-    """
+    `dp` may be constant (batch shape ()) or per-cell on the input's
+    (V, T) grid."""
     x = as_series(x)
     v_count, t_count, d = x.shape
-    if isinstance(cells, DiscreteSSM2D):
-        cells = CellParams.from_constant(cells, v_count, t_count)
-    if cells.grid != (v_count, t_count):
-        raise ValueError("cell parameter grid does not match the input grid")
-    threads = resolve_threads(threads)
-    if schedule in ("rowscan", "rowscan-star"):
-        y, h1, h2 = _rowscan_forward(cells, x, threads, star=(schedule == "rowscan-star"))
-    elif schedule == "wavefront":
-        y, h1, h2 = _wavefront_forward(cells, x)
-    else:
-        raise ValueError(f"unknown schedule {schedule!r}")
-    if return_hidden:
-        return y, (h1, h2)
-    return y
-
-
-def _rowscan_forward(cells: CellParams, x: np.ndarray, threads: int, star: bool = False):
-    v_count, t_count, d = x.shape
+    cells = dp.on_grid(v_count, t_count)
     n = cells.n
     h1 = np.zeros((v_count, t_count, n, d))
     h2 = np.zeros((v_count, t_count, n, d))
     y = np.empty((v_count, t_count, d))
-    zero_sq = np.broadcast_to(np.zeros((n, n)), (t_count, n, n))
     for v in range(v_count):
         # cross-variate state: pointwise in t given the previous row
-        bx2 = cells.Bbar2[v][:, :, None] * x[v][:, None, :]
-        if v == 0:
-            h2row = bx2
-        else:
+        h2row = cells.Bbar2[v][:, :, None] * x[v][:, None, :]
+        if v > 0:
             h2row = (
                 np.einsum("tij,tjd->tid", cells.Abar3[v], h1[v - 1])
                 + np.einsum("tij,tjd->tid", cells.Abar4[v], h2[v - 1])
-                + bx2
+                + h2row
             )
         # cross-time state: one inclusive scan along the row
-        bx1 = cells.Bbar1[v][:, :, None] * x[v][:, None, :]
-        if star:
-            elems: Blocks = (cells.Abar1[v], cells.Abar2[v], bx1, zero_sq, zero_sq, h2row)
-            h1[v] = _scan_blocks_chunked(elems, threads)[2]
-        else:
-            g = bx1.copy()
-            g[1:] += np.einsum("tij,tjd->tid", cells.Abar2[v][1:], h2row[:-1])
-            _, h1[v] = _scan_affine_chunked(np.ascontiguousarray(cells.Abar1[v]), g, threads)
+        g = cells.Bbar1[v][:, :, None] * x[v][:, None, :]
+        g[1:] += np.einsum("tij,tjd->tid", cells.Abar2[v][1:], h2row[:-1])
+        _, h1[v] = _scan_affine(np.ascontiguousarray(cells.Abar1[v]), g)
         h2[v] = h2row
         y[v] = np.einsum("tn,tnd->td", cells.C1[v], h1[v]) + np.einsum(
             "tn,tnd->td", cells.C2[v], h2row
         )
-    return y, h1, h2
-
-
-def _wavefront_forward(cells: CellParams, x: np.ndarray):
-    """Anti-diagonal sweep: all cells with equal v+t depend only on the
-    previous diagonal, so each diagonal updates as one vector step."""
-    v_count, t_count, d = x.shape
-    n = cells.n
-    h1 = np.zeros((v_count, t_count, n, d))
-    h2 = np.zeros((v_count, t_count, n, d))
-    for s in range(v_count + t_count - 1):
-        v_lo = max(0, s - t_count + 1)
-        v_hi = min(v_count - 1, s)
-        vs = np.arange(v_lo, v_hi + 1)
-        ts = s - vs
-        new1 = cells.Bbar1[vs, ts][:, :, None] * x[vs, ts][:, None, :]
-        new2 = cells.Bbar2[vs, ts][:, :, None] * x[vs, ts][:, None, :]
-        has_t = ts > 0
-        if has_t.any():
-            vv, tt = vs[has_t], ts[has_t]
-            new1[has_t] += np.einsum("kij,kjd->kid", cells.Abar1[vv, tt], h1[vv, tt - 1])
-            new1[has_t] += np.einsum("kij,kjd->kid", cells.Abar2[vv, tt], h2[vv, tt - 1])
-        has_v = vs > 0
-        if has_v.any():
-            vv, tt = vs[has_v], ts[has_v]
-            new2[has_v] += np.einsum("kij,kjd->kid", cells.Abar3[vv, tt], h1[vv - 1, tt])
-            new2[has_v] += np.einsum("kij,kjd->kid", cells.Abar4[vv, tt], h2[vv - 1, tt])
-        h1[vs, ts] = new1
-        h2[vs, ts] = new2
-    y = np.einsum("vtn,vtnd->vtd", cells.C1, h1) + np.einsum("vtn,vtnd->vtd", cells.C2, h2)
-    return y, h1, h2
+    if return_hidden:
+        return y, (h1, h2)
+    return y

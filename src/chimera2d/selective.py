@@ -16,7 +16,6 @@ import numpy as np
 
 from .discretize import DT_FLOOR, ContinuousSSM2D, DiscreteSSM2D, discretize_all
 from .recurrence import as_series
-from .scan import CellParams
 from .structured import StructuredMatrix
 
 
@@ -104,7 +103,8 @@ def project_grid_params(
     proj: SelectiveProjections,
     x,
     a_set: tuple[StructuredMatrix, StructuredMatrix, StructuredMatrix, StructuredMatrix],
-) -> CellParams:
-    """Per-cell parameters for a whole (V, T, d) grid, for the scan path:
-    one projection and one batched discretization over all cells."""
-    return CellParams(**vars(project_cell_params(proj, as_series(x), a_set)))
+) -> DiscreteSSM2D:
+    """Per-cell parameters (batch shape (V, T)) for a whole (V, T, d)
+    grid, for the scan path: one projection and one batched
+    discretization over all cells."""
+    return project_cell_params(proj, as_series(x), a_set)

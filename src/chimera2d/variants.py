@@ -16,7 +16,6 @@ import numpy as np
 
 from .discretize import DiscreteSSM2D
 from .recurrence import as_series, forward_recurrence
-from .scan import CellParams
 
 MAX_NAIVE_CELLS = 64
 
@@ -33,15 +32,9 @@ def mamba2d_forward(dp: DiscreteSSM2D, x) -> np.ndarray:
     return y
 
 
-def _as_cells(params, v_count: int, t_count: int) -> CellParams:
-    if isinstance(params, DiscreteSSM2D):
-        return CellParams.from_constant(params, v_count, t_count)
-    return params
-
-
 def materialize_matrices(
-    cells_f: CellParams | DiscreteSSM2D,
-    cells_b: CellParams | DiscreteSSM2D,
+    cells_f: DiscreteSSM2D,
+    cells_b: DiscreteSSM2D,
     v_count: int,
     t_count: int,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -57,8 +50,8 @@ def materialize_matrices(
     """
     if v_count * t_count > MAX_NAIVE_CELLS:
         raise ValueError(f"naive materialization is limited to {MAX_NAIVE_CELLS} cells")
-    cf = _as_cells(cells_f, v_count, t_count)
-    cb = _as_cells(cells_b, v_count, t_count)
+    cf = cells_f.on_grid(v_count, t_count)
+    cb = cells_b.on_grid(v_count, t_count)
     _ensure_decoupled(cf.Abar2, cf.Abar3)
     _ensure_decoupled(cb.Abar2, cb.Abar3)
 

@@ -39,7 +39,7 @@ from chimera2d import (
 )
 from chimera2d.model import mse_loss
 from chimera2d.variants import matrix_form_apply
-from chimera2d.invariants import _random_dp, _selective_reference, _stable_coeffs
+from chimera2d.invariants import _random_dp, _stable_coeffs
 
 from test_scan import random_element
 
@@ -113,7 +113,7 @@ def test_criterion_02_scan_equals_recurrence():
             for draw in range(50):
                 proj = SelectiveProjections.init_random(n, d, seed=1000 * v_count + t_count + draw)
                 cells = project_grid_params(proj, x, a_set)
-                y_ref = _selective_reference(cells, x)
+                y_ref, _ = forward_recurrence(cells, x)
                 y = scan_forward(cells, x)
                 worst_sel = max(worst_sel, float(np.max(np.abs(y - y_ref))))
     check(
@@ -268,7 +268,7 @@ def test_criterion_08_desk_scale_learning():
 def test_criterion_09_scan_scaling():
     rng = np.random.default_rng(109)
     dp = _random_dp(rng, 8)
-    v_count, d, threads = 8, 8, 4
+    v_count, d = 8, 8
 
     def best_of(fn, repeats=7):
         fn()  # warm-up outside the timed region
@@ -282,7 +282,7 @@ def test_criterion_09_scan_scaling():
     scan_times = {}
     for t_count in (1024, 2048, 4096):
         x = rng.standard_normal((v_count, t_count, d))
-        scan_times[t_count] = best_of(lambda: scan_forward(dp, x, threads=threads))
+        scan_times[t_count] = best_of(lambda: scan_forward(dp, x))
     r1 = scan_times[2048] / scan_times[1024]
     r2 = scan_times[4096] / scan_times[2048]
     x = rng.standard_normal((v_count, 4096, d))

@@ -147,7 +147,7 @@ def test_bench_scan_writes_table(tmp_path):
     cfg.write_text(json.dumps({"bench_sizes": [16, 32], "state_dim": 2}))
     assert cmd_dispatch(["bench-scan", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "bench.csv").read_text().strip().splitlines()
-    assert lines[0] == "T,sequential_s,scan_s,wavefront_s"
+    assert lines[0] == "T,sequential_s,scan_s"
     assert len(lines) == 3
 
 

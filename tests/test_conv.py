@@ -6,7 +6,7 @@ import pytest
 from chimera2d import impulse_kernels, conv_apply, forward_recurrence, matrix_power
 from chimera2d.structured import dense_matrix
 
-from test_recurrence import random_dp
+from test_recurrence import per_cell, random_dp
 
 
 def test_origin_response_is_local_term():
@@ -95,3 +95,10 @@ def test_kernel_extent_mismatch_rejected():
     k1, k2 = impulse_kernels(dp, 2, 3)
     with pytest.raises(ValueError):
         conv_apply(k1, k2, dp.C1, dp.C2, rng.standard_normal((4, 4, 1)))
+
+
+def test_kernels_need_constant_parameters():
+    rng = np.random.default_rng(6)
+    dp = per_cell(random_dp(rng, 2), 2, 3)
+    with pytest.raises(ValueError, match="impulse_kernels needs constant parameters"):
+        impulse_kernels(dp, 2, 3)

@@ -1,10 +1,13 @@
 """Tests for zero-order-hold discretization."""
 
+import re
+
 import numpy as np
 import pytest
 
 from chimera2d import (
     ContinuousSSM2D,
+    DiscreteSSM2D,
     companion_from_coeffs,
     diagonal_matrix,
     dense_matrix,
@@ -148,3 +151,23 @@ def test_mismatched_state_dims_rejected():
             B1=np.zeros(2), B2=np.zeros(2), C1=np.zeros(2), C2=np.zeros(2),
             dt1=0.1, dt2=0.1,
         )
+
+
+def test_on_grid_broadcasts_constant_and_passes_grid_through():
+    rng = np.random.default_rng(7)
+    n = 3
+    dp = DiscreteSSM2D(*rng.standard_normal((4, n, n)), *rng.standard_normal((4, n)))
+    grid = dp.on_grid(2, 5)
+    assert grid.Abar2.shape == (2, 5, n, n) and grid.C1.shape == (2, 5, n)
+    for name, a in vars(grid).items():
+        assert np.array_equal(a[1, 4], getattr(dp, name))
+    again = grid.on_grid(2, 5)
+    assert all(getattr(again, k) is a for k, a in vars(grid).items())
+
+
+@pytest.mark.parametrize("batch", [(2,), (5, 2), (2, 5, 1)])
+def test_on_grid_rejects_other_batch_shapes(batch):
+    rng = np.random.default_rng(8)
+    dp = DiscreteSSM2D(*rng.standard_normal((4,) + batch + (2, 2)), *rng.standard_normal((4,) + batch + (2,)))
+    with pytest.raises(ValueError, match=rf"batch shape {re.escape(str(batch))}.*grid \(2, 5\)"):
+        dp.on_grid(2, 5)

@@ -62,6 +62,43 @@ def test_two_by_two_hand_unrolled():
             assert np.max(np.abs(y[v, t] - expected)) < 1e-12
 
 
+def per_cell(dp, v_count, t_count):
+    """The constant parameters repeated on every cell of a grid."""
+    return DiscreteSSM2D(**{k: np.broadcast_to(a, (v_count, t_count) + a.shape) for k, a in vars(dp).items()})
+
+
+def test_per_cell_parameters_hand_unrolled():
+    rng = np.random.default_rng(12)
+    n = 2
+    dps = {(v, t): random_dp(rng, n) for v in range(2) for t in range(2)}
+    cells = DiscreteSSM2D(
+        **{k: np.array([[getattr(dps[v, t], k) for t in range(2)] for v in range(2)]) for k in vars(dps[0, 0])}
+    )
+    x = rng.standard_normal((2, 2, 1))
+    y, _ = forward_recurrence(cells, x)
+    h1 = {}
+    h2 = {}
+    for v in range(2):
+        for t in range(2):
+            c = dps[v, t]
+            h1[v, t] = np.outer(c.Bbar1, x[v, t])
+            if t > 0:
+                h1[v, t] = h1[v, t] + c.Abar1 @ h1[v, t - 1] + c.Abar2 @ h2[v, t - 1]
+            h2[v, t] = np.outer(c.Bbar2, x[v, t])
+            if v > 0:
+                h2[v, t] = h2[v, t] + c.Abar3 @ h1[v - 1, t] + c.Abar4 @ h2[v - 1, t]
+            assert np.max(np.abs(y[v, t] - (c.C1 @ h1[v, t] + c.C2 @ h2[v, t]))) < 1e-12
+
+
+def test_constant_parameters_on_the_grid_agree():
+    rng = np.random.default_rng(13)
+    dp = random_dp(rng, 3)
+    x = rng.standard_normal((3, 4, 2))
+    y, _ = forward_recurrence(dp, x)
+    y_grid, _ = forward_recurrence(per_cell(dp, 3, 4), x)
+    assert np.array_equal(y, y_grid)
+
+
 def test_linearity():
     rng = np.random.default_rng(3)
     dp = random_dp(rng, 3)
@@ -159,6 +196,13 @@ def test_decode_one_step_matches_manual_extension():
     extended = np.concatenate([x, u[:, None, :]], axis=1)
     y_ref, _ = forward_recurrence(dp, extended)
     assert np.max(np.abs(out[:, 0] - y_ref[:, -1])) < 1e-12
+
+
+def test_decode_rejects_per_cell_parameters():
+    rng = np.random.default_rng(11)
+    dp = per_cell(random_dp(rng, 2), 3, 4)
+    with pytest.raises(ValueError, match="closed_loop_decode needs constant parameters"):
+        closed_loop_decode(dp, np.zeros(2), np.zeros(2), rng.standard_normal((3, 4, 1)), 2)
 
 
 def test_as_series_validation():

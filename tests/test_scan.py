@@ -1,14 +1,12 @@
-"""Tests for the associative operator and the parallel scan schedules."""
+"""Tests for the associative operator and the row scan."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chimera2d import ScanElement, op_star, inclusive_scan, scan_forward, forward_recurrence
-from chimera2d.scan import CellParams
-from chimera2d import SelectiveProjections, project_grid_params
-from chimera2d import companion_from_coeffs, diagonal_matrix
+from chimera2d import DiscreteSSM2D, ScanElement, op_star, inclusive_scan, scan_forward, forward_recurrence
+from chimera2d.scan import _scan_affine
 
 from test_recurrence import random_dp
 
@@ -95,20 +93,16 @@ def test_inclusive_scan_all_identities():
 
 @pytest.mark.parametrize("count", [2, 3, 5, 8, 13, 32])
 def test_tree_matches_sequential(count):
+    # the row scan's tree against the plain left-to-right chain
     rng = np.random.default_rng(count)
-    elems = [random_element(rng, 3, 2) for _ in range(count)]
-    seq = inclusive_scan(elems, mode="sequential")
-    tree = inclusive_scan(elems, mode="tree")
-    assert max(element_diff(a, b) for a, b in zip(tree, seq)) < 1e-9
-
-
-def test_tree_thread_count_invariant():
-    rng = np.random.default_rng(3)
-    elems = [random_element(rng, 2, 1) for _ in range(21)]
-    base = inclusive_scan(elems, mode="tree", threads=1)
-    for threads in (2, 3, 5):
-        out = inclusive_scan(elems, mode="tree", threads=threads)
-        assert max(element_diff(a, b) for a, b in zip(out, base)) < 1e-9
+    a = 0.6 * rng.standard_normal((count, 3, 3))
+    g = rng.standard_normal((count, 3, 2))
+    _, h = _scan_affine(a, g)
+    expected = g[0]
+    for i in range(count):
+        if i:
+            expected = a[i] @ expected + g[i]
+        assert np.max(np.abs(h[i] - expected)) < 1e-9 * (1.0 + np.max(np.abs(expected)))
 
 
 def test_empty_scan_rejected():
@@ -144,12 +138,11 @@ def test_scan_1d_reduction_along_variates():
         assert np.max(np.abs(y[v, 0] - expected)) < 1e-10
 
 
-@pytest.mark.parametrize("schedule", ["rowscan", "rowscan-star", "wavefront"])
-def test_scan_matches_recurrence_coupled(schedule):
+def test_scan_matches_recurrence_coupled():
     rng = np.random.default_rng(6)
     dp = random_dp(rng, 4)
     x = rng.standard_normal((4, 4, 3))
-    y = scan_forward(dp, x, schedule=schedule)
+    y = scan_forward(dp, x)
     y_ref, _ = forward_recurrence(dp, x)
     assert np.max(np.abs(y - y_ref)) < 1e-9
 
@@ -164,33 +157,13 @@ def test_scan_hidden_states_match_recurrence():
     assert np.max(np.abs(h2 - h2_ref)) < 1e-10
 
 
-def test_scan_selective_cells():
-    rng = np.random.default_rng(8)
-    n, d = 3, 2
-    a_set = (
-        companion_from_coeffs(rng.uniform(-0.4, 0, n)),
-        companion_from_coeffs(rng.uniform(-0.4, 0, n)),
-        diagonal_matrix(rng.uniform(-1, -0.1, n)),
-        diagonal_matrix(rng.uniform(-1, -0.1, n)),
-    )
-    proj = SelectiveProjections.init_random(n, d, seed=8)
-    x = rng.standard_normal((4, 6, d))
-    cells = project_grid_params(proj, x, a_set)
-    outs = [scan_forward(cells, x, schedule=s) for s in ("rowscan", "rowscan-star", "wavefront")]
-    for other in outs[1:]:
-        assert np.max(np.abs(other - outs[0])) < 1e-9
-
-
 def test_scan_grid_mismatch_rejected():
     rng = np.random.default_rng(9)
     dp = random_dp(rng, 2)
-    cells = CellParams.from_constant(dp, 3, 3)
-    with pytest.raises(ValueError):
-        scan_forward(cells, rng.standard_normal((4, 4, 1)))
-
-
-def test_unknown_schedule_rejected():
-    rng = np.random.default_rng(10)
-    dp = random_dp(rng, 2)
-    with pytest.raises(ValueError):
-        scan_forward(dp, np.zeros((2, 2, 1)), schedule="diagonal")
+    x = rng.standard_normal((4, 4, 1))
+    with pytest.raises(ValueError, match=r"batch shape \(3, 3\).*grid \(4, 4\)"):
+        scan_forward(dp.on_grid(3, 3), x)
+    # one parameter set per variate is not a grid either
+    per_variate = DiscreteSSM2D(**{k: np.stack([a] * 4) for k, a in vars(dp).items()})
+    with pytest.raises(ValueError, match=r"batch shape \(4,\).*grid \(4, 4\)"):
+        scan_forward(per_variate, x)

@@ -1,11 +1,12 @@
 """Tests for the decoupled variant and its materialized matrix form."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from chimera2d import mamba2d_forward, materialize_matrices, bidirectional_forward, DiscreteSSM2D
+from chimera2d import mamba2d_forward, materialize_matrices, bidirectional_forward, forward_recurrence, DiscreteSSM2D
 from chimera2d.variants import matrix_form_apply, MAX_NAIVE_CELLS
-from chimera2d.scan import CellParams
 from chimera2d import SelectiveProjections, project_grid_params
 from chimera2d import companion_from_coeffs, diagonal_matrix
 
@@ -122,38 +123,15 @@ def test_matrix_form_matches_selective():
         proj = SelectiveProjections.init_random(n, d, seed=seed)
         cells = project_grid_params(proj, x, a_set)
         # zero the cross blocks: the variant is defined without coupling
-        return CellParams(
-            Abar1=cells.Abar1, Abar2=np.zeros_like(cells.Abar2),
-            Abar3=np.zeros_like(cells.Abar3), Abar4=cells.Abar4,
-            Bbar1=cells.Bbar1, Bbar2=cells.Bbar2, C1=cells.C1, C2=cells.C2,
-        )
+        return replace(cells, Abar2=np.zeros_like(cells.Abar2), Abar3=np.zeros_like(cells.Abar3))
 
     cells_f = decoupled_cells(61)
     cells_b = decoupled_cells(62)
-    y_f = mamba2d_forward_cells(cells_f, x)
-    y_b = mamba2d_forward_cells(cells_b, x[::-1])[::-1]
+    y_f, _ = forward_recurrence(cells_f, x)
+    y_b = forward_recurrence(cells_b, x[::-1])[0][::-1]
     m_time, m_var = materialize_matrices(cells_f, cells_b, v_count, t_count)
     y_mat = matrix_form_apply(m_time, m_var, x)
     assert np.max(np.abs(y_mat - (y_f + y_b))) < 1e-9
-
-
-def mamba2d_forward_cells(cells, x):
-    """Per-cell decoupled recurrence, used as the selective oracle here."""
-    v_count, t_count, d = x.shape
-    n = cells.n
-    y = np.empty((v_count, t_count, d))
-    h1 = np.zeros((v_count, t_count, n, d))
-    h2 = np.zeros((v_count, t_count, n, d))
-    for v in range(v_count):
-        for t in range(t_count):
-            h1[v, t] = np.outer(cells.Bbar1[v, t], x[v, t])
-            if t > 0:
-                h1[v, t] += cells.Abar1[v, t] @ h1[v, t - 1]
-            h2[v, t] = np.outer(cells.Bbar2[v, t], x[v, t])
-            if v > 0:
-                h2[v, t] += cells.Abar4[v, t] @ h2[v - 1, t]
-            y[v, t] = cells.C1[v, t] @ h1[v, t] + cells.C2[v, t] @ h2[v, t]
-    return y
 
 
 def test_naive_size_bound():
