@@ -17,12 +17,8 @@ from .structured import (
     expm,
 )
 from .discretize import ContinuousSSM2D, DiscreteSSM2D, zoh_pair, discretize_all
-from .recurrence import (
-    forward_recurrence,
-    bidirectional_forward,
-    closed_loop_decode,
-)
-from .scan import ScanElement, op_star, inclusive_scan, scan_forward
+from .recurrence import forward_recurrence, bidirectional_forward
+from .scan import ScanElement, op_star, inclusive_scan, scan_forward, closed_loop_decode
 from .conv import impulse_kernels, conv_apply
 from .selective import SelectiveProjections, project_cell_params, project_grid_params
 from .variants import mamba2d_forward, materialize_matrices

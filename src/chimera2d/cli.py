@@ -252,7 +252,9 @@ def cmd_eval(args) -> int:
     insample = read_series_csv(args.insample)
     if pred.shape != truth.shape:
         raise ConfigError(f"prediction shape {pred.shape} != truth shape {truth.shape}")
-    metrics = compute_metrics(pred, truth, insample.ravel(), season=args.season)
+    if insample.shape[0] != pred.shape[0]:
+        raise ConfigError(f"in-sample has {insample.shape[0]} variates, the prediction {pred.shape[0]}")
+    metrics = compute_metrics(pred, truth, insample, season=args.season)
     path = _out_path(args, "metrics.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(metrics, fh, indent=2)

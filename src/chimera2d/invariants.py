@@ -29,7 +29,7 @@ from .structured import (
 )
 from .discretize import ContinuousSSM2D, DiscreteSSM2D, zoh_pair, discretize_all
 from .recurrence import forward_recurrence, bidirectional_forward
-from .scan import ScanElement, op_star, scan_forward
+from .scan import ScanElement, closed_loop_decode, op_star, scan_forward
 from .conv import impulse_kernels, conv_apply
 from .selective import SelectiveProjections, softplus, project_grid_params
 from .variants import materialize_matrices, matrix_form_apply
@@ -63,6 +63,7 @@ MODULE_INVARIANTS: dict[str, tuple[str, ...]] = {
         "recurrence.linearity",
         "recurrence.causality",
         "recurrence.decoupled_sum",
+        "recurrence.decode_oracle",
     ),
     "scan": (
         "scan.associativity",
@@ -311,6 +312,26 @@ def _check_recurrence_decoupled_sum():
             expected[v, t] += dp.C2 @ h
     diff = np.max(np.abs(y - expected))
     assert diff < 1e-10, f"decoupled output differs from 1D sum by {diff:.3e}"
+
+
+@invariant("recurrence.decode_oracle")
+def _check_recurrence_decode_oracle():
+    rng = np.random.default_rng(34)
+    n, horizon = 3, 5
+    dp = _random_dp(rng, n)
+    d1, d2 = rng.standard_normal(n), rng.standard_normal(n)
+    x = rng.standard_normal((4, 7, 2))
+    out = closed_loop_decode(dp, d1, d2, x, horizon)
+    # oracle: rerun the sequential recurrence on the context extended by
+    # one fed-back column at a time
+    grid = x
+    for _ in range(horizon):
+        _, (h1, h2) = forward_recurrence(dp, grid)
+        u = np.einsum("n,vnd->vd", d1, h1[:, -1]) + np.einsum("n,vnd->vd", d2, h2[:, -1])
+        grid = np.concatenate([grid, u[:, None, :]], axis=1)
+    ref = forward_recurrence(dp, grid)[0][:, x.shape[1] :]
+    rel = np.max(np.abs(out - ref) / np.abs(ref))
+    assert rel < 1e-12, f"decode differs from the step-by-step oracle by {rel:.3e} (relative)"
 
 
 # ----------------------------------------------------------------------

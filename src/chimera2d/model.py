@@ -23,8 +23,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .discretize import DT_FLOOR, ContinuousSSM2D, discretize_all
-from .recurrence import as_series, closed_loop_decode
-from .scan import scan_forward
+from .recurrence import as_series
+from .scan import closed_loop_decode, scan_forward
 from .selective import SelectiveProjections, inv_softplus, project_grid_params, softplus
 from .structured import companion_from_coeffs, diagonal_matrix
 

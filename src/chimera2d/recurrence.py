@@ -2,8 +2,9 @@
 
 Series are plain float arrays of shape (V, T, d): V variates, T time
 steps, d channels. Everything here is deliberately written as explicit
-loops over grid cells; it is the oracle that the scan, convolution, and
-restricted variants are tested against.
+loops over grid cells; it is the oracle that the fast paths in
+`chimera2d.scan` (the forward scan and the closed-loop decoder), the
+convolution form and the restricted variants are tested against.
 
 Cell update, with zero state outside the grid:
 
@@ -83,56 +84,3 @@ def bidirectional_forward(dp_f: DiscreteSSM2D, dp_b: DiscreteSSM2D, x) -> np.nda
     y_f, _ = forward_recurrence(dp_f, x)
     y_b, _ = forward_recurrence(dp_b, x[::-1])
     return y_f + y_b[::-1]
-
-
-def closed_loop_decode(
-    dp: DiscreteSSM2D,
-    d1: np.ndarray,
-    d2: np.ndarray,
-    x_ctx,
-    horizon: int,
-) -> np.ndarray:
-    """Autoregressive rollout: after consuming the context, D1/D2 read the
-    hidden pair to predict the next input column, which is fed back; the
-    emitted outputs for the `horizon` generated columns are returned."""
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    require_constant(dp, "closed_loop_decode")
-    x_ctx = as_series(x_ctx)
-    d1 = np.asarray(d1, dtype=float)
-    d2 = np.asarray(d2, dtype=float)
-    v_count, t_ctx, d = x_ctx.shape
-    n = dp.n
-    if horizon == 0:
-        return np.zeros((v_count, 0, d))
-
-    # previous-column hidden pair, advanced one time column at a time
-    h1_prev = np.zeros((v_count, n, d))
-    h2_prev = np.zeros((v_count, n, d))
-    h1_col = np.zeros((v_count, n, d))
-    h2_col = np.zeros((v_count, n, d))
-
-    def advance(col_x, first):
-        for v in range(v_count):
-            s1 = np.outer(dp.Bbar1, col_x[v])
-            if not first:
-                s1 = s1 + dp.Abar1 @ h1_prev[v] + dp.Abar2 @ h2_prev[v]
-            s2 = np.outer(dp.Bbar2, col_x[v])
-            if v > 0:
-                s2 = s2 + dp.Abar3 @ h1_col[v - 1] + dp.Abar4 @ h2_col[v - 1]
-            h1_col[v] = s1
-            h2_col[v] = s2
-        h1_prev[:] = h1_col
-        h2_prev[:] = h2_col
-
-    for t in range(t_ctx):
-        advance(x_ctx[:, t], first=(t == 0))
-
-    out = np.zeros((v_count, horizon, d))
-    for step in range(horizon):
-        u = np.einsum("n,vnd->vd", d1, h1_prev) + np.einsum("n,vnd->vd", d2, h2_prev)
-        advance(u, first=False)
-        out[:, step] = np.einsum("n,vnd->vd", dp.C1, h1_prev) + np.einsum(
-            "n,vnd->vd", dp.C2, h2_prev
-        )
-    return out

@@ -19,11 +19,13 @@ any left-to-right fold but is not associative, so tree scans require
 the full block product used here. Scans are inclusive; the identity
 element is (I, 0, 0; 0, I, 0).
 
-`scan_forward` is the fast path equivalent to the sequential
-recurrence. The coupled 2D recurrence factors exactly into a sweep over
-variate rows: within row v the cross-variate state h2 depends only on
-row v-1 (a pointwise, fully vectorizable update), after which the
-cross-time state h1 along the row is a single 1D chain
+This module holds the fast paths; their oracle is the explicit-loop
+recurrence in `chimera2d.recurrence`. `scan_forward` is the forward
+pass equivalent to the sequential recurrence. The coupled 2D recurrence
+factors exactly into a sweep over variate rows: within row v the
+cross-variate state h2 depends only on row v-1 (a pointwise, fully
+vectorizable update), after which the cross-time state h1 along the
+row is a single 1D chain
 
     h1[t] = Abar1[t] h1[t-1] + (Abar2[t] h2[t-1] + Bbar1[t] x[t]),
 
@@ -31,6 +33,14 @@ the first row of the 2x3 element with the cross term folded into the
 translation. Each row's chain runs as one work-efficient tree scan
 (Blelloch 1990, "Prefix sums and their applications") on a single
 thread; the test suite gates it on the sequential oracle.
+
+`closed_loop_decode` consumes the context with one `scan_forward` pass
+and then generates one column per step. Within a column h1 is pointwise
+in v given the previous column, and h2 is the 1D chain over variates
+
+    h2[v] = Abar4 h2[v-1] + (Abar3 h1[v-1] + Bbar2 u[v]),
+
+which runs as the same affine scan.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import DiscreteSSM2D
-from .recurrence import as_series
+from .recurrence import as_series, require_constant
 
 
 @dataclass(frozen=True)
@@ -158,3 +168,38 @@ def scan_forward(dp: DiscreteSSM2D, x, return_hidden: bool = False):
     if return_hidden:
         return y, (h1, h2)
     return y
+
+
+def closed_loop_decode(
+    dp: DiscreteSSM2D,
+    d1: np.ndarray,
+    d2: np.ndarray,
+    x_ctx,
+    horizon: int,
+) -> np.ndarray:
+    """Autoregressive rollout: after consuming the context, D1/D2 read the
+    hidden pair to predict the next input column, which is fed back; the
+    emitted outputs for the `horizon` generated columns are returned."""
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    require_constant(dp, "closed_loop_decode")
+    x_ctx = as_series(x_ctx)
+    d1 = np.asarray(d1, dtype=float)
+    d2 = np.asarray(d2, dtype=float)
+    v_count, _, d = x_ctx.shape
+    if horizon == 0:
+        return np.zeros((v_count, 0, d))
+
+    _, (h1, h2) = scan_forward(dp, x_ctx, return_hidden=True)
+    h1_prev, h2_prev = h1[:, -1], h2[:, -1]
+    abar4 = np.broadcast_to(dp.Abar4, (v_count,) + dp.Abar4.shape)
+    out = np.empty((v_count, horizon, d))
+    for step in range(horizon):
+        u = np.einsum("n,vnd->vd", d1, h1_prev) + np.einsum("n,vnd->vd", d2, h2_prev)
+        h1_col = dp.Bbar1[:, None] * u[:, None, :] + dp.Abar1 @ h1_prev + dp.Abar2 @ h2_prev
+        g = dp.Bbar2[:, None] * u[:, None, :]
+        g[1:] += dp.Abar3 @ h1_col[:-1]
+        _, h2_col = _scan_affine(abar4, g)
+        out[:, step] = np.einsum("n,vnd->vd", dp.C1, h1_col) + np.einsum("n,vnd->vd", dp.C2, h2_col)
+        h1_prev, h2_prev = h1_col, h2_col
+    return out

@@ -112,6 +112,25 @@ def test_fit_forecast_eval_pipeline(tmp_path):
     assert metrics["MSE"] == 0.0
 
 
+def test_eval_scores_each_variate(tmp_path):
+    rng = np.random.default_rng(2)
+    levels = np.array([[0.0], [10.0]])
+    series = {
+        "insample": levels + rng.standard_normal((2, 12)),
+        "truth": levels + rng.standard_normal((2, 4)),
+    }
+    series["pred"] = np.repeat(series["insample"][:, -1:], 4, axis=1)
+    series["short"] = series["insample"][:1]
+    for name, arr in series.items():
+        with open(tmp_path / f"{name}.csv", "w", encoding="utf-8") as fh:
+            write_series_csv(fh, arr)
+    args = ["eval", "--pred", str(tmp_path / "pred.csv"), "--truth", str(tmp_path / "truth.csv"), "--out", str(tmp_path)]
+    # the per-variate last value is each variate's own naive reference
+    assert cmd_dispatch(args + ["--insample", str(tmp_path / "insample.csv")]) == 0
+    assert abs(json.loads((tmp_path / "metrics.json").read_text())["OWA"] - 1.0) < 1e-12
+    assert cmd_dispatch(args + ["--insample", str(tmp_path / "short.csv")]) == 2
+
+
 def test_bad_config_exits_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"no_such_key": 1}))

@@ -84,3 +84,24 @@ def test_owa_rewards_beating_naive():
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
         compute_metrics(np.ones(3), np.ones(4), INSAMPLE)
+
+
+def test_multivariate_grid_is_scored_per_series():
+    # levels 0 and 10: each variate's seasonal-naive reference is its own
+    # last value, so forecasting exactly that scores OWA 1
+    rng = np.random.default_rng(5)
+    levels = np.array([[0.0], [10.0]])
+    insample = levels + rng.standard_normal((2, 12))
+    truth = levels + rng.standard_normal((2, 4))
+    last_value = np.repeat(insample[:, -1:], 4, axis=1)
+    out = compute_metrics(last_value, truth, insample)
+    assert abs(out["OWA"] - 1.0) < 1e-12
+    # MASE scales each series by its own in-sample error, never across the
+    # boundary between variates
+    per_series = [mase(last_value[v], truth[v], insample[v]) for v in range(2)]
+    assert abs(out["MASE"] - np.mean(per_series)) < 1e-12
+
+
+def test_series_count_mismatch_rejected():
+    with pytest.raises(ValueError, match="series"):
+        compute_metrics(np.ones((2, 3)), np.ones((2, 3)), np.arange(12.0).reshape(3, 4))

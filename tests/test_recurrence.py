@@ -198,6 +198,29 @@ def test_decode_one_step_matches_manual_extension():
     assert np.max(np.abs(out[:, 0] - y_ref[:, -1])) < 1e-12
 
 
+def decode_oracle(dp, d1, d2, x, horizon):
+    """Closed-loop rollout by rerunning the sequential recurrence on the
+    context extended by one fed-back column at a time."""
+    grid = x
+    for _ in range(horizon):
+        _, (h1, h2) = forward_recurrence(dp, grid)
+        u = np.einsum("n,vnd->vd", d1, h1[:, -1]) + np.einsum("n,vnd->vd", d2, h2[:, -1])
+        grid = np.concatenate([grid, u[:, None, :]], axis=1)
+    y, _ = forward_recurrence(dp, grid)
+    return y[:, x.shape[1] :]
+
+
+@pytest.mark.parametrize("v_count", [1, 4])
+@pytest.mark.parametrize("t_ctx", [1, 7])
+def test_decode_matches_step_by_step_oracle(v_count, t_ctx):
+    rng = np.random.default_rng(14)
+    dp = random_dp(rng, 3)
+    d1, d2 = rng.standard_normal(3), rng.standard_normal(3)
+    x = rng.standard_normal((v_count, t_ctx, 2))
+    out = closed_loop_decode(dp, d1, d2, x, 5)
+    np.testing.assert_allclose(out, decode_oracle(dp, d1, d2, x, 5), rtol=1e-12, atol=0.0)
+
+
 def test_decode_rejects_per_cell_parameters():
     rng = np.random.default_rng(11)
     dp = per_cell(random_dp(rng, 2), 3, 4)
