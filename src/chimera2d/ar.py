@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import DiscreteSSM2D
+from .recurrence import forward_recurrence
 
 
 def simulate_sar(
@@ -97,14 +98,9 @@ def sar_to_ssm(phi, eta, s: int) -> SARRealization:
 
 
 def _head_outputs(dp: DiscreteSSM2D, series: np.ndarray) -> np.ndarray:
-    """Cheap 1D pass of a predictor head over a univariate series."""
-    n = dp.n
-    h = np.zeros(n)
-    out = np.empty(series.size)
-    for t, value in enumerate(series):
-        h = dp.Abar1 @ h + dp.Bbar1 * value
-        out[t] = dp.C1 @ h
-    return out
+    """1D pass of a predictor head over a univariate series: one variate,
+    one channel of the 2D recurrence (the head's cross terms are zero)."""
+    return forward_recurrence(dp, series[None, :, None])[0][0, :, 0]
 
 
 def sar_predict(real: SARRealization, series) -> np.ndarray:

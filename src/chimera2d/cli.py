@@ -2,9 +2,9 @@
 
 Subcommands: ``generate`` (synthetic trend+seasonal series), ``fit``
 (gradient-descent training to a JSON checkpoint), ``forecast``
-(closed-loop rollout), ``eval`` (forecast metrics), ``bench-scan``
-(timing table: sequential recurrence vs scan), and ``selftest`` (the
-full invariant registry; its last output line is a JSON summary).
+(closed-loop rollout), ``eval`` (forecast metrics), and ``selftest``
+(the full invariant registry; its last output line is a JSON summary).
+Series are univariate per variate: the model runs with one channel.
 
 Exit codes: 0 success, 1 runtime failure, 2 bad configuration or usage.
 Errors are reported as a single machine-parsable line on stderr of the
@@ -17,8 +17,7 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +25,7 @@ import numpy as np
 from .ar import simulate_sar
 from .metrics import compute_metrics
 from .model import ChimeraModel, ModelConfig, fit
-from .recurrence import forward_recurrence
-from .scan import scan_forward
 from . import invariants
-
-DEFAULT_BENCH_SIZES = (256, 512, 1024, 2048, 4096)
-BENCH_VARIATES = 8
-# enough channels that per-step work, not call overhead, dominates timings
-BENCH_CHANNELS = 4
 
 
 class ConfigError(ValueError):
@@ -48,7 +40,6 @@ class RunConfig:
     # model
     layers: int = 2
     state_dim: int = 4
-    channels: int = 1
     season_hint: float = 1.0
     selective: bool = False
     bidirectional: bool = True
@@ -67,13 +58,10 @@ class RunConfig:
     eta: tuple[float, ...] = ()
     season: int = 1
     noise_std: float = 0.0
-    # benchmarking
-    bench_sizes: tuple[int, ...] = DEFAULT_BENCH_SIZES
 
     def __post_init__(self):
         positive = {
             "state_dim": self.state_dim,
-            "channels": self.channels,
             "season_hint": self.season_hint,
             "lr": self.lr,
             "horizon": self.horizon,
@@ -88,12 +76,10 @@ class RunConfig:
                             ("tol", self.tol), ("noise_std", self.noise_std)):
             if value < 0:
                 raise ConfigError(f"{name} must be nonnegative, got {value}")
-        if any(t <= 0 for t in self.bench_sizes):
-            raise ConfigError("bench_sizes must be positive")
 
     def to_dict(self) -> dict:
         blob = dataclasses.asdict(self)
-        for name in ("phi", "eta", "bench_sizes"):
+        for name in ("phi", "eta"):
             blob[name] = list(blob[name])
         return blob
 
@@ -104,7 +90,7 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         blob = dict(blob)
-        for name in ("phi", "eta", "bench_sizes"):
+        for name in ("phi", "eta"):
             if name in blob:
                 blob[name] = tuple(blob[name])
         try:
@@ -133,7 +119,7 @@ class RunConfig:
         return ModelConfig(
             layers=self.layers,
             state_dim=self.state_dim,
-            channels=self.channels,
+            channels=1,
             season_hint=self.season_hint,
             selective=self.selective,
             bidirectional=self.bidirectional,
@@ -215,8 +201,6 @@ def cmd_fit(args) -> int:
     series = read_series_csv(cfg.data)
     if series.shape[1] < 2:
         raise ConfigError("training series needs at least 2 time steps")
-    if cfg.channels != 1:
-        raise ConfigError("CSV training data is univariate per variate; set channels=1")
     x = series[:, :-1, None]
     y = series[:, 1:, None]
     model = ChimeraModel.init_random(cfg.model_config())
@@ -259,36 +243,6 @@ def cmd_eval(args) -> int:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(metrics, fh, indent=2)
     print(json.dumps(metrics))
-    return 0
-
-
-def _bench_once(fn, repeats: int = 5) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def cmd_bench_scan(args) -> int:
-    cfg = RunConfig.load(args.config, args.seed)
-    rng = np.random.default_rng(cfg.seed)
-    dp = invariants._random_dp(rng, cfg.state_dim)
-    rows = []
-    for t_count in cfg.bench_sizes:
-        x = rng.standard_normal((BENCH_VARIATES, t_count, BENCH_CHANNELS))
-        seq = _bench_once(lambda: forward_recurrence(dp, x))
-        scan = _bench_once(lambda: scan_forward(dp, x))
-        rows.append((t_count, seq, scan))
-    path = _out_path(args, "bench.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("T,sequential_s,scan_s\n")
-        for t_count, seq, scan in rows:
-            fh.write(f"{t_count},{seq:.6f},{scan:.6f}\n")
-    for t_count, seq, scan in rows:
-        print(f"T={t_count:5d}  sequential={seq:.4f}s  scan={scan:.4f}s")
-    print(f"wrote {path}")
     return 0
 
 
@@ -343,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--insample", required=True, help="in-sample history CSV")
     p.add_argument("--season", type=int, default=1, help="seasonal period for MASE")
     p.set_defaults(fn=cmd_eval)
-    common(sub.add_parser("bench-scan", help="time the sequential recurrence vs the scan")) \
-        .set_defaults(fn=cmd_bench_scan)
     common(sub.add_parser("selftest", help="run the invariant registry")) \
         .set_defaults(fn=cmd_selftest)
     return parser

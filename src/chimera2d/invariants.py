@@ -598,7 +598,7 @@ def _check_ar_zero_noise_determinism():
 def _check_cli_config_roundtrip():
     from . import cli
 
-    cfg = cli.RunConfig(layers=1, state_dim=2, channels=1, steps=3, horizon=5, seed=42)
+    cfg = cli.RunConfig(layers=1, state_dim=2, steps=3, horizon=5, seed=42)
     again = cli.RunConfig.from_dict(cfg.to_dict())
     assert cfg == again, "config did not survive a serialize/parse round trip"
 

@@ -1,8 +1,8 @@
 """Layered trend/seasonal architecture on top of the 2D SSM.
 
-Each layer runs a trend block (one or more 2D SSMs, bi-directional
-along variates) and a seasonal block whose time-axis step size is its
-own learnable parameter, followed by a linear re-discretization map.
+Each layer runs a trend block (one 2D SSM, bi-directional along
+variates) and a seasonal block whose time-axis step size is its own
+learnable parameter, followed by a linear re-discretization map.
 The blocks are combined by residual decomposition:
 
     trend_l    = trend_block(residual_{l-1})
@@ -25,37 +25,29 @@ import numpy as np
 from .discretize import DT_FLOOR, ContinuousSSM2D, discretize_all
 from .recurrence import as_series
 from .scan import closed_loop_decode, scan_forward
-from .selective import SelectiveProjections, inv_softplus, project_grid_params, softplus
+from .selective import DT_INIT, SelectiveProjections, inv_softplus, project_grid_params, softplus
 from .structured import companion_from_coeffs, diagonal_matrix
 
 
 @dataclass
 class ModelConfig:
-    """Hyperparameters; `n_trend_ssm` is the number of chained 2D SSMs
-    inside each trend block."""
+    """Hyperparameters. `channels` is the width d of the input, of the
+    gate and of the readout; `season_hint` is the seasonal block's
+    initial time-axis step size (every other step starts at `DT_INIT`)."""
 
     layers: int = 2
     state_dim: int = 4
     channels: int = 8
-    gate_dim: int = 0  # 0 means same as channels
-    out_channels: int = 0  # 0 means same as channels
     season_hint: float = 1.0
     selective: bool = False
     bidirectional: bool = True
-    n_trend_ssm: int = 1
-    dt_init: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
         if self.layers < 0 or self.state_dim < 1 or self.channels < 1:
             raise ValueError("invalid model dimensions")
-        if self.gate_dim == 0:
-            self.gate_dim = self.channels
-        if self.out_channels == 0:
-            self.out_channels = self.channels
 
 
-SSM_PARAM_NAMES = ("a1", "a2", "a3", "a4", "b1", "b2", "c1", "c2", "dt1_raw", "dt2_raw")
 PROJ_PARAM_NAMES = (
     "W_B1", "W_B2", "W_C1", "W_C2", "b_B1", "b_B2", "b_C1", "b_C2",
     "w_d1", "w_d2", "b_d1", "b_d2",
@@ -88,7 +80,7 @@ class ChimeraModel:
             p[f"{prefix}.a3"] = rng.uniform(-1.0, -0.1, n)
             p[f"{prefix}.a4"] = rng.uniform(-1.0, -0.1, n)
             p[f"{prefix}.dt1_raw"] = np.array(inv_softplus(dt_time))
-            p[f"{prefix}.dt2_raw"] = np.array(inv_softplus(config.dt_init))
+            p[f"{prefix}.dt2_raw"] = np.array(inv_softplus(DT_INIT))
             if config.selective:
                 lim = 1.0 / np.sqrt(d)
                 for name in ("W_B1", "W_B2", "W_C1", "W_C2"):
@@ -98,7 +90,7 @@ class ChimeraModel:
                 for name in ("w_d1", "w_d2"):
                     p[f"{prefix}.{name}"] = rng.uniform(-lim, lim, d)
                 p[f"{prefix}.b_d1"] = np.array(inv_softplus(dt_time))
-                p[f"{prefix}.b_d2"] = np.array(inv_softplus(config.dt_init))
+                p[f"{prefix}.b_d2"] = np.array(inv_softplus(DT_INIT))
             else:
                 scale = 1.0 / np.sqrt(n)
                 for name in ("b1", "b2", "c1", "c2"):
@@ -106,18 +98,17 @@ class ChimeraModel:
 
         dirs = ("f", "b") if config.bidirectional else ("f",)
         for layer in range(config.layers):
-            for j in range(config.n_trend_ssm):
-                for tau in dirs:
-                    ssm_block(f"layer{layer}.trend{j}.{tau}", config.dt_init)
+            for tau in dirs:
+                ssm_block(f"layer{layer}.trend.{tau}", DT_INIT)
             for tau in dirs:
                 ssm_block(f"layer{layer}.seasonal.{tau}", config.season_hint)
             p[f"layer{layer}.redisc.w"] = np.eye(d) + rng.normal(0.0, 0.02, (d, d))
         lim = 1.0 / np.sqrt(d)
-        p["gate.w_in"] = rng.uniform(-lim, lim, (config.gate_dim, d))
-        p["gate.w_val"] = rng.uniform(-lim, lim, (config.gate_dim, d))
-        p["gate.w_out"] = rng.uniform(-1.0 / np.sqrt(config.gate_dim), 1.0 / np.sqrt(config.gate_dim), (d, config.gate_dim))
-        p["head.w"] = np.eye(config.out_channels, d) + rng.normal(0.0, 0.02, (config.out_channels, d))
-        ssm_block("decoder", config.dt_init)
+        p["gate.w_in"] = rng.uniform(-lim, lim, (d, d))
+        p["gate.w_val"] = rng.uniform(-lim, lim, (d, d))
+        p["gate.w_out"] = rng.uniform(-lim, lim, (d, d))
+        p["head.w"] = np.eye(d) + rng.normal(0.0, 0.02, (d, d))
+        ssm_block("decoder", DT_INIT)
         if config.selective:
             # the decoder is driven through closed_loop_decode, which is
             # data-independent; give it plain B/C parameters as well
@@ -202,10 +193,7 @@ class ChimeraModel:
         return y
 
     def trend_forward(self, layer: int, x: np.ndarray) -> np.ndarray:
-        out = x
-        for j in range(self.config.n_trend_ssm):
-            out = self._directional_pass(f"layer{layer}.trend{j}", out)
-        return out
+        return self._directional_pass(f"layer{layer}.trend", x)
 
     def seasonal_forward(self, layer: int, x: np.ndarray) -> np.ndarray:
         y = self._directional_pass(f"layer{layer}.seasonal", x)
@@ -288,7 +276,6 @@ def fit(
     data: tuple[np.ndarray, np.ndarray],
     steps: int,
     lr: float,
-    names: list[str] | None = None,
     tol: float | None = None,
 ) -> ChimeraModel:
     """Plain gradient descent on the MSE between model(x) and y.
@@ -302,7 +289,8 @@ def fit(
     x = as_series(x)
     y = as_series(y)
     model = model.copy()
-    names = [n for n in (names or model.params) if not n.startswith("decoder.")]
+    # the decoder is not trained: forward never reads it
+    names = [n for n in model.params if not n.startswith("decoder.")]
 
     def loss_fn(m: ChimeraModel) -> float:
         try:

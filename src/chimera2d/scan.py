@@ -107,33 +107,30 @@ def inclusive_scan(elems: list[ScanElement]) -> list[ScanElement]:
     return out
 
 
-def _scan_affine(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _scan_affine(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Inclusive scan of the affine chain h[i] = a[i] h[i-1] + g[i],
-    via pairs (a, g) composed as (a2 a1, a2 g1 + g2), by recursive
-    pairing: combine adjacent pairs, scan the halved sequence,
+    returning h, via pairs (a, g) composed as (a2 a1, a2 g1 + g2), by
+    recursive pairing: combine adjacent pairs, scan the halved sequence,
     interleave back. Work-efficient, and only ever composes left to
-    right (no identity needed on the right)."""
+    right (no identity needed on the right). The recursion needs only
+    the pairwise products, never the scanned transitions."""
     m = a.shape[0]
     if m == 1:
-        return a, g
+        return g
     half = m // 2
     a_even, a_odd = a[0 : 2 * half : 2], a[1 : 2 * half : 2]
     g_even, g_odd = g[0 : 2 * half : 2], g[1 : 2 * half : 2]
-    ra = a_odd @ a_even
-    rg = a_odd @ g_even + g_odd
-    sa, sg = _scan_affine(ra, rg)
-    out_a = np.empty(a.shape)
-    out_g = np.empty(g.shape)
-    out_a[0], out_g[0] = a[0], g[0]
+    sg = _scan_affine(a_odd @ a_even, a_odd @ g_even + g_odd)
+    out = np.empty(g.shape)
+    out[0] = g[0]
     # position 2i+1 is exactly the halved scan's entry i
-    out_a[1::2], out_g[1::2] = sa, sg
+    out[1::2] = sg
     if m > 2:
         # position 2i (i >= 1) is the halved scan's entry i-1 composed
         # with the raw element
         n_evens = len(range(2, m, 2))
-        out_a[2::2] = a[2::2] @ sa[:n_evens]
-        out_g[2::2] = a[2::2] @ sg[:n_evens] + g[2::2]
-    return out_a, out_g
+        out[2::2] = a[2::2] @ sg[:n_evens] + g[2::2]
+    return out
 
 
 def scan_forward(dp: DiscreteSSM2D, x, return_hidden: bool = False):
@@ -160,7 +157,7 @@ def scan_forward(dp: DiscreteSSM2D, x, return_hidden: bool = False):
         # cross-time state: one inclusive scan along the row
         g = cells.Bbar1[v][:, :, None] * x[v][:, None, :]
         g[1:] += np.einsum("tij,tjd->tid", cells.Abar2[v][1:], h2row[:-1])
-        _, h1[v] = _scan_affine(np.ascontiguousarray(cells.Abar1[v]), g)
+        h1[v] = _scan_affine(np.ascontiguousarray(cells.Abar1[v]), g)
         h2[v] = h2row
         y[v] = np.einsum("tn,tnd->td", cells.C1[v], h1[v]) + np.einsum(
             "tn,tnd->td", cells.C2[v], h2row
@@ -199,7 +196,7 @@ def closed_loop_decode(
         h1_col = dp.Bbar1[:, None] * u[:, None, :] + dp.Abar1 @ h1_prev + dp.Abar2 @ h2_prev
         g = dp.Bbar2[:, None] * u[:, None, :]
         g[1:] += dp.Abar3 @ h1_col[:-1]
-        _, h2_col = _scan_affine(abar4, g)
+        h2_col = _scan_affine(abar4, g)
         out[:, step] = np.einsum("n,vnd->vd", dp.C1, h1_col) + np.einsum("n,vnd->vd", dp.C2, h2_col)
         h1_prev, h2_prev = h1_col, h2_col
     return out

@@ -18,6 +18,9 @@ from .discretize import DT_FLOOR, ContinuousSSM2D, DiscreteSSM2D, discretize_all
 from .recurrence import as_series
 from .structured import StructuredMatrix
 
+# initial step size, a conventional stable step
+DT_INIT = 0.1
+
 
 def softplus(z):
     z = np.asarray(z, dtype=float)
@@ -50,9 +53,9 @@ class SelectiveProjections:
     b_d2: float = field(default=0.0)
 
     @staticmethod
-    def init_random(n: int, d: int, seed: int = 0, dt_init: float = 0.1) -> "SelectiveProjections":
+    def init_random(n: int, d: int, seed: int = 0) -> "SelectiveProjections":
         """B/C weights ~ U(-1/sqrt(d), 1/sqrt(d)); step-size bias set so
-        softplus(bias) equals dt_init, a conventional stable step."""
+        softplus(bias) equals DT_INIT."""
         rng = np.random.default_rng(seed)
         lim = 1.0 / np.sqrt(d)
         u = lambda *shape: rng.uniform(-lim, lim, shape)
@@ -60,7 +63,7 @@ class SelectiveProjections:
             W_B1=u(n, d), W_B2=u(n, d), W_C1=u(n, d), W_C2=u(n, d),
             b_B1=u(n), b_B2=u(n), b_C1=u(n), b_C2=u(n),
             w_d1=u(d), w_d2=u(d),
-            b_d1=inv_softplus(dt_init), b_d2=inv_softplus(dt_init),
+            b_d1=inv_softplus(DT_INIT), b_d2=inv_softplus(DT_INIT),
         )
 
     @staticmethod

@@ -15,14 +15,15 @@ from chimera2d.cli import RunConfig, ConfigError, cmd_dispatch, read_series_csv,
 
 
 def test_config_roundtrip_is_identity():
-    cfg = RunConfig(layers=1, state_dim=3, channels=1, steps=7, lr=0.01,
+    cfg = RunConfig(layers=1, state_dim=3, steps=7, lr=0.01,
                     horizon=12, phi=(0.4, 0.1), eta=(0.2,), season=4)
     assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_unknown_keys_rejected():
-    with pytest.raises(ConfigError, match="unknown config keys"):
-        RunConfig.from_dict({"layars": 2})
+    for key in ("layars", "channels", "bench_sizes"):
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            RunConfig.from_dict({key: 2})
 
 
 def test_nonpositive_values_rejected():
@@ -87,7 +88,7 @@ def test_fit_forecast_eval_pipeline(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "variates": 2, "length": 24, "phi": [0.5], "noise_std": 0.0, "seed": 1,
-        "layers": 1, "state_dim": 2, "channels": 1,
+        "layers": 1, "state_dim": 2,
         "steps": 2, "lr": 1e-6, "horizon": 3,
         "data": str(tmp_path / "series.csv"),
     }))
@@ -142,7 +143,8 @@ def test_missing_config_file_exits_2(tmp_path):
 
 
 def test_unknown_subcommand_exits_2():
-    assert cmd_dispatch(["frobnicate"]) == 2
+    for command in ("frobnicate", "bench-scan"):
+        assert cmd_dispatch([command]) == 2
 
 
 def test_runtime_failure_exits_1(tmp_path, capsys):
@@ -150,7 +152,7 @@ def test_runtime_failure_exits_1(tmp_path, capsys):
     # training diverges at an absurd learning rate -> runtime failure
     cfg.write_text(json.dumps({
         "variates": 1, "length": 32, "noise_std": 0.2, "seed": 2,
-        "layers": 1, "state_dim": 2, "channels": 1, "steps": 50, "lr": 100.0,
+        "layers": 1, "state_dim": 2, "steps": 50, "lr": 100.0,
         "data": str(tmp_path / "series.csv"),
     }))
     out = str(tmp_path)
@@ -159,15 +161,6 @@ def test_runtime_failure_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()[-1]
     assert err.startswith("error: runtime:")
     assert "\n" not in err
-
-
-def test_bench_scan_writes_table(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"bench_sizes": [16, 32], "state_dim": 2}))
-    assert cmd_dispatch(["bench-scan", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    lines = (tmp_path / "bench.csv").read_text().strip().splitlines()
-    assert lines[0] == "T,sequential_s,scan_s"
-    assert len(lines) == 3
 
 
 # ----------------------------------------------------------------------

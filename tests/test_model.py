@@ -50,7 +50,7 @@ def test_gate_closed_is_zero():
 
 
 def test_gate_scalar_value():
-    cfg = ModelConfig(layers=0, state_dim=2, channels=1, gate_dim=1, out_channels=1)
+    cfg = ModelConfig(layers=0, state_dim=2, channels=1)
     m = ChimeraModel.init_random(cfg)
     for name in ("gate.w_in", "gate.w_val", "gate.w_out"):
         m.params[name] = np.ones_like(m.params[name])
@@ -88,6 +88,13 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(again.params[name], m.params[name])
     x = np.random.default_rng(6).standard_normal((1, 5, 1))
     assert np.array_equal(again.forward(x), m.forward(x))
+
+
+def test_checkpoint_with_removed_config_field_rejected():
+    blob = tiny_model(seed=6).to_checkpoint()
+    blob["config"]["gate_dim"] = 1
+    with pytest.raises(TypeError, match="gate_dim"):
+        ChimeraModel.from_checkpoint(blob)
 
 
 def test_selective_model_forward_runs():

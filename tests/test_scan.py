@@ -97,7 +97,7 @@ def test_tree_matches_sequential(count):
     rng = np.random.default_rng(count)
     a = 0.6 * rng.standard_normal((count, 3, 3))
     g = rng.standard_normal((count, 3, 2))
-    _, h = _scan_affine(a, g)
+    h = _scan_affine(a, g)
     expected = g[0]
     for i in range(count):
         if i:

@@ -82,7 +82,7 @@ def test_functional_determinism():
 
 
 def test_init_dt_bias():
-    proj = SelectiveProjections.init_random(2, 2, seed=3, dt_init=0.1)
+    proj = SelectiveProjections.init_random(2, 2, seed=3)
     assert abs(softplus(proj.b_d1) - 0.1) < 1e-12
     assert abs(softplus(proj.b_d2) - 0.1) < 1e-12
 
