@@ -220,7 +220,15 @@ def cmd_forecast(args) -> int:
     cfg = RunConfig.load(args.config, args.seed)
     if not cfg.data:
         raise ConfigError("forecast requires a 'data' path in the config")
-    model = ChimeraModel.load(args.checkpoint)
+    try:
+        model = ChimeraModel.load(args.checkpoint)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"checkpoint file not found: {args.checkpoint}") from exc
+    except (ValueError, TypeError, KeyError) as exc:
+        # invalid JSON, a config key this version does not know, bad values
+        raise ConfigError(
+            f"cannot load checkpoint {args.checkpoint}: {type(exc).__name__}: {exc}"
+        ) from exc
     series = read_series_csv(cfg.data)
     forecast = model.decode(series[:, :, None], cfg.horizon)[..., 0]
     path = _out_path(args, "forecast.csv")

@@ -82,6 +82,7 @@ MODULE_INVARIANTS: dict[str, tuple[str, ...]] = {
         "model.zero_seasonal_reduction",
         "model.gate_closed_linearity",
         "model.gradient_sanity",
+        "model.fd_reuse_exact",
     ),
     "variants": (
         "variants.matrix_matches_recurrence",
@@ -519,6 +520,35 @@ def _check_model_gradient_sanity():
         agree += int(np.sum(np.abs(a - b) / scale < 1e-3))
         total += a.size
     assert agree >= 0.95 * total, f"only {agree}/{total} coords step-size consistent"
+
+
+@invariant("model.fd_reuse_exact")
+def _check_model_fd_reuse_exact():
+    # fd_gradient reuses unchanged block passes; the gradient must equal,
+    # bit for bit, one that reruns a fresh copy of the model per evaluation
+    rng = np.random.default_rng(74)
+    x = rng.standard_normal((2, 5, 1))
+    y = rng.standard_normal((2, 5, 1))
+
+    def loss_fn(m):
+        return mse_loss(m.forward(x), y)
+
+    for cfg in (ModelConfig(layers=2, state_dim=1, channels=1, seed=10),
+                ModelConfig(layers=1, state_dim=1, channels=1, seed=11, selective=True)):
+        model = ChimeraModel.init_random(cfg)
+        names = [n for n in model.params if not n.startswith("decoder.")]
+        grads = fd_gradient(model, loss_fn, names)
+        for name in names:
+            for i, orig in enumerate(model.params[name].reshape(-1)):
+                h = 1e-4 * max(1.0, abs(orig))
+                losses = []
+                for value in (orig + h, orig - h):
+                    fresh = model.copy()
+                    fresh.params[name].reshape(-1)[i] = value
+                    losses.append(loss_fn(fresh))
+                ref = (losses[0] - losses[1]) / (2.0 * h)
+                got = grads[name].reshape(-1)[i]
+                assert got == ref, f"{name}[{i}]: reused {got:.17g} != rerun {ref:.17g}"
 
 
 # ----------------------------------------------------------------------

@@ -12,17 +12,20 @@ The model output sums the trend components and the final residual, adds
 a SwiGLU gate branch computed from the raw input, and applies a linear
 readout. Training is plain gradient descent with central-difference
 gradients over the flat parameter store; the same store is what the
-JSON checkpoint format serializes.
+JSON checkpoint format serializes. A block's output depends only on its
+own parameters and its input, so while differentiating, each loss
+evaluation reruns only the block passes whose parameters or input
+changed.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .discretize import DT_FLOOR, ContinuousSSM2D, discretize_all
+from .discretize import DT_FLOOR, ContinuousSSM2D, DiscreteSSM2D, discretize_all
 from .recurrence import as_series
 from .scan import closed_loop_decode, scan_forward
 from .selective import DT_INIT, SelectiveProjections, inv_softplus, project_grid_params, softplus
@@ -44,8 +47,11 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.layers < 0 or self.state_dim < 1 or self.channels < 1:
-            raise ValueError("invalid model dimensions")
+        for name, value, least in (("layers", self.layers, 0),
+                                   ("state_dim", self.state_dim, 1),
+                                   ("channels", self.channels, 1)):
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 PROJ_PARAM_NAMES = (
@@ -59,10 +65,33 @@ def _swish(z):
 
 
 @dataclass
+class _BlockSlot:
+    """The last pass of one SSM block: copies of its parameters and its
+    input, its discretization (constant path only) and its read-only
+    output. Reuse is decided by value, never by identity, because
+    `fd_gradient` perturbs parameter arrays in place."""
+
+    names: tuple[str, ...]
+    params: list[np.ndarray] = field(default_factory=list)
+    dp: DiscreteSSM2D | None = None
+    x: np.ndarray | None = None
+    y: np.ndarray | None = None
+
+    def holds(self, params: dict[str, np.ndarray]) -> bool:
+        return self.y is not None and all(
+            np.array_equal(params[n], v) for n, v in zip(self.names, self.params)
+        )
+
+
+@dataclass
 class ChimeraModel:
     config: ModelConfig
     params: dict[str, np.ndarray] = field(default_factory=dict)
     loss_history: list[float] = field(default_factory=list)
+    # block prefix -> slot; set only on fd_gradient's private copy
+    _block_memo: dict[str, _BlockSlot] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # construction / serialization
@@ -134,6 +163,9 @@ class ChimeraModel:
 
     @staticmethod
     def from_checkpoint(blob: dict) -> "ChimeraModel":
+        unknown = sorted(set(blob["config"]) - {f.name for f in fields(ModelConfig)})
+        if unknown:
+            raise TypeError(f"unknown model config keys: {', '.join(unknown)}")
         config = ModelConfig(**blob["config"])
         params = {k: np.asarray(v, dtype=float) for k, v in blob["params"].items()}
         return ChimeraModel(config=config, params=params)
@@ -181,10 +213,22 @@ class ChimeraModel:
         return SelectiveProjections(**kw)
 
     def _ssm_pass(self, prefix: str, x: np.ndarray) -> np.ndarray:
+        slot = None if self._block_memo is None else self._block_memo[prefix]
+        dp = None
+        if slot is not None and slot.holds(self.params):
+            if np.array_equal(slot.x, x):
+                return slot.y
+            dp = slot.dp
         if self.config.selective:
-            cells = project_grid_params(self._block_proj(prefix), x, self._a_set(prefix))
-            return scan_forward(cells, x)
-        return scan_forward(self._block_dp(prefix), x)
+            y = scan_forward(project_grid_params(self._block_proj(prefix), x, self._a_set(prefix)), x)
+        else:
+            dp = self._block_dp(prefix) if dp is None else dp
+            y = scan_forward(dp, x)
+        if slot is not None:
+            slot.params = [self.params[n].copy() for n in slot.names]
+            slot.dp, slot.x, slot.y = dp, x.copy(), y
+            y.flags.writeable = False
+        return y
 
     def _directional_pass(self, prefix: str, x: np.ndarray) -> np.ndarray:
         y = self._ssm_pass(f"{prefix}.f", x)
@@ -243,27 +287,42 @@ def fd_gradient(
 ) -> dict[str, np.ndarray]:
     """Central-difference gradient of loss_fn(model) with respect to the
     named parameters (all of them by default); per-coordinate step is
-    1e-4 * max(1, |theta|) * step_scale."""
+    1e-4 * max(1, |theta|) * step_scale.
+
+    loss_fn receives a private copy of the model. While it runs, each
+    block pass whose parameters and input equal (by value) those of that
+    block's previous pass returns the previous output, read-only; a block
+    whose parameters are unchanged but whose input moved reuses its
+    discretization and only rescans. The gradient is bit-identical to
+    rerunning every block on every evaluation."""
     names = list(model.params) if names is None else names
     grads: dict[str, np.ndarray] = {}
     work = model.copy()
-    for name in names:
-        theta = work.params[name]
-        grad = np.zeros_like(theta)
-        flat = theta.reshape(-1)
-        gflat = grad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            h = 1e-4 * max(1.0, abs(orig)) * step_scale
-            flat[i] = orig + h
-            up = loss_fn(work)
-            flat[i] = orig - h
-            down = loss_fn(work)
-            flat[i] = orig
-            if not (np.isfinite(up) and np.isfinite(down)):
-                raise FloatingPointError(f"non-finite loss while differentiating {name}")
-            gflat[i] = (up - down) / (2.0 * h)
-        grads[name] = grad
+    blocks: dict[str, list[str]] = {}
+    for key in work.params:
+        if ".trend." in key or ".seasonal." in key:
+            blocks.setdefault(key.rsplit(".", 1)[0], []).append(key)
+    work._block_memo = {prefix: _BlockSlot(tuple(keys)) for prefix, keys in blocks.items()}
+    try:
+        for name in names:
+            theta = work.params[name]
+            grad = np.zeros_like(theta)
+            flat = theta.reshape(-1)
+            gflat = grad.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                h = 1e-4 * max(1.0, abs(orig)) * step_scale
+                flat[i] = orig + h
+                up = loss_fn(work)
+                flat[i] = orig - h
+                down = loss_fn(work)
+                flat[i] = orig
+                if not (np.isfinite(up) and np.isfinite(down)):
+                    raise FloatingPointError(f"non-finite loss while differentiating {name}")
+                gflat[i] = (up - down) / (2.0 * h)
+            grads[name] = grad
+    finally:
+        work._block_memo = None
     return grads
 
 

@@ -142,6 +142,30 @@ def test_missing_config_file_exits_2(tmp_path):
     assert cmd_dispatch(["generate", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("case", ["missing", "not_json", "unknown_key"])
+def test_bad_checkpoint_exits_2_naming_it(tmp_path, capsys, case):
+    from chimera2d import ChimeraModel, ModelConfig
+
+    data = tmp_path / "series.csv"
+    with open(data, "w", encoding="utf-8") as fh:
+        write_series_csv(fh, np.zeros((1, 6)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": str(data)}))
+    ckpt = tmp_path / "ckpt.json"
+    if case == "not_json":
+        ckpt.write_text("{not json")
+    elif case == "unknown_key":
+        blob = ChimeraModel.init_random(ModelConfig(layers=0, state_dim=1, channels=1)).to_checkpoint()
+        blob["config"]["gate_dim"] = 1
+        ckpt.write_text(json.dumps(blob))
+    args = ["forecast", "--config", str(cfg), "--out", str(tmp_path), "--checkpoint", str(ckpt)]
+    assert cmd_dispatch(args) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: config:") and str(ckpt) in err
+    if case == "unknown_key":
+        assert "gate_dim" in err
+
+
 def test_unknown_subcommand_exits_2():
     for command in ("frobnicate", "bench-scan"):
         assert cmd_dispatch([command]) == 2

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import chimera2d.model
 from chimera2d import ChimeraModel, ModelConfig, fd_gradient, fit
 from chimera2d.model import mse_loss
 
@@ -10,6 +11,16 @@ from chimera2d.model import mse_loss
 def tiny_model(seed=0, **kw):
     cfg = ModelConfig(layers=1, state_dim=2, channels=1, seed=seed, **kw)
     return ChimeraModel.init_random(cfg)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("layers", -1, "layers must be >= 0, got -1"),
+    ("state_dim", 0, "state_dim must be >= 1, got 0"),
+    ("channels", 0, "channels must be >= 1, got 0"),
+])
+def test_invalid_dimension_named(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        ModelConfig(**{field: value})
 
 
 def test_zero_input_zero_output():
@@ -179,3 +190,89 @@ def test_fit_ignores_decoder_parameters():
     out = fit(m, (0.1 * rng.standard_normal((1, 10, 1)),) * 2, steps=3, lr=0.001)
     for name, value in before.items():
         assert np.array_equal(out.params[name], value)
+
+
+def _count_scans(monkeypatch):
+    calls = []
+    scan = chimera2d.model.scan_forward
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(chimera2d.model, "scan_forward", counted)
+    return calls
+
+
+def _rerun_gradient(model, loss_fn, name, i):
+    """Central difference on fresh copies, with fd_gradient's step."""
+    orig = model.params[name].reshape(-1)[i]
+    h = 1e-4 * max(1.0, abs(orig))
+    losses = []
+    for value in (orig + h, orig - h):
+        fresh = model.copy()
+        fresh.params[name].reshape(-1)[i] = value
+        losses.append(loss_fn(fresh))
+    return (losses[0] - losses[1]) / (2.0 * h)
+
+
+@pytest.mark.parametrize("cfg", [
+    ModelConfig(layers=2, state_dim=2, channels=1, seed=16),
+    ModelConfig(layers=1, state_dim=2, channels=1, seed=17, selective=True),
+], ids=["constant", "selective"])
+def test_fd_gradient_equals_rerun_on_every_coordinate(cfg):
+    rng = np.random.default_rng(16)
+    x, y = rng.standard_normal((2, 2, 6, 1))
+    loss_fn = lambda mm: mse_loss(mm.forward(x), y)
+    m = ChimeraModel.init_random(cfg)
+    names = [n for n in m.params if not n.startswith("decoder.")]
+    grads = fd_gradient(m, loss_fn, names)
+    for name in names:
+        for i in range(m.params[name].size):
+            assert grads[name].reshape(-1)[i] == _rerun_gradient(m, loss_fn, name, i), (name, i)
+
+
+def test_reused_block_output_is_read_only():
+    m = tiny_model(seed=18, bidirectional=False)
+    x = np.random.default_rng(18).standard_normal((2, 6, 1))
+    outputs = []
+
+    def loss_fn(mm):
+        # unidirectional: trend_forward is the block pass itself
+        outputs.append(mm.trend_forward(0, x))
+        return mse_loss(mm.forward(x), x)
+
+    fd_gradient(m, loss_fn, ["head.w"])
+    assert outputs[1] is outputs[0]
+    with pytest.raises(ValueError, match="read-only"):
+        outputs[1][0, 0, 0] = 1.0
+
+
+def test_forward_outside_fd_gradient_reruns_every_block(monkeypatch):
+    cfg = ModelConfig(layers=2, state_dim=2, channels=1, seed=19)
+    m = ChimeraModel.init_random(cfg)
+    rng = np.random.default_rng(19)
+    x = 0.3 * rng.standard_normal((2, 8, 1))
+    blocks = 8  # 2 layers x {trend, seasonal} x {forward, backward}
+    fitted = fit(m, (x, x), steps=1, lr=1e-4)
+    assert m._block_memo is None and fitted._block_memo is None
+    calls = _count_scans(monkeypatch)
+    for model in (m, fitted):
+        calls.clear()
+        model.forward(x)
+        model.forward(x)
+        assert len(calls) == 2 * blocks
+
+
+def test_fd_gradient_scans_only_reached_blocks(monkeypatch):
+    # the benchmark's fit shape: V8 x T64, d=1, N=2, 2 bidirectional layers;
+    # rerunning every block would take 2 x 150 coordinates x 8 = 2400 scans
+    cfg = ModelConfig(layers=2, state_dim=2, channels=1, seed=20)
+    m = ChimeraModel.init_random(cfg)
+    rng = np.random.default_rng(20)
+    x, y = 0.3 * rng.standard_normal((2, 8, 64, 1))
+    names = [n for n in m.params if not n.startswith("decoder.")]
+    calls = _count_scans(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fd_gradient(m, lambda mm: mse_loss(mm.forward(x), y), names)
+    assert len(calls) <= 1200
