@@ -12,8 +12,6 @@ from .structured import (
     companion_from_coeffs,
     diagonal_matrix,
     dense_matrix,
-    apply,
-    matrix_power,
     expm,
 )
 from .discretize import ContinuousSSM2D, DiscreteSSM2D, zoh_pair, discretize_all
@@ -31,8 +29,6 @@ __all__ = [
     "companion_from_coeffs",
     "diagonal_matrix",
     "dense_matrix",
-    "apply",
-    "matrix_power",
     "expm",
     "ContinuousSSM2D",
     "DiscreteSSM2D",

@@ -225,7 +225,8 @@ def cmd_forecast(args) -> int:
     except FileNotFoundError as exc:
         raise ConfigError(f"checkpoint file not found: {args.checkpoint}") from exc
     except (ValueError, TypeError, KeyError) as exc:
-        # invalid JSON, a config key this version does not know, bad values
+        # invalid JSON, a config key this version does not know, bad values,
+        # parameters missing, unexpected or misshapen for the config
         raise ConfigError(
             f"cannot load checkpoint {args.checkpoint}: {type(exc).__name__}: {exc}"
         ) from exc

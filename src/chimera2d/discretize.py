@@ -83,9 +83,12 @@ class DiscreteSSM2D:
     def n(self) -> int:
         return self.Abar1.shape[-1]
 
-    def on_grid(self, v_count: int, t_count: int) -> "DiscreteSSM2D":
-        """The parameters with batch shape (V, T): constant fields are
-        broadcast, fields already on the grid pass through unchanged."""
+    def on_rows(self, v_count: int, t_count: int) -> "DiscreteSSM2D":
+        """The parameters indexed by variate row: fields already on the
+        (V, T) grid pass through unchanged, and a constant field gets batch
+        shape (V, 1), a view whose row v is the one matrix or vector that
+        numpy broadcasts along the row. Raises if a field's batch shape is
+        neither () nor the grid."""
         grid = (v_count, t_count)
         fields = {}
         for name, a in vars(self).items():
@@ -94,8 +97,18 @@ class DiscreteSSM2D:
             batch = a.shape[:lead]
             if batch not in ((), grid):
                 raise ValueError(f"{name} has batch shape {batch}; expected () or the grid {grid}")
-            fields[name] = a if batch == grid else np.broadcast_to(a, grid + a.shape)
+            fields[name] = a if batch == grid else np.broadcast_to(a, (v_count, 1) + a.shape)
         return DiscreteSSM2D(**fields)
+
+    def on_grid(self, v_count: int, t_count: int) -> "DiscreteSSM2D":
+        """The parameters with batch shape (V, T): constant fields are
+        broadcast, fields already on the grid pass through unchanged."""
+        grid = (v_count, t_count)
+        fields = vars(self.on_rows(v_count, t_count))
+        return DiscreteSSM2D(**{
+            name: a if a.shape[:2] == grid else np.broadcast_to(a, grid + a.shape[2:])
+            for name, a in fields.items()
+        })
 
 
 def zoh_pair(a: StructuredMatrix, b, dt) -> tuple[np.ndarray, np.ndarray]:

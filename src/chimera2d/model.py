@@ -168,6 +168,16 @@ class ChimeraModel:
             raise TypeError(f"unknown model config keys: {', '.join(unknown)}")
         config = ModelConfig(**blob["config"])
         params = {k: np.asarray(v, dtype=float) for k, v in blob["params"].items()}
+        expected = {k: v.shape for k, v in ChimeraModel.init_random(config).params.items()}
+        problems = [f"missing {k}" for k in sorted(expected.keys() - params.keys())]
+        problems += [f"unexpected {k}" for k in sorted(params.keys() - expected.keys())]
+        problems += [
+            f"{k} has shape {params[k].shape}, expected {expected[k]}"
+            for k in sorted(expected.keys() & params.keys())
+            if params[k].shape != expected[k]
+        ]
+        if problems:
+            raise ValueError(f"checkpoint parameters do not match its config: {'; '.join(problems)}")
         return ChimeraModel(config=config, params=params)
 
     def save(self, path):

@@ -34,6 +34,15 @@ translation. Each row's chain runs as one work-efficient tree scan
 (Blelloch 1990, "Prefix sums and their applications") on a single
 thread; the test suite gates it on the sequential oracle.
 
+Constant and per-cell parameters take the same code and differ only in
+the shapes numpy broadcasts. A per-cell field enters each row as its
+(T, ...) slice; a constant field enters as one (1, N, N) matrix or
+(1, N) vector that `@` applies to the whole row, and the tree scan keeps
+a shared transition as one matrix at every level, so it forms one pair
+product per level instead of T/2. A transition is never broadcast to
+the grid. The input terms Bbar1 x and Bbar2 x are formed for the whole
+grid before the row sweep and the readout C1 h1 + C2 h2 after it.
+
 `closed_loop_decode` consumes the context with one `scan_forward` pass
 and then generates one column per step. Within a column h1 is pointwise
 in v given the previous column, and h2 is the 1D chain over variates
@@ -113,12 +122,19 @@ def _scan_affine(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     recursive pairing: combine adjacent pairs, scan the halved sequence,
     interleave back. Work-efficient, and only ever composes left to
     right (no identity needed on the right). The recursion needs only
-    the pairwise products, never the scanned transitions."""
-    m = a.shape[0]
+    the pairwise products, never the scanned transitions.
+
+    `a` holds one transition per step, shape (m, N, N), or one shared by
+    the whole chain, shape (1, N, N); a shared transition stays one
+    matrix at every level, so each level forms a single pair product."""
+    m = g.shape[0]
     if m == 1:
         return g
     half = m // 2
-    a_even, a_odd = a[0 : 2 * half : 2], a[1 : 2 * half : 2]
+    if len(a) == 1:
+        a_even = a_odd = a_rest = a
+    else:
+        a_even, a_odd, a_rest = a[0 : 2 * half : 2], a[1 : 2 * half : 2], a[2::2]
     g_even, g_odd = g[0 : 2 * half : 2], g[1 : 2 * half : 2]
     sg = _scan_affine(a_odd @ a_even, a_odd @ g_even + g_odd)
     out = np.empty(g.shape)
@@ -129,39 +145,36 @@ def _scan_affine(a: np.ndarray, g: np.ndarray) -> np.ndarray:
         # position 2i (i >= 1) is the halved scan's entry i-1 composed
         # with the raw element
         n_evens = len(range(2, m, 2))
-        out[2::2] = a[2::2] @ sg[:n_evens] + g[2::2]
+        out[2::2] = a_rest @ sg[:n_evens] + g[2::2]
     return out
 
 
 def scan_forward(dp: DiscreteSSM2D, x, return_hidden: bool = False):
     """Scan-based forward pass, equal to the sequential recurrence.
 
-    `dp` may be constant (batch shape ()) or per-cell on the input's
-    (V, T) grid."""
+    Each field of `dp` may be constant (batch shape ()) or per-cell on the
+    input's (V, T) grid."""
     x = as_series(x)
-    v_count, t_count, d = x.shape
-    cells = dp.on_grid(v_count, t_count)
-    n = cells.n
-    h1 = np.zeros((v_count, t_count, n, d))
-    h2 = np.zeros((v_count, t_count, n, d))
-    y = np.empty((v_count, t_count, d))
+    v_count, t_count, _ = x.shape
+    p = dp.on_rows(v_count, t_count)
+    # input terms for the whole grid; the row sweep completes them in place
+    h1 = p.Bbar1[..., None] * x[:, :, None, :]
+    h2 = p.Bbar2[..., None] * x[:, :, None, :]
+    # Abar2 at t = 1..T-1: the last T-1 columns of a per-cell field, the
+    # one column of a constant one (a slice from -k keeps a shorter axis)
+    abar2 = p.Abar2[:, 1 - t_count :]
     for v in range(v_count):
-        # cross-variate state: pointwise in t given the previous row
-        h2row = cells.Bbar2[v][:, :, None] * x[v][:, None, :]
         if v > 0:
-            h2row = (
-                np.einsum("tij,tjd->tid", cells.Abar3[v], h1[v - 1])
-                + np.einsum("tij,tjd->tid", cells.Abar4[v], h2[v - 1])
-                + h2row
-            )
+            # cross-variate state: pointwise in t given the previous row
+            h2[v] += p.Abar3[v] @ h1[v - 1] + p.Abar4[v] @ h2[v - 1]
         # cross-time state: one inclusive scan along the row
-        g = cells.Bbar1[v][:, :, None] * x[v][:, None, :]
-        g[1:] += np.einsum("tij,tjd->tid", cells.Abar2[v][1:], h2row[:-1])
-        h1[v] = _scan_affine(np.ascontiguousarray(cells.Abar1[v]), g)
-        h2[v] = h2row
-        y[v] = np.einsum("tn,tnd->td", cells.C1[v], h1[v]) + np.einsum(
-            "tn,tnd->td", cells.C2[v], h2row
-        )
+        g = h1[v]
+        g[1:] += abar2[v] @ h2[v, :-1]
+        h1[v] = _scan_affine(np.ascontiguousarray(p.Abar1[v]), g)
+    # the readout is one dot product per cell with no matrix to share;
+    # at small N and d einsum's inner loop runs it about twice as fast as
+    # matmul, which makes one BLAS call per cell
+    y = np.einsum("...n,...nd->...d", p.C1, h1) + np.einsum("...n,...nd->...d", p.C2, h2)
     if return_hidden:
         return y, (h1, h2)
     return y
@@ -189,14 +202,14 @@ def closed_loop_decode(
 
     _, (h1, h2) = scan_forward(dp, x_ctx, return_hidden=True)
     h1_prev, h2_prev = h1[:, -1], h2[:, -1]
-    abar4 = np.broadcast_to(dp.Abar4, (v_count,) + dp.Abar4.shape)
+    abar4 = dp.Abar4[None]
     out = np.empty((v_count, horizon, d))
     for step in range(horizon):
-        u = np.einsum("n,vnd->vd", d1, h1_prev) + np.einsum("n,vnd->vd", d2, h2_prev)
+        u = d1 @ h1_prev + d2 @ h2_prev
         h1_col = dp.Bbar1[:, None] * u[:, None, :] + dp.Abar1 @ h1_prev + dp.Abar2 @ h2_prev
         g = dp.Bbar2[:, None] * u[:, None, :]
         g[1:] += dp.Abar3 @ h1_col[:-1]
         h2_col = _scan_affine(abar4, g)
-        out[:, step] = np.einsum("n,vnd->vd", dp.C1, h1_col) + np.einsum("n,vnd->vd", dp.C2, h2_col)
+        out[:, step] = dp.C1 @ h1_col + dp.C2 @ h2_col
         h1_prev, h2_prev = h1_col, h2_col
     return out

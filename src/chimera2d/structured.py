@@ -1,9 +1,8 @@
 """Structured square matrices: companion, diagonal, and dense.
 
 A companion matrix is a shift matrix (ones on the subdiagonal) plus a
-rank-1 last column, so applying it to a state costs O(N d). Diagonal
-matrices apply, power, and exponentiate elementwise. Dense is the
-fallback used wherever structure is lost (e.g. after a matrix
+rank-1 last column. Diagonal matrices exponentiate elementwise. Dense is
+the fallback used wherever structure is lost (e.g. after a matrix
 exponential of a companion).
 """
 
@@ -68,33 +67,6 @@ def dense_matrix(entries) -> StructuredMatrix:
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] == 0:
         raise ValueError("dense matrix must be square and nonempty")
     return StructuredMatrix(DENSE, entries)
-
-
-def apply(m: StructuredMatrix, x: np.ndarray) -> np.ndarray:
-    """M @ X for X of shape (N,) or (N, d), using the structure of M."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != m.n:
-        raise ValueError(f"shape mismatch: matrix is {m.n}x{m.n}, operand has leading dim {x.shape[0]}")
-    if m.kind == DENSE:
-        return m.data @ x
-    if m.kind == DIAGONAL:
-        return m.data.reshape(-1, *([1] * (x.ndim - 1))) * x
-    # companion: shifted rows plus coefficient column times the last row
-    out = np.empty_like(x, dtype=float)
-    out[1:] = x[:-1]
-    out[0] = 0.0
-    a = m.data.reshape(-1, *([1] * (x.ndim - 1)))
-    out += a * x[-1]
-    return out
-
-
-def matrix_power(m: StructuredMatrix, k: int) -> np.ndarray:
-    """M**k as a dense array (diagonal stays O(N) internally)."""
-    if k < 0:
-        raise ValueError("power must be nonnegative")
-    if m.kind == DIAGONAL:
-        return np.diag(m.data**k)
-    return np.linalg.matrix_power(m.dense(), k)
 
 
 # Higham (2005), "The scaling and squaring method for the matrix

@@ -142,7 +142,7 @@ def test_missing_config_file_exits_2(tmp_path):
     assert cmd_dispatch(["generate", "--config", str(tmp_path / "nope.json")]) == 2
 
 
-@pytest.mark.parametrize("case", ["missing", "not_json", "unknown_key"])
+@pytest.mark.parametrize("case", ["missing", "not_json", "unknown_key", "missing_param", "misshapen_param"])
 def test_bad_checkpoint_exits_2_naming_it(tmp_path, capsys, case):
     from chimera2d import ChimeraModel, ModelConfig
 
@@ -158,12 +158,21 @@ def test_bad_checkpoint_exits_2_naming_it(tmp_path, capsys, case):
         blob = ChimeraModel.init_random(ModelConfig(layers=0, state_dim=1, channels=1)).to_checkpoint()
         blob["config"]["gate_dim"] = 1
         ckpt.write_text(json.dumps(blob))
+    elif case == "missing_param":
+        blob = ChimeraModel.init_random(ModelConfig(layers=0, state_dim=1, channels=1)).to_checkpoint()
+        del blob["params"]["head.w"]
+        ckpt.write_text(json.dumps(blob))
+    elif case == "misshapen_param":
+        blob = ChimeraModel.init_random(ModelConfig(layers=1, state_dim=2, channels=1)).to_checkpoint()
+        blob["params"]["layer0.trend.f.a1"] = [-0.1]
+        ckpt.write_text(json.dumps(blob))
     args = ["forecast", "--config", str(cfg), "--out", str(tmp_path), "--checkpoint", str(ckpt)]
     assert cmd_dispatch(args) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: config:") and str(ckpt) in err
-    if case == "unknown_key":
-        assert "gate_dim" in err
+    named = {"unknown_key": "gate_dim", "missing_param": "head.w", "misshapen_param": "layer0.trend.f.a1"}
+    if case in named:
+        assert named[case] in err
 
 
 def test_unknown_subcommand_exits_2():
@@ -209,7 +218,7 @@ def test_every_library_module_declares_invariants():
 
 
 def test_run_all_reports_each_invariant():
-    names = ["structured.companion_nilpotent", "selective.step_monotonicity"]
+    names = ["structured.expm_doubling", "selective.step_monotonicity"]
     results = invariants.run_all(names)
     assert [r.name for r in results] == names
     assert all(r.passed for r in results)

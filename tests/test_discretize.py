@@ -1,6 +1,7 @@
 """Tests for zero-order-hold discretization."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,6 +164,21 @@ def test_on_grid_broadcasts_constant_and_passes_grid_through():
         assert np.array_equal(a[1, 4], getattr(dp, name))
     again = grid.on_grid(2, 5)
     assert all(getattr(again, k) is a for k, a in vars(grid).items())
+
+
+def test_on_rows_keeps_constant_fields_single():
+    rng = np.random.default_rng(9)
+    n = 3
+    dp = DiscreteSSM2D(*rng.standard_normal((4, n, n)), *rng.standard_normal((4, n)))
+    per_cell_c1 = rng.standard_normal((2, 5, n))
+    rows = replace(dp, C1=per_cell_c1).on_rows(2, 5)
+    assert rows.C1 is per_cell_c1
+    for name in ("Abar1", "Abar2", "Abar3", "Abar4", "Bbar1", "Bbar2", "C2"):
+        a = getattr(rows, name)
+        # one (1, ...) view of the constant per row, never a copy
+        assert a.shape == (2, 1) + getattr(dp, name).shape
+        assert np.shares_memory(a, getattr(dp, name)) and a.strides[0] == 0
+        assert np.array_equal(a[1, 0], getattr(dp, name))
 
 
 @pytest.mark.parametrize("batch", [(2,), (5, 2), (2, 5, 1)])

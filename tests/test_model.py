@@ -108,6 +108,18 @@ def test_checkpoint_with_removed_config_field_rejected():
         ChimeraModel.from_checkpoint(blob)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: p.pop("head.w"), r"missing head\.w"),
+    (lambda p: p.update({"extra.w": [1.0]}), r"unexpected extra\.w"),
+    (lambda p: p.update({"layer0.trend.f.a1": [-0.1]}), r"layer0\.trend\.f\.a1 has shape \(1,\), expected \(2,\)"),
+], ids=["missing", "unexpected", "misshapen"])
+def test_checkpoint_parameters_checked_against_config(edit, message):
+    blob = tiny_model(seed=6).to_checkpoint()
+    edit(blob["params"])
+    with pytest.raises(ValueError, match=message):
+        ChimeraModel.from_checkpoint(blob)
+
+
 def test_selective_model_forward_runs():
     m = tiny_model(seed=7, selective=True)
     x = np.random.default_rng(7).standard_normal((2, 5, 1))

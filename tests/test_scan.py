@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chimera2d.scan
 from chimera2d import DiscreteSSM2D, ScanElement, op_star, inclusive_scan, scan_forward, forward_recurrence
 from chimera2d.scan import _scan_affine
 
@@ -167,3 +168,74 @@ def test_scan_grid_mismatch_rejected():
     per_variate = DiscreteSSM2D(**{k: np.stack([a] * 4) for k, a in vars(dp).items()})
     with pytest.raises(ValueError, match=r"batch shape \(4,\).*grid \(4, 4\)"):
         scan_forward(per_variate, x)
+
+
+def rel_diff(a, b):
+    return float(np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(b))))
+
+
+def materialized(dp, v_count, t_count):
+    """The constant parameters copied onto every cell of the grid."""
+    return DiscreteSSM2D(**{k: np.broadcast_to(a, (v_count, t_count) + a.shape).copy() for k, a in vars(dp).items()})
+
+
+@given(st.integers(0, 10_000), st.integers(1, 9), st.integers(1, 9), st.integers(1, 3), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_shared_parameters_match_materialized_grid(seed, v_count, t_count, d, n):
+    rng = np.random.default_rng(seed)
+    dp = random_dp(rng, n)
+    x = rng.standard_normal((v_count, t_count, d))
+    y, (h1, h2) = scan_forward(dp, x, return_hidden=True)
+    y_grid, (h1_grid, h2_grid) = scan_forward(materialized(dp, v_count, t_count), x, return_hidden=True)
+    for got, want in ((y, y_grid), (h1, h1_grid), (h2, h2_grid)):
+        assert rel_diff(got, want) < 1e-13
+    y_ref, _ = forward_recurrence(dp, x)
+    assert rel_diff(y, y_ref) < 1e-10
+    assert rel_diff(y_grid, y_ref) < 1e-10
+
+
+@pytest.mark.parametrize("per_cell_names", [
+    ("Abar1", "C2"),
+    ("Abar2", "Abar3", "Bbar1"),
+    ("Abar4", "Bbar2", "C1"),
+])
+def test_mixed_constant_and_per_cell_fields_match_recurrence(per_cell_names):
+    rng = np.random.default_rng(len(per_cell_names))
+    v_count, t_count, n = 5, 7, 3
+    dp = random_dp(rng, n)
+    # per-cell fields get distinct values on every cell, the rest stay shared
+    fields = dict(vars(dp))
+    for name in per_cell_names:
+        cells = [[getattr(random_dp(rng, n), name) for _ in range(t_count)] for _ in range(v_count)]
+        fields[name] = np.array(cells)
+    mixed = DiscreteSSM2D(**fields)
+    x = rng.standard_normal((v_count, t_count, 2))
+    y, (h1, h2) = scan_forward(mixed, x, return_hidden=True)
+    y_ref, (h1_ref, h2_ref) = forward_recurrence(mixed, x)
+    for got, want in ((y, y_ref), (h1, h1_ref), (h2, h2_ref)):
+        assert rel_diff(got, want) < 1e-10
+
+
+def test_tree_shared_transition_matches_tiled():
+    rng = np.random.default_rng(11)
+    a = 0.6 * rng.standard_normal((1, 3, 3))
+    for count in range(1, 71):
+        g = rng.standard_normal((count, 3, 2))
+        diff = rel_diff(_scan_affine(a, g), _scan_affine(np.repeat(a, count, axis=0), g))
+        assert diff < 1e-13, f"chain of {count}: {diff:.3e}"
+
+
+def test_constant_transitions_reach_the_tree_scan_unbroadcast(monkeypatch):
+    seen = []
+    tree = chimera2d.scan._scan_affine
+
+    def recorded(a, g):
+        seen.append(a.shape)
+        return tree(a, g)
+
+    monkeypatch.setattr(chimera2d.scan, "_scan_affine", recorded)
+    rng = np.random.default_rng(10)
+    scan_forward(random_dp(rng, 2), rng.standard_normal((4, 64, 3)))
+    # 4 rows, each a tree of log2(64) + 1 levels
+    assert len(seen) == 4 * 7
+    assert all(shape == (1, 2, 2) for shape in seen)

@@ -8,8 +8,6 @@ from chimera2d import (
     companion_from_coeffs,
     diagonal_matrix,
     dense_matrix,
-    apply,
-    matrix_power,
     expm,
 )
 
@@ -20,11 +18,10 @@ def test_companion_zero_coeffs_is_pure_shift():
     assert np.array_equal(m.dense(), expected)
 
 
-def test_companion_apply_formula_n3():
+def test_companion_dense_formula_n3():
     a = np.array([0.7, -0.2, 0.4])
-    m = companion_from_coeffs(a)
     x = np.array([1.0, 2.0, 3.0])
-    out = apply(m, x)
+    out = companion_from_coeffs(a).dense() @ x
     # shift the vector down, plus coefficients times the last entry
     expected = np.array([a[0] * 3, 1 + a[1] * 3, 2 + a[2] * 3])
     assert np.allclose(out, expected, atol=1e-14)
@@ -32,22 +29,13 @@ def test_companion_apply_formula_n3():
 
 def test_companion_nilpotent_power():
     m = companion_from_coeffs(np.zeros(4))
-    assert np.all(matrix_power(m, 4) == 0.0)
-
-
-def test_apply_identity_dense():
-    m = dense_matrix(np.eye(3))
-    x = np.random.default_rng(0).standard_normal((3, 2))
-    assert np.array_equal(apply(m, x), x)
-
-
-def test_apply_diagonal():
-    m = diagonal_matrix([2.0, 3.0])
-    assert np.allclose(apply(m, np.array([1.0, 1.0])), [2.0, 3.0])
+    assert np.all(np.linalg.matrix_power(m.dense(), 4) == 0.0)
 
 
 @pytest.mark.parametrize("kind", ["companion", "diagonal", "dense"])
-def test_apply_matches_dense_product(kind):
+def test_expm_matches_dense_reference(kind):
+    import scipy.linalg
+
     rng = np.random.default_rng(1)
     n = 4
     if kind == "companion":
@@ -56,27 +44,8 @@ def test_apply_matches_dense_product(kind):
         m = diagonal_matrix(rng.standard_normal(n))
     else:
         m = dense_matrix(rng.standard_normal((n, n)))
-    x = rng.standard_normal((n, 3))
-    assert np.max(np.abs(apply(m, x) - m.dense() @ x)) < 1e-12
-
-
-def test_matrix_power_zero_is_identity():
-    m = diagonal_matrix([2.0, 3.0])
-    assert np.array_equal(matrix_power(m, 0), np.eye(2))
-
-
-def test_matrix_power_diagonal_elementwise():
-    m = diagonal_matrix([2.0, 3.0])
-    assert np.allclose(matrix_power(m, 3), np.diag([8.0, 27.0]))
-
-
-def test_matrix_power_companion_vs_repeated_multiply():
-    m = companion_from_coeffs([0.5, 0.3])
-    dense = m.dense()
-    acc = np.eye(2)
-    for _ in range(5):
-        acc = dense @ acc
-    assert np.max(np.abs(matrix_power(m, 5) - acc)) < 1e-12
+    ref = scipy.linalg.expm(0.7 * m.dense())
+    assert np.max(np.abs(expm(m, 0.7) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_expm_zero_is_identity():
@@ -132,12 +101,6 @@ def test_expm_doubling():
     lhs = expm(dense_matrix(e)) @ expm(dense_matrix(e))
     rhs = expm(dense_matrix(2 * e))
     assert np.max(np.abs(lhs - rhs)) < 1e-9
-
-
-def test_power_consistency():
-    m = dense_matrix(0.4 * np.random.default_rng(3).standard_normal((3, 3)))
-    for j, k in [(2, 3), (1, 5), (4, 2)]:
-        assert np.max(np.abs(matrix_power(m, j + k) - matrix_power(m, j) @ matrix_power(m, k))) < 1e-10
 
 
 def test_bad_kind_rejected():
