@@ -15,7 +15,7 @@ from .structured import (
     expm,
 )
 from .discretize import ContinuousSSM2D, DiscreteSSM2D, zoh_pair, discretize_all
-from .recurrence import forward_recurrence, bidirectional_forward
+from .recurrence import forward_recurrence, bidirectional_forward, transition_probe
 from .scan import ScanElement, op_star, inclusive_scan, scan_forward, closed_loop_decode
 from .conv import impulse_kernels, conv_apply
 from .selective import SelectiveProjections, project_cell_params, project_grid_params
@@ -36,6 +36,7 @@ __all__ = [
     "discretize_all",
     "forward_recurrence",
     "bidirectional_forward",
+    "transition_probe",
     "closed_loop_decode",
     "ScanElement",
     "op_star",

@@ -86,9 +86,10 @@ class DiscreteSSM2D:
     def on_rows(self, v_count: int, t_count: int) -> "DiscreteSSM2D":
         """The parameters indexed by variate row: fields already on the
         (V, T) grid pass through unchanged, and a constant field gets batch
-        shape (V, 1), a view whose row v is the one matrix or vector that
-        numpy broadcasts along the row. Raises if a field's batch shape is
-        neither () nor the grid."""
+        shape (V, 1), a read-only view whose row v is the one matrix or
+        vector that numpy broadcasts along the row (of a contiguous copy
+        if the field is not contiguous). Raises if a field's batch shape
+        is neither () nor the grid."""
         grid = (v_count, t_count)
         fields = {}
         for name, a in vars(self).items():
@@ -97,7 +98,13 @@ class DiscreteSSM2D:
             batch = a.shape[:lead]
             if batch not in ((), grid):
                 raise ValueError(f"{name} has batch shape {batch}; expected () or the grid {grid}")
-            fields[name] = a if batch == grid else np.broadcast_to(a, (v_count, 1) + a.shape)
+            if batch == ():
+                # the same stride-0 view np.broadcast_to makes, built by the
+                # ndarray constructor at a fraction of its per-call cost
+                a = np.ascontiguousarray(a)
+                a = np.ndarray((v_count, 1) + a.shape, a.dtype, a, strides=(0, 0) + a.strides)
+                a.flags.writeable = False
+            fields[name] = a
         return DiscreteSSM2D(**fields)
 
     def on_grid(self, v_count: int, t_count: int) -> "DiscreteSSM2D":

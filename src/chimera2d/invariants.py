@@ -27,7 +27,7 @@ from .structured import (
 )
 from .discretize import ContinuousSSM2D, DiscreteSSM2D, zoh_pair, discretize_all
 from .recurrence import forward_recurrence, bidirectional_forward
-from .scan import ScanElement, _scan_affine, closed_loop_decode, op_star, scan_forward
+from .scan import ScanElement, _SharedChain, _block_length, _scan_affine, closed_loop_decode, op_star, scan_forward
 from .conv import impulse_kernels, conv_apply
 from .selective import SelectiveProjections, softplus, project_grid_params
 from .variants import materialize_matrices, matrix_form_apply
@@ -342,7 +342,8 @@ def _check_scan_oracle_equivalence():
 @invariant("scan.shared_matches_grid")
 def _check_scan_shared_matches_grid():
     rng = np.random.default_rng(44)
-    for v_count, t_count in [(1, 1), (3, 7), (5, 8)]:
+    block = _block_length(3)
+    for v_count, t_count in [(1, 1), (3, 7), (5, 8), (2, 2 * block + 3)]:
         dp = _random_dp(rng, 3)
         x = rng.standard_normal((v_count, t_count, 2))
         # the same parameters copied onto every cell
@@ -357,13 +358,15 @@ def _check_scan_shared_matches_grid():
             assert diff < 1e-13, f"{v_count}x{t_count}: shared vs per-cell {name} diff {diff:.3e}"
         diff = np.max(np.abs(y - y_ref))
         assert diff < 1e-10, f"{v_count}x{t_count}: shared vs recurrence diff {diff:.3e}"
-    # the tree scan: one shared transition against the same one tiled
+    # the blocked solver against the tree scan on the transition tiled,
+    # inside one block, at its edges and across block-end carries
     a = _contraction(rng, 3)
-    for m in (2, 5, 16, 37):
+    solve = _SharedChain(a, block * block + 1)
+    for m in (2, block - 1, block, block + 1, 3 * block + 5, block * block + 1):
         g = rng.standard_normal((m, 3, 2))
-        shared, tiled = _scan_affine(a[None], g), _scan_affine(np.tile(a, (m, 1, 1)), g)
-        diff = np.max(np.abs(shared - tiled)) / (1.0 + np.max(np.abs(tiled)))
-        assert diff < 1e-13, f"tree scan over {m}: shared vs tiled diff {diff:.3e}"
+        blocked, tiled = solve(g), _scan_affine(np.tile(a, (m, 1, 1)), g)
+        diff = np.max(np.abs(blocked - tiled)) / (1.0 + np.max(np.abs(tiled)))
+        assert diff < 1e-13, f"chain of {m}: blocked vs tree diff {diff:.3e}"
 
 
 # ----------------------------------------------------------------------

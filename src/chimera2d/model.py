@@ -26,9 +26,11 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .discretize import DT_FLOOR, ContinuousSSM2D, DiscreteSSM2D, discretize_all
-from .recurrence import as_series
+from .recurrence import as_series, transition_probe
 from .scan import closed_loop_decode, scan_forward
-from .selective import DT_INIT, SelectiveProjections, inv_softplus, project_grid_params, softplus
+from .selective import (
+    DT_INIT, SelectiveProjections, inv_softplus, project_cell_params, project_grid_params, softplus,
+)
 from .structured import companion_from_coeffs, diagonal_matrix
 
 
@@ -66,21 +68,21 @@ def _swish(z):
 
 @dataclass
 class _BlockSlot:
-    """The last pass of one SSM block: copies of its parameters and its
-    input, its discretization (constant path only) and its read-only
-    output. Reuse is decided by value, never by identity, because
-    `fd_gradient` perturbs parameter arrays in place."""
+    """The last pass of one SSM block: its parameters (concatenated in
+    `names` order, a copy) and a copy of its input, its discretization
+    (constant path only) and its read-only output. Reuse is decided by
+    value, never by identity, because `fd_gradient` perturbs parameter
+    arrays in place."""
 
     names: tuple[str, ...]
-    params: list[np.ndarray] = field(default_factory=list)
+    params: np.ndarray | None = None
     dp: DiscreteSSM2D | None = None
     x: np.ndarray | None = None
     y: np.ndarray | None = None
 
-    def holds(self, params: dict[str, np.ndarray]) -> bool:
-        return self.y is not None and all(
-            np.array_equal(params[n], v) for n, v in zip(self.names, self.params)
-        )
+    def flat(self, params: dict[str, np.ndarray]) -> np.ndarray:
+        """The block's parameters as one vector, compared in one call."""
+        return np.concatenate([params[n].reshape(-1) for n in self.names])
 
 
 @dataclass
@@ -222,21 +224,50 @@ class ChimeraModel:
         kw["b_d2"] = float(kw["b_d2"])
         return SelectiveProjections(**kw)
 
+    def _ssm_blocks(self) -> list[str]:
+        """The trend and seasonal block prefixes, in the order `forward`
+        runs them."""
+        dirs = ("f", "b") if self.config.bidirectional else ("f",)
+        return [
+            f"layer{layer}.{kind}.{tau}"
+            for layer in range(self.config.layers) for kind in ("trend", "seasonal") for tau in dirs
+        ]
+
+    def _first_unstable_block(self) -> str:
+        """Names the first SSM block, in forward order, whose joint
+        transition has spectral radius >= 1 (or cannot be formed), with
+        that radius. A selective block is probed at its bias step sizes,
+        the projections of a zero input."""
+        for prefix in self._ssm_blocks():
+            try:
+                if self.config.selective:
+                    zero = np.zeros(self.config.channels)
+                    dp = project_cell_params(self._block_proj(prefix), zero, self._a_set(prefix))
+                else:
+                    dp = self._block_dp(prefix)
+                rho = transition_probe(dp)["rho_joint"]
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                return f"block {prefix} has no finite transition ({exc})"
+            if not rho < 1.0:
+                return f"block {prefix} has joint transition spectral radius {rho:.4g} >= 1"
+        return "every block's joint transition has spectral radius < 1"
+
     def _ssm_pass(self, prefix: str, x: np.ndarray) -> np.ndarray:
         slot = None if self._block_memo is None else self._block_memo[prefix]
         dp = None
-        if slot is not None and slot.holds(self.params):
-            if np.array_equal(slot.x, x):
-                return slot.y
-            dp = slot.dp
+        if slot is not None:
+            params = slot.flat(self.params)
+            if slot.y is not None and np.array_equal(params, slot.params):
+                if np.array_equal(slot.x, x):
+                    return slot.y
+                dp = slot.dp
         if self.config.selective:
             y = scan_forward(project_grid_params(self._block_proj(prefix), x, self._a_set(prefix)), x)
         else:
             dp = self._block_dp(prefix) if dp is None else dp
             y = scan_forward(dp, x)
         if slot is not None:
-            slot.params = [self.params[n].copy() for n in slot.names]
-            slot.dp, slot.x, slot.y = dp, x.copy(), y
+            slot.params, slot.dp, slot.x, slot.y = params, dp, x.copy(), y
             y.flags.writeable = False
         return y
 
@@ -308,11 +339,10 @@ def fd_gradient(
     names = list(model.params) if names is None else names
     grads: dict[str, np.ndarray] = {}
     work = model.copy()
-    blocks: dict[str, list[str]] = {}
-    for key in work.params:
-        if ".trend." in key or ".seasonal." in key:
-            blocks.setdefault(key.rsplit(".", 1)[0], []).append(key)
-    work._block_memo = {prefix: _BlockSlot(tuple(keys)) for prefix, keys in blocks.items()}
+    work._block_memo = {
+        prefix: _BlockSlot(tuple(k for k in work.params if k.startswith(prefix + ".")))
+        for prefix in work._ssm_blocks()
+    }
     try:
         for name in names:
             theta = work.params[name]
@@ -366,9 +396,9 @@ def fit(
             loss = mse_loss(m.forward(x), y)
         except ValueError as exc:
             # forward pass overflowed before the loss could be formed
-            raise FloatingPointError(f"training diverged: {exc}; reduce lr") from exc
+            raise FloatingPointError(f"training diverged: {exc}; {m._first_unstable_block()}") from exc
         if not np.isfinite(loss):
-            raise FloatingPointError(f"training diverged: loss={loss}; reduce lr")
+            raise FloatingPointError(f"training diverged: loss={loss}; {m._first_unstable_block()}")
         return loss
 
     # overflow inside a diverging step surfaces as FloatingPointError

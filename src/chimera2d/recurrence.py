@@ -48,6 +48,23 @@ def require_constant(dp: DiscreteSSM2D, caller: str) -> None:
         )
 
 
+def transition_probe(dp: DiscreteSSM2D) -> dict[str, float]:
+    """Stability figures of one constant parameter set: the spectral
+    radii of Abar1 (the time chain) and Abar4 (the variate chain), and
+    the spectral radius and 2-norm of the joint transition
+    [[Abar1, Abar2], [Abar3, Abar4]] on the stacked hidden pair. The step
+    sizes are not part of a DiscreteSSM2D, so the probe omits them."""
+    require_constant(dp, "transition_probe")
+    joint = np.block([[dp.Abar1, dp.Abar2], [dp.Abar3, dp.Abar4]])
+    radius = lambda a: float(np.max(np.abs(np.linalg.eigvals(a))))
+    return {
+        "rho_abar1": radius(dp.Abar1),
+        "rho_abar4": radius(dp.Abar4),
+        "rho_joint": radius(joint),
+        "norm_joint": float(np.linalg.norm(joint, 2)),
+    }
+
+
 def forward_recurrence(dp: DiscreteSSM2D, x) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Run the 2D recurrence; returns (y, (h1, h2)) with hidden grids of
     shape (V, T, N, d). `dp` may be constant (batch shape ()) or per-cell

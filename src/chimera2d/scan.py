@@ -30,18 +30,27 @@ row is a single 1D chain
     h1[t] = Abar1[t] h1[t-1] + (Abar2[t] h2[t-1] + Bbar1[t] x[t]),
 
 the first row of the 2x3 element with the cross term folded into the
-translation. Each row's chain runs as one work-efficient tree scan
-(Blelloch 1990, "Prefix sums and their applications") on a single
-thread; the test suite gates it on the sequential oracle.
+translation. The chain has one schedule per transition kind, both on a
+single thread and both gated on the sequential oracle by the test suite:
 
-Constant and per-cell parameters take the same code and differ only in
-the shapes numpy broadcasts. A per-cell field enters each row as its
-(T, ...) slice; a constant field enters as one (1, N, N) matrix or
-(1, N) vector that `@` applies to the whole row, and the tree scan keeps
-a shared transition as one matrix at every level, so it forms one pair
-product per level instead of T/2. A transition is never broadcast to
-the grid. The input terms Bbar1 x and Bbar2 x are formed for the whole
-grid before the row sweep and the readout C1 h1 + C2 h2 after it.
+- a per-cell Abar1 (the selective path) runs each row as one
+  work-efficient tree scan (Blelloch 1990, "Prefix sums and their
+  applications"), `_scan_affine`;
+- a constant Abar1 is one transition shared along every row, and the
+  rows go through `_SharedChain`, built once per call: blocks of K steps
+  (K set by N alone), each block one matmul with the lower
+  block-Toeplitz operator of the powers of Abar1, and the block-end
+  carries solved as the same chain in Abar1^K. This is the chunked
+  schedule of the state-space duality in Mamba-2 (Dao & Gu 2024,
+  "Transformers are SSMs").
+
+Apart from that choice, constant and per-cell parameters take the same
+code and differ only in the shapes numpy broadcasts. A per-cell field
+enters each row as its (T, ...) slice; a constant field enters as one
+(1, N, N) matrix or (1, N) vector that `@` applies to the whole row. A
+transition is never broadcast to the grid. The input terms Bbar1 x and
+Bbar2 x are formed for the whole grid before the row sweep and the
+readout C1 h1 + C2 h2 after it.
 
 `closed_loop_decode` consumes the context with one `scan_forward` pass
 and then generates one column per step. Within a column h1 is pointwise
@@ -49,7 +58,8 @@ in v given the previous column, and h2 is the 1D chain over variates
 
     h2[v] = Abar4 h2[v-1] + (Abar3 h1[v-1] + Bbar2 u[v]),
 
-which runs as the same affine scan.
+a chain with the shared transition Abar4, whose solver is built once
+per call and serves every step.
 """
 
 from __future__ import annotations
@@ -117,24 +127,18 @@ def inclusive_scan(elems: list[ScanElement]) -> list[ScanElement]:
 
 
 def _scan_affine(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Inclusive scan of the affine chain h[i] = a[i] h[i-1] + g[i],
-    returning h, via pairs (a, g) composed as (a2 a1, a2 g1 + g2), by
-    recursive pairing: combine adjacent pairs, scan the halved sequence,
-    interleave back. Work-efficient, and only ever composes left to
-    right (no identity needed on the right). The recursion needs only
-    the pairwise products, never the scanned transitions.
-
-    `a` holds one transition per step, shape (m, N, N), or one shared by
-    the whole chain, shape (1, N, N); a shared transition stays one
-    matrix at every level, so each level forms a single pair product."""
+    """Inclusive scan of the affine chain h[i] = a[i] h[i-1] + g[i] with
+    one transition per step, a of shape (m, N, N), returning h, via pairs
+    (a, g) composed as (a2 a1, a2 g1 + g2), by recursive pairing: combine
+    adjacent pairs, scan the halved sequence, interleave back.
+    Work-efficient, and only ever composes left to right (no identity
+    needed on the right). The recursion needs only the pairwise
+    products, never the scanned transitions."""
     m = g.shape[0]
     if m == 1:
         return g
     half = m // 2
-    if len(a) == 1:
-        a_even = a_odd = a_rest = a
-    else:
-        a_even, a_odd, a_rest = a[0 : 2 * half : 2], a[1 : 2 * half : 2], a[2::2]
+    a_even, a_odd = a[0 : 2 * half : 2], a[1 : 2 * half : 2]
     g_even, g_odd = g[0 : 2 * half : 2], g[1 : 2 * half : 2]
     sg = _scan_affine(a_odd @ a_even, a_odd @ g_even + g_odd)
     out = np.empty(g.shape)
@@ -145,8 +149,71 @@ def _scan_affine(a: np.ndarray, g: np.ndarray) -> np.ndarray:
         # position 2i (i >= 1) is the halved scan's entry i-1 composed
         # with the raw element
         n_evens = len(range(2, m, 2))
-        out[2::2] = a_rest @ sg[:n_evens] + g[2::2]
+        out[2::2] = a[2::2] @ sg[:n_evens] + g[2::2]
     return out
+
+
+def _block_length(n: int) -> int:
+    """Steps per block of `_SharedChain` at state size N. The block
+    operator spends K N^2 multiply-adds per step and channel, so K falls
+    as 256 / N^2; it is capped at 64 (longer blocks were slower on long
+    chains at N = 1) and kept >= 2, so that each carry level shortens
+    the chain."""
+    return min(64, max(2, 256 // (n * n)))
+
+
+class _SharedChain:
+    """Solver for the affine chain h[i] = A h[i-1] + g[i] (h[0] = g[0])
+    with one transition A shared by every step, for chains of up to
+    `length` steps; built once and applied to many chains.
+
+    With block length K, h inside a block of K steps is the block's own
+    inputs times the lower block-Toeplitz operator whose block (t, s) is
+    A^(t-s), plus A^(t+1) times the state carried in from the previous
+    block. A chain of m <= K steps is one matmul. A longer one is padded
+    to whole blocks, all blocks go through the operator in one batched
+    matmul, the block-end carries form the same chain in A^K (solved by
+    this class again, one level down), and one more batched matmul adds
+    A^1..A^K times each previous block's carry."""
+
+    def __init__(self, a: np.ndarray, length: int):
+        n = a.shape[-1]
+        k = self.k = min(_block_length(n), length)
+        # A^0..A^K by doubling: each pass multiplies the powers so far by
+        # the next power of A
+        powers = np.empty((k + 1, n, n))
+        powers[0] = np.eye(n)
+        filled = 1
+        while filled <= k:
+            step = min(filled, k + 1 - filled)
+            powers[filled : filled + step] = powers[:step] @ (powers[filled - 1] @ a)
+            filled += step
+        # row block t of the operator is [A^t, ..., A^0, 0, ..., 0]: a
+        # window of one strip [A^(K-1) ... A^0 0 ... 0] that moves N
+        # columns left per block row
+        strip = np.zeros((n, (2 * k - 1) * n))
+        strip[:, : k * n] = powers[k - 1 :: -1].transpose(1, 0, 2).reshape(n, k * n)
+        windows = np.ndarray(
+            (k, n, k * n), strip.dtype, strip,
+            offset=(k - 1) * n * strip.itemsize,
+            strides=(-n * strip.itemsize, strip.strides[0], strip.itemsize),
+        )
+        self.operator = windows.reshape(k * n, k * n)
+        self.powers = powers[1:]
+        self.carries = _SharedChain(powers[k], -(-length // k)) if length > k else None
+
+    def __call__(self, g: np.ndarray) -> np.ndarray:
+        m, n, d = g.shape
+        k = self.k
+        if m <= k:
+            return (self.operator[: m * n, : m * n] @ g.reshape(m * n, d)).reshape(g.shape)
+        blocks = -(-m // k)
+        padded = np.zeros((blocks * k, n, d))
+        padded[:m] = g
+        h = (self.operator @ padded.reshape(blocks, k * n, d)).reshape(blocks, k, n, d)
+        carry = self.carries(h[:, -1])
+        h[1:] += self.powers @ carry[:-1, None]
+        return h.reshape(blocks * k, n, d)[:m]
 
 
 def scan_forward(dp: DiscreteSSM2D, x, return_hidden: bool = False):
@@ -157,6 +224,8 @@ def scan_forward(dp: DiscreteSSM2D, x, return_hidden: bool = False):
     x = as_series(x)
     v_count, t_count, _ = x.shape
     p = dp.on_rows(v_count, t_count)
+    # a constant Abar1 is one transition shared along every row
+    row_chain = _SharedChain(np.asarray(dp.Abar1), t_count) if np.ndim(dp.Abar1) == 2 else None
     # input terms for the whole grid; the row sweep completes them in place
     h1 = p.Bbar1[..., None] * x[:, :, None, :]
     h2 = p.Bbar2[..., None] * x[:, :, None, :]
@@ -170,7 +239,7 @@ def scan_forward(dp: DiscreteSSM2D, x, return_hidden: bool = False):
         # cross-time state: one inclusive scan along the row
         g = h1[v]
         g[1:] += abar2[v] @ h2[v, :-1]
-        h1[v] = _scan_affine(np.ascontiguousarray(p.Abar1[v]), g)
+        h1[v] = row_chain(g) if row_chain is not None else _scan_affine(np.ascontiguousarray(p.Abar1[v]), g)
     # the readout is one dot product per cell with no matrix to share;
     # at small N and d einsum's inner loop runs it about twice as fast as
     # matmul, which makes one BLAS call per cell
@@ -202,14 +271,14 @@ def closed_loop_decode(
 
     _, (h1, h2) = scan_forward(dp, x_ctx, return_hidden=True)
     h1_prev, h2_prev = h1[:, -1], h2[:, -1]
-    abar4 = dp.Abar4[None]
+    variate_chain = _SharedChain(np.asarray(dp.Abar4), v_count)
     out = np.empty((v_count, horizon, d))
     for step in range(horizon):
         u = d1 @ h1_prev + d2 @ h2_prev
         h1_col = dp.Bbar1[:, None] * u[:, None, :] + dp.Abar1 @ h1_prev + dp.Abar2 @ h2_prev
         g = dp.Bbar2[:, None] * u[:, None, :]
         g[1:] += dp.Abar3 @ h1_col[:-1]
-        h2_col = _scan_affine(abar4, g)
+        h2_col = variate_chain(g)
         out[:, step] = dp.C1 @ h1_col + dp.C2 @ h2_col
         h1_prev, h2_prev = h1_col, h2_col
     return out

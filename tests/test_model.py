@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import chimera2d.model
-from chimera2d import ChimeraModel, ModelConfig, fd_gradient, fit
+from chimera2d import ChimeraModel, ModelConfig, fd_gradient, fit, transition_probe
 from chimera2d.model import mse_loss
+from chimera2d.selective import inv_softplus
 
 
 def tiny_model(seed=0, **kw):
@@ -193,6 +194,40 @@ def test_fit_divergence_reported():
     x = 5.0 * rng.standard_normal((2, 32, 1))
     with pytest.raises(FloatingPointError):
         fit(m, (x, x), steps=50, lr=10.0)
+
+
+@pytest.mark.parametrize("selective", [False, True])
+def test_fit_divergence_names_the_first_unstable_block(selective):
+    m = tiny_model(seed=14, selective=selective)
+    p = m.params
+    steps = ("dt1_raw", "dt2_raw", "b_d1", "b_d2") if selective else ("dt1_raw", "dt2_raw")
+    # long steps make the stable transitions contract: every joint
+    # transition radius < 1 ...
+    for prefix in m._ssm_blocks():
+        for name in steps:
+            p[f"{prefix}.{name}"] = np.array(inv_softplus(20.0))
+        if selective:
+            p[f"{prefix}.w_d1"][:] = p[f"{prefix}.w_d2"][:] = 0.0
+    assert m._first_unstable_block().startswith("every block")
+    # ... except the backward seasonal block, whose time transition has
+    # the eigenvalue 3 (growth e^3 per step) and overflows on a long row
+    p["layer0.seasonal.b.a1"] = np.array([0.0, 3.0])
+    for name in steps[::2]:
+        p[f"layer0.seasonal.b.{name}"] = np.array(inv_softplus(1.0))
+    x = np.random.default_rng(14).standard_normal((2, 400, 1))
+    named = r"block layer0\.seasonal\.b has joint transition spectral radius 2\d\.\d+ >= 1"
+    with pytest.raises(FloatingPointError, match=named):
+        fit(m, (x, x), steps=1, lr=1e-3)
+
+
+def test_transition_probe_figures():
+    dp = tiny_model(seed=3)._block_dp("layer0.trend.f")
+    probe = transition_probe(dp)
+    joint = np.block([[dp.Abar1, dp.Abar2], [dp.Abar3, dp.Abar4]])
+    assert probe["rho_abar1"] == pytest.approx(np.max(np.abs(np.linalg.eigvals(dp.Abar1))))
+    assert probe["rho_abar4"] == pytest.approx(np.max(np.abs(dp.Abar4)))
+    assert probe["norm_joint"] == pytest.approx(np.linalg.svd(joint, compute_uv=False)[0])
+    assert probe["rho_joint"] <= probe["norm_joint"] + 1e-12
 
 
 def test_fit_ignores_decoder_parameters():

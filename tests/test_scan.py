@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chimera2d.scan
-from chimera2d import DiscreteSSM2D, ScanElement, op_star, inclusive_scan, scan_forward, forward_recurrence
-from chimera2d.scan import _scan_affine
+from chimera2d import (
+    DiscreteSSM2D, ScanElement, closed_loop_decode, op_star, inclusive_scan, scan_forward, forward_recurrence,
+)
+from chimera2d.scan import _SharedChain, _block_length, _scan_affine
 
 from test_recurrence import random_dp
 
@@ -201,7 +203,9 @@ def test_shared_parameters_match_materialized_grid(seed, v_count, t_count, d, n)
 ])
 def test_mixed_constant_and_per_cell_fields_match_recurrence(per_cell_names):
     rng = np.random.default_rng(len(per_cell_names))
-    v_count, t_count, n = 5, 7, 3
+    # rows longer than one block of the shared-transition solver
+    v_count, n = 5, 3
+    t_count = 2 * _block_length(n) + 3
     dp = random_dp(rng, n)
     # per-cell fields get distinct values on every cell, the rest stay shared
     fields = dict(vars(dp))
@@ -216,16 +220,41 @@ def test_mixed_constant_and_per_cell_fields_match_recurrence(per_cell_names):
         assert rel_diff(got, want) < 1e-10
 
 
-def test_tree_shared_transition_matches_tiled():
-    rng = np.random.default_rng(11)
-    a = 0.6 * rng.standard_normal((1, 3, 3))
-    for count in range(1, 71):
-        g = rng.standard_normal((count, 3, 2))
-        diff = rel_diff(_scan_affine(a, g), _scan_affine(np.repeat(a, count, axis=0), g))
-        assert diff < 1e-13, f"chain of {count}: {diff:.3e}"
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_shared_chain_matches_sequential(n):
+    # chains inside one block, at its edges, and across one and two
+    # levels of block-end carries
+    k = _block_length(n)
+    rng = np.random.default_rng(n)
+    a = 0.9 * rng.standard_normal((n, n))
+    a /= max(1.0, float(np.max(np.abs(np.linalg.eigvals(a))))) / 0.95
+    longest = k * k + 1
+    solve = _SharedChain(a, longest)
+    for count in sorted({1, k - 1, k, k + 1, k * k, longest, 2 * k + 5}):
+        g = rng.standard_normal((count, n, 2))
+        expected = np.empty_like(g)
+        expected[0] = g[0]
+        for i in range(1, count):
+            expected[i] = a @ expected[i - 1] + g[i]
+        diff = float(np.max(np.abs(solve(g) - expected)) / np.max(np.abs(expected)))
+        assert diff < 1e-12, f"chain of {count}: {diff:.3e}"
 
 
-def test_constant_transitions_reach_the_tree_scan_unbroadcast(monkeypatch):
+def test_shared_rows_longer_than_a_block_match_materialized_grid():
+    rng = np.random.default_rng(12)
+    v_count, t_count = 3, 150
+    assert t_count > 2 * _block_length(2)
+    dp = random_dp(rng, 2)
+    x = rng.standard_normal((v_count, t_count, 2))
+    y, (h1, h2) = scan_forward(dp, x, return_hidden=True)
+    y_grid, (h1_grid, h2_grid) = scan_forward(materialized(dp, v_count, t_count), x, return_hidden=True)
+    for got, want in ((y, y_grid), (h1, h1_grid), (h2, h2_grid)):
+        assert rel_diff(got, want) < 1e-13
+    y_ref, _ = forward_recurrence(dp, x)
+    assert rel_diff(y, y_ref) < 1e-10
+
+
+def test_only_per_cell_transitions_reach_the_tree_scan(monkeypatch):
     seen = []
     tree = chimera2d.scan._scan_affine
 
@@ -235,7 +264,12 @@ def test_constant_transitions_reach_the_tree_scan_unbroadcast(monkeypatch):
 
     monkeypatch.setattr(chimera2d.scan, "_scan_affine", recorded)
     rng = np.random.default_rng(10)
-    scan_forward(random_dp(rng, 2), rng.standard_normal((4, 64, 3)))
-    # 4 rows, each a tree of log2(64) + 1 levels
+    dp = random_dp(rng, 2)
+    x = rng.standard_normal((4, 64, 3))
+    scan_forward(dp, x)
+    closed_loop_decode(dp, rng.standard_normal(2), rng.standard_normal(2), x, 3)
+    assert seen == []
+    scan_forward(materialized(dp, 4, 64), x)
+    # 4 rows, each a tree of log2(64) + 1 levels over per-step transitions
     assert len(seen) == 4 * 7
-    assert all(shape == (1, 2, 2) for shape in seen)
+    assert seen[0] == (64, 2, 2)
