@@ -145,23 +145,28 @@ def read_series_csv(path: str) -> np.ndarray:
     """Read the CSV written by :func:`write_series_csv` back to (V, T)."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh if line.strip()]
+            lines = [(lineno, line.strip()) for lineno, line in enumerate(fh, 1) if line.strip()]
     except FileNotFoundError as exc:
         raise ConfigError(f"series file not found: {path}") from exc
     if not lines:
         raise ConfigError(f"empty series file: {path}")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if header[0] != "t" or any(not c.startswith("var_") for c in header[1:]):
-        raise ConfigError(f"unrecognized CSV header in {path}: {lines[0]}")
+        raise ConfigError(f"unrecognized CSV header in {path}: {lines[0][1]}")
     v_count = len(header) - 1
     if v_count == 0:
         raise ConfigError(f"no variate columns in {path}")
     rows = []
-    for line in lines[1:]:
+    for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != v_count + 1:
             raise ConfigError(f"ragged CSV row in {path}: {line}")
-        rows.append([float(c) for c in cells[1:]])
+        try:
+            rows.append([float(c) for c in cells[1:]])
+        except ValueError:
+            raise ConfigError(f"non-numeric value in {path} line {lineno}: {line}") from None
+        if not np.all(np.isfinite(rows[-1])):
+            raise ConfigError(f"non-finite value in {path} line {lineno}: {line}")
     return np.asarray(rows, dtype=float).T
 
 
@@ -240,6 +245,8 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.season < 1:
+        raise ConfigError(f"--season must be >= 1, got {args.season}")
     pred = read_series_csv(args.pred)
     truth = read_series_csv(args.truth)
     insample = read_series_csv(args.insample)

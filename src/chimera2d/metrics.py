@@ -33,6 +33,8 @@ def smape(pred: np.ndarray, truth: np.ndarray) -> float:
 def _naive_scale(insample: np.ndarray, season: int) -> np.ndarray:
     """Per-series mean absolute error of the in-sample seasonal-naive
     forecast: the MASE denominator."""
+    if season < 1:
+        raise ValueError("season must be >= 1")
     insample = _series(insample)
     if insample.shape[1] <= season:
         raise ValueError("in-sample series too short for the seasonal naive scale")

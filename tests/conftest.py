@@ -1,7 +1,7 @@
 import sys
 from pathlib import Path
 
-# allow cross-file imports of shared test helpers (random_dp etc.)
+# allow cross-file imports of shared test helpers (per_cell etc.)
 sys.path.insert(0, str(Path(__file__).parent))
 
 

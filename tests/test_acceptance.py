@@ -39,9 +39,7 @@ from chimera2d import (
 )
 from chimera2d.model import mse_loss
 from chimera2d.variants import matrix_form_apply
-from chimera2d.invariants import _random_dp, _stable_coeffs
-
-from test_scan import random_element
+from chimera2d.invariants import _random_dp, _random_element, _stable_coeffs
 
 
 # one line per criterion; conftest replays these after pytest's capture ends
@@ -68,7 +66,7 @@ def test_criterion_01_operator_associativity():
     for _ in range(1000):
         n = int(rng.choice([1, 2, 4]))
         d = int(rng.choice([1, 3]))
-        p, q, r = (random_element(rng, n, d) for _ in range(3))
+        p, q, r = (_random_element(rng, n, d) for _ in range(3))
         left = op_star(op_star(p, q), r)
         right = op_star(p, op_star(q, r))
         for i in range(1, 7):

@@ -23,12 +23,6 @@ def test_ar2_first_values():
     assert np.allclose(series, [0.8, 0.7, 0.59], atol=1e-12)
 
 
-def test_seed_determinism():
-    kw = dict(phi=[0.4], eta=[0.2], s=3, init=np.ones(3), noise_std=0.5, t_count=40)
-    assert np.array_equal(simulate_sar(**kw, seed=7), simulate_sar(**kw, seed=7))
-    assert not np.array_equal(simulate_sar(**kw, seed=7), simulate_sar(**kw, seed=8))
-
-
 def test_short_history_rejected():
     with pytest.raises(ValueError):
         simulate_sar([0.5, 0.3], [], 1, [1.0], noise_std=0.0, t_count=5)

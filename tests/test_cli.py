@@ -1,23 +1,17 @@
 """Tests for the command-line surface and the invariant registry."""
 
-import io
 import json
+import re
 
 import numpy as np
 import pytest
 
-from chimera2d import cli, invariants
+from chimera2d import invariants
 from chimera2d.cli import RunConfig, ConfigError, cmd_dispatch, read_series_csv, write_series_csv
 
 
 # ----------------------------------------------------------------------
 # configuration handling
-
-
-def test_config_roundtrip_is_identity():
-    cfg = RunConfig(layers=1, state_dim=3, steps=7, lr=0.01,
-                    horizon=12, phi=(0.4, 0.1), eta=(0.2,), season=4)
-    assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_unknown_keys_rejected():
@@ -56,19 +50,23 @@ def test_csv_roundtrip(tmp_path):
     assert np.array_equal(read_series_csv(str(path)), series)
 
 
-def test_csv_header_and_shape():
-    buf = io.StringIO()
-    write_series_csv(buf, np.zeros((4, 5)))
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "t,var_0,var_1,var_2,var_3"
-    assert len(lines) == 6  # header + 5 timesteps
-
-
 def test_bad_csv_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,value\n0,1\n")
     with pytest.raises(ConfigError):
         read_series_csv(str(path))
+
+
+@pytest.mark.parametrize("cell, problem", [("abc", "non-numeric"), ("nan", "non-finite")])
+def test_bad_csv_cell_exits_2_naming_file_and_line(tmp_path, capsys, cell, problem):
+    data = tmp_path / "series.csv"
+    data.write_text(f"t,var_0,var_1\n0,1.0,2.0\n1,3.0,{cell}\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{problem} value in {data} line 3: 1,3.0,{cell}")):
+        read_series_csv(str(data))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": str(data), "steps": 1}))
+    assert cmd_dispatch(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config: {problem} value in {data} line 3")
 
 
 # ----------------------------------------------------------------------
@@ -130,6 +128,8 @@ def test_eval_scores_each_variate(tmp_path):
     assert cmd_dispatch(args + ["--insample", str(tmp_path / "insample.csv")]) == 0
     assert abs(json.loads((tmp_path / "metrics.json").read_text())["OWA"] - 1.0) < 1e-12
     assert cmd_dispatch(args + ["--insample", str(tmp_path / "short.csv")]) == 2
+    for season in ("0", "-1"):
+        assert cmd_dispatch(args + ["--insample", str(tmp_path / "insample.csv"), "--season", season]) == 2
 
 
 def test_bad_config_exits_2(tmp_path):
@@ -200,13 +200,9 @@ def test_runtime_failure_exits_1(tmp_path, capsys):
 # invariant registry
 
 
-def test_registry_matches_manifest():
-    declared = {n for group in invariants.MODULE_INVARIANTS.values() for n in group}
-    registered = set(invariants.REGISTRY)
-    assert declared == registered, (
-        f"manifest/registry mismatch: missing={sorted(declared - registered)}, "
-        f"unregistered={sorted(registered - declared)}"
-    )
+@pytest.mark.parametrize("name", list(invariants.REGISTRY))
+def test_invariant(name):
+    invariants.REGISTRY[name]()
 
 
 def test_every_library_module_declares_invariants():
@@ -214,26 +210,22 @@ def test_every_library_module_declares_invariants():
         "structured", "discretize", "recurrence", "scan", "conv",
         "selective", "model", "variants", "ar", "cli",
     }
-    assert set(invariants.MODULE_INVARIANTS) == modules
+    assert {name.split(".")[0] for name in invariants.REGISTRY} == modules
 
 
-def test_run_all_reports_each_invariant():
-    names = ["structured.expm_doubling", "selective.step_monotonicity"]
-    results = invariants.run_all(names)
-    assert [r.name for r in results] == names
-    assert all(r.passed for r in results)
+def _two_checks(monkeypatch, second):
+    """Point the selftest at a fast two-entry registry."""
+    checks = {"structured.expm_doubling": invariants.REGISTRY["structured.expm_doubling"],
+              "discretize.step_resolution": second}
+    monkeypatch.setattr(invariants, "REGISTRY", checks)
+    return list(checks)
 
 
-def test_run_all_unknown_name_rejected():
-    with pytest.raises(KeyError):
-        invariants.run_all(["no.such.invariant"])
-
-
-def test_selftest_exits_zero(capsys):
+def test_selftest_exits_zero(capsys, monkeypatch):
+    names = _two_checks(monkeypatch, invariants.REGISTRY["discretize.step_resolution"])
     assert cmd_dispatch(["selftest"]) == 0
     out = capsys.readouterr().out
-    declared = [n for group in invariants.MODULE_INVARIANTS.values() for n in group]
-    for name in declared:
+    for name in names:
         assert f"PASS {name}" in out
 
 
@@ -241,12 +233,13 @@ def test_selftest_ends_with_json_summary(capsys, monkeypatch):
     def broken():
         raise AssertionError("off by one")
 
-    monkeypatch.setitem(invariants.REGISTRY, "discretize.step_resolution", broken)
+    names = _two_checks(monkeypatch, broken)
     assert cmd_dispatch(["selftest"]) == 1
-    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
-    declared = [n for group in invariants.MODULE_INVARIANTS.values() for n in group]
-    assert summary["passed"] == len(declared) - 1
+    out = capsys.readouterr().out
+    assert "FAIL discretize.step_resolution: off by one" in out
+    summary = json.loads(out.splitlines()[-1])
+    assert summary["passed"] == 1
     assert summary["failed"] == 1
-    assert [r["name"] for r in summary["results"]] == declared
+    assert [r["name"] for r in summary["results"]] == names
     failed = [r for r in summary["results"] if not r["passed"]]
     assert failed == [{"name": "discretize.step_resolution", "passed": False, "detail": "off by one"}]

@@ -121,24 +121,6 @@ def test_step_doubling_squares_transition():
     assert np.allclose(dp2.Abar1, dp.Abar1 @ dp.Abar1, atol=1e-11)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
-def test_resolution_homogeneous_and_forced(k):
-    rng = np.random.default_rng(6)
-    n = 3
-    a = dense_matrix(0.5 * rng.standard_normal((n, n)))
-    b = rng.standard_normal(n)
-    dt = 0.2
-    abar_big, bbar_big = zoh_pair(a, b, k * dt)
-    abar, bbar = zoh_pair(a, b, dt)
-    # one coarse step covers k fine steps of the homogeneous evolution
-    assert np.max(np.abs(abar_big - np.linalg.matrix_power(abar, k))) < 1e-10
-    # likewise for the forced response when the input is held constant
-    h = np.zeros(n)
-    for _ in range(k):
-        h = abar @ h + bbar
-    assert np.max(np.abs(bbar_big - h)) < 1e-10
-
-
 def test_nonpositive_step_rejected():
     with pytest.raises(ValueError):
         zoh_pair(dense_matrix(np.zeros((2, 2))), np.zeros(2), 0.0)

@@ -53,6 +53,12 @@ def test_mase_scaling():
     assert abs(mase(pred, truth, insample) - 2.0) < 1e-12
 
 
+def test_mase_nonpositive_season_rejected():
+    for season in (0, -1):
+        with pytest.raises(ValueError, match="season must be >= 1"):
+            mase(np.array([1.0]), np.array([0.0]), INSAMPLE, season=season)
+
+
 def test_mase_zero_insample_error_raises():
     with pytest.raises(ValueError):
         mase(np.array([1.0]), np.array([0.0]), np.ones(5))

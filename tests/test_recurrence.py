@@ -4,32 +4,19 @@ import numpy as np
 import pytest
 
 from chimera2d import DiscreteSSM2D, forward_recurrence, bidirectional_forward, closed_loop_decode
+from chimera2d.invariants import _random_dp
 from chimera2d.recurrence import as_series
 
 
-def random_dp(rng, n, coupled=True):
-    def m():
-        a = rng.standard_normal((n, n))
-        return 0.6 * a / max(1.0, np.linalg.norm(a, 2))
-
-    zero = np.zeros((n, n))
-    return DiscreteSSM2D(
-        Abar1=m(), Abar2=m() if coupled else zero,
-        Abar3=m() if coupled else zero, Abar4=m(),
-        Bbar1=rng.standard_normal(n), Bbar2=rng.standard_normal(n),
-        C1=rng.standard_normal(n), C2=rng.standard_normal(n),
-    )
-
-
 def test_zero_input_gives_zero():
-    dp = random_dp(np.random.default_rng(0), 3)
+    dp = _random_dp(np.random.default_rng(0), 3)
     y, (h1, h2) = forward_recurrence(dp, np.zeros((4, 5, 2)))
     assert np.all(y == 0.0) and np.all(h1 == 0.0) and np.all(h2 == 0.0)
 
 
 def test_single_cell_collapses():
     rng = np.random.default_rng(1)
-    dp = random_dp(rng, 3)
+    dp = _random_dp(rng, 3)
     x = np.array([[[1.7]]])
     y, _ = forward_recurrence(dp, x)
     expected = (dp.C1 @ dp.Bbar1 + dp.C2 @ dp.Bbar2) * 1.7
@@ -39,7 +26,7 @@ def test_single_cell_collapses():
 def test_two_by_two_hand_unrolled():
     rng = np.random.default_rng(2)
     n = 2
-    dp = random_dp(rng, n)
+    dp = _random_dp(rng, n)
     x = rng.standard_normal((2, 2, 1))
     y, _ = forward_recurrence(dp, x)
 
@@ -70,7 +57,7 @@ def per_cell(dp, v_count, t_count):
 def test_per_cell_parameters_hand_unrolled():
     rng = np.random.default_rng(12)
     n = 2
-    dps = {(v, t): random_dp(rng, n) for v in range(2) for t in range(2)}
+    dps = {(v, t): _random_dp(rng, n) for v in range(2) for t in range(2)}
     cells = DiscreteSSM2D(
         **{k: np.array([[getattr(dps[v, t], k) for t in range(2)] for v in range(2)]) for k in vars(dps[0, 0])}
     )
@@ -92,62 +79,18 @@ def test_per_cell_parameters_hand_unrolled():
 
 def test_constant_parameters_on_the_grid_agree():
     rng = np.random.default_rng(13)
-    dp = random_dp(rng, 3)
+    dp = _random_dp(rng, 3)
     x = rng.standard_normal((3, 4, 2))
     y, _ = forward_recurrence(dp, x)
     y_grid, _ = forward_recurrence(per_cell(dp, 3, 4), x)
     assert np.array_equal(y, y_grid)
 
 
-def test_linearity():
-    rng = np.random.default_rng(3)
-    dp = random_dp(rng, 3)
-    xa, xb = rng.standard_normal((2, 3, 6, 2))
-    ya, _ = forward_recurrence(dp, xa)
-    yb, _ = forward_recurrence(dp, xb)
-    y, _ = forward_recurrence(dp, 2.0 * xa - 0.5 * xb)
-    assert np.max(np.abs(y - (2.0 * ya - 0.5 * yb))) < 1e-10
-
-
-def test_causality():
-    rng = np.random.default_rng(4)
-    dp = random_dp(rng, 2)
-    x = rng.standard_normal((4, 6, 1))
-    y, _ = forward_recurrence(dp, x)
-    bumped = x.copy()
-    bumped[2, 3, 0] += 5.0
-    yb, _ = forward_recurrence(dp, bumped)
-    # anything strictly earlier in time or earlier in the variate order
-    # cannot see the perturbation
-    assert np.max(np.abs(yb[:, :3] - y[:, :3])) == 0.0
-    assert np.max(np.abs(yb[:2] - y[:2])) == 0.0
-
-
-def test_decoupled_equals_two_1d_runs():
-    rng = np.random.default_rng(5)
-    n = 3
-    dp = random_dp(rng, n, coupled=False)
-    x = rng.standard_normal((4, 5, 2))
-    y, _ = forward_recurrence(dp, x)
-    expected = np.zeros_like(y)
-    for v in range(4):
-        h = np.zeros((n, 2))
-        for t in range(5):
-            h = dp.Abar1 @ h + np.outer(dp.Bbar1, x[v, t])
-            expected[v, t] += dp.C1 @ h
-    for t in range(5):
-        h = np.zeros((n, 2))
-        for v in range(4):
-            h = dp.Abar4 @ h + np.outer(dp.Bbar2, x[v, t])
-            expected[v, t] += dp.C2 @ h
-    assert np.max(np.abs(y - expected)) < 1e-10
-
-
 def test_bidirectional_zero_backward_readout():
     rng = np.random.default_rng(6)
-    dp_f = random_dp(rng, 2)
+    dp_f = _random_dp(rng, 2)
     dp_b = DiscreteSSM2D(
-        **{k: getattr(random_dp(rng, 2), k) for k in ("Abar1", "Abar2", "Abar3", "Abar4", "Bbar1", "Bbar2")},
+        **{k: getattr(_random_dp(rng, 2), k) for k in ("Abar1", "Abar2", "Abar3", "Abar4", "Bbar1", "Bbar2")},
         C1=np.zeros(2), C2=np.zeros(2),
     )
     x = rng.standard_normal((3, 4, 1))
@@ -158,7 +101,7 @@ def test_bidirectional_zero_backward_readout():
 
 def test_bidirectional_single_variate():
     rng = np.random.default_rng(7)
-    dp_f, dp_b = random_dp(rng, 2), random_dp(rng, 2)
+    dp_f, dp_b = _random_dp(rng, 2), _random_dp(rng, 2)
     x = rng.standard_normal((1, 6, 2))
     y = bidirectional_forward(dp_f, dp_b, x)
     y_f, _ = forward_recurrence(dp_f, x)
@@ -168,14 +111,14 @@ def test_bidirectional_single_variate():
 
 def test_decode_zero_horizon():
     rng = np.random.default_rng(8)
-    dp = random_dp(rng, 2)
+    dp = _random_dp(rng, 2)
     out = closed_loop_decode(dp, np.zeros(2), np.zeros(2), rng.standard_normal((2, 4, 1)), 0)
     assert out.shape == (2, 0, 1)
 
 
 def test_decode_zero_readback_matches_zero_padding():
     rng = np.random.default_rng(9)
-    dp = random_dp(rng, 2)
+    dp = _random_dp(rng, 2)
     x = rng.standard_normal((3, 4, 1))
     h = 3
     out = closed_loop_decode(dp, np.zeros(2), np.zeros(2), x, h)
@@ -186,7 +129,7 @@ def test_decode_zero_readback_matches_zero_padding():
 
 def test_decode_one_step_matches_manual_extension():
     rng = np.random.default_rng(10)
-    dp = random_dp(rng, 2)
+    dp = _random_dp(rng, 2)
     d1, d2 = rng.standard_normal(2), rng.standard_normal(2)
     x = rng.standard_normal((2, 5, 1))
     out = closed_loop_decode(dp, d1, d2, x, 1)
@@ -198,32 +141,9 @@ def test_decode_one_step_matches_manual_extension():
     assert np.max(np.abs(out[:, 0] - y_ref[:, -1])) < 1e-12
 
 
-def decode_oracle(dp, d1, d2, x, horizon):
-    """Closed-loop rollout by rerunning the sequential recurrence on the
-    context extended by one fed-back column at a time."""
-    grid = x
-    for _ in range(horizon):
-        _, (h1, h2) = forward_recurrence(dp, grid)
-        u = np.einsum("n,vnd->vd", d1, h1[:, -1]) + np.einsum("n,vnd->vd", d2, h2[:, -1])
-        grid = np.concatenate([grid, u[:, None, :]], axis=1)
-    y, _ = forward_recurrence(dp, grid)
-    return y[:, x.shape[1] :]
-
-
-@pytest.mark.parametrize("v_count", [1, 4])
-@pytest.mark.parametrize("t_ctx", [1, 7])
-def test_decode_matches_step_by_step_oracle(v_count, t_ctx):
-    rng = np.random.default_rng(14)
-    dp = random_dp(rng, 3)
-    d1, d2 = rng.standard_normal(3), rng.standard_normal(3)
-    x = rng.standard_normal((v_count, t_ctx, 2))
-    out = closed_loop_decode(dp, d1, d2, x, 5)
-    np.testing.assert_allclose(out, decode_oracle(dp, d1, d2, x, 5), rtol=1e-12, atol=0.0)
-
-
 def test_decode_rejects_per_cell_parameters():
     rng = np.random.default_rng(11)
-    dp = per_cell(random_dp(rng, 2), 3, 4)
+    dp = per_cell(_random_dp(rng, 2), 3, 4)
     with pytest.raises(ValueError, match="closed_loop_decode needs constant parameters"):
         closed_loop_decode(dp, np.zeros(2), np.zeros(2), rng.standard_normal((3, 4, 1)), 2)
 

@@ -9,36 +9,16 @@ import chimera2d.scan
 from chimera2d import (
     DiscreteSSM2D, ScanElement, closed_loop_decode, op_star, inclusive_scan, scan_forward, forward_recurrence,
 )
+from chimera2d.invariants import _element_diff, _random_dp, _random_element
 from chimera2d.scan import _SharedChain, _block_length, _scan_affine
-
-from test_recurrence import random_dp
-
-
-def random_element(rng, n, d=1):
-    return ScanElement(
-        rng.standard_normal((n, n)), rng.standard_normal((n, n)), rng.standard_normal((n, d)),
-        rng.standard_normal((n, n)), rng.standard_normal((n, n)), rng.standard_normal((n, d)),
-    )
-
-
-def element_diff(p, q):
-    """Largest blockwise difference, relative to the block magnitudes
-    (long products of random elements grow without bound)."""
-    return max(
-        float(
-            np.max(np.abs(getattr(p, f"p{i}") - getattr(q, f"p{i}")))
-            / (1.0 + np.max(np.abs(getattr(q, f"p{i}"))))
-        )
-        for i in range(1, 7)
-    )
 
 
 def test_identity_is_two_sided():
     rng = np.random.default_rng(0)
-    q = random_element(rng, 3, 2)
+    q = _random_element(rng, 3, 2)
     eye = ScanElement.identity(3, 2)
-    assert element_diff(op_star(eye, q), q) == 0.0
-    assert element_diff(op_star(q, eye), q) == 0.0
+    assert _element_diff(op_star(eye, q), q) == 0.0
+    assert _element_diff(op_star(q, eye), q) == 0.0
 
 
 def test_scalar_state_columns():
@@ -51,47 +31,18 @@ def test_scalar_state_columns():
     assert out.p6[0, 0] == 108.0
 
 
-@given(st.integers(0, 10_000))
-@settings(max_examples=60, deadline=None)
-def test_associativity_random(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 5))
-    d = int(rng.integers(1, 4))
-    p, q, r = (random_element(rng, n, d) for _ in range(3))
-    left = op_star(op_star(p, q), r)
-    right = op_star(p, op_star(q, r))
-    scale = 1.0 + max(float(np.max(np.abs(getattr(right, f"p{i}")))) for i in range(1, 7))
-    assert element_diff(left, right) / scale < 1e-9
-
-
-def test_split_invariance():
-    rng = np.random.default_rng(1)
-    elems = [random_element(rng, 2, 1) for _ in range(7)]
-    whole = elems[0]
-    for e in elems[1:]:
-        whole = op_star(whole, e)
-    for k in range(1, 7):
-        left = elems[0]
-        for e in elems[1:k]:
-            left = op_star(left, e)
-        right = elems[k]
-        for e in elems[k + 1 :]:
-            right = op_star(right, e)
-        assert element_diff(op_star(left, right), whole) < 1e-9
-
-
 def test_inclusive_scan_single_element():
     rng = np.random.default_rng(2)
-    e = random_element(rng, 2)
+    e = _random_element(rng, 2, 1)
     out = inclusive_scan([e])
-    assert element_diff(out[0], e) == 0.0
+    assert _element_diff(out[0], e) == 0.0
 
 
 def test_inclusive_scan_all_identities():
     eye = ScanElement.identity(2, 1)
     out = inclusive_scan([eye] * 5)
     for o in out:
-        assert element_diff(o, eye) == 0.0
+        assert _element_diff(o, eye) == 0.0
 
 
 @pytest.mark.parametrize("count", [2, 3, 5, 8, 13, 32])
@@ -116,7 +67,7 @@ def test_empty_scan_rejected():
 def test_scan_1d_reduction_along_time():
     rng = np.random.default_rng(4)
     n = 3
-    dp = random_dp(rng, n, coupled=False)
+    dp = _random_dp(rng, n, coupled=False)
     x = rng.standard_normal((1, 9, 1))
     y = scan_forward(dp, x)
     # V = 1 decoupled: time part is a plain 1D recurrence; variate part
@@ -131,7 +82,7 @@ def test_scan_1d_reduction_along_time():
 def test_scan_1d_reduction_along_variates():
     rng = np.random.default_rng(5)
     n = 3
-    dp = random_dp(rng, n, coupled=False)
+    dp = _random_dp(rng, n, coupled=False)
     x = rng.standard_normal((9, 1, 1))
     y = scan_forward(dp, x)
     h = np.zeros((n, 1))
@@ -143,7 +94,7 @@ def test_scan_1d_reduction_along_variates():
 
 def test_scan_matches_recurrence_coupled():
     rng = np.random.default_rng(6)
-    dp = random_dp(rng, 4)
+    dp = _random_dp(rng, 4)
     x = rng.standard_normal((4, 4, 3))
     y = scan_forward(dp, x)
     y_ref, _ = forward_recurrence(dp, x)
@@ -152,7 +103,7 @@ def test_scan_matches_recurrence_coupled():
 
 def test_scan_hidden_states_match_recurrence():
     rng = np.random.default_rng(7)
-    dp = random_dp(rng, 2)
+    dp = _random_dp(rng, 2)
     x = rng.standard_normal((3, 5, 1))
     y, (h1, h2) = scan_forward(dp, x, return_hidden=True)
     y_ref, (h1_ref, h2_ref) = forward_recurrence(dp, x)
@@ -162,7 +113,7 @@ def test_scan_hidden_states_match_recurrence():
 
 def test_scan_grid_mismatch_rejected():
     rng = np.random.default_rng(9)
-    dp = random_dp(rng, 2)
+    dp = _random_dp(rng, 2)
     x = rng.standard_normal((4, 4, 1))
     with pytest.raises(ValueError, match=r"batch shape \(3, 3\).*grid \(4, 4\)"):
         scan_forward(dp.on_grid(3, 3), x)
@@ -185,7 +136,7 @@ def materialized(dp, v_count, t_count):
 @settings(max_examples=60, deadline=None)
 def test_shared_parameters_match_materialized_grid(seed, v_count, t_count, d, n):
     rng = np.random.default_rng(seed)
-    dp = random_dp(rng, n)
+    dp = _random_dp(rng, n)
     x = rng.standard_normal((v_count, t_count, d))
     y, (h1, h2) = scan_forward(dp, x, return_hidden=True)
     y_grid, (h1_grid, h2_grid) = scan_forward(materialized(dp, v_count, t_count), x, return_hidden=True)
@@ -206,11 +157,11 @@ def test_mixed_constant_and_per_cell_fields_match_recurrence(per_cell_names):
     # rows longer than one block of the shared-transition solver
     v_count, n = 5, 3
     t_count = 2 * _block_length(n) + 3
-    dp = random_dp(rng, n)
+    dp = _random_dp(rng, n)
     # per-cell fields get distinct values on every cell, the rest stay shared
     fields = dict(vars(dp))
     for name in per_cell_names:
-        cells = [[getattr(random_dp(rng, n), name) for _ in range(t_count)] for _ in range(v_count)]
+        cells = [[getattr(_random_dp(rng, n), name) for _ in range(t_count)] for _ in range(v_count)]
         fields[name] = np.array(cells)
     mixed = DiscreteSSM2D(**fields)
     x = rng.standard_normal((v_count, t_count, 2))
@@ -244,7 +195,7 @@ def test_shared_rows_longer_than_a_block_match_materialized_grid():
     rng = np.random.default_rng(12)
     v_count, t_count = 3, 150
     assert t_count > 2 * _block_length(2)
-    dp = random_dp(rng, 2)
+    dp = _random_dp(rng, 2)
     x = rng.standard_normal((v_count, t_count, 2))
     y, (h1, h2) = scan_forward(dp, x, return_hidden=True)
     y_grid, (h1_grid, h2_grid) = scan_forward(materialized(dp, v_count, t_count), x, return_hidden=True)
@@ -264,7 +215,7 @@ def test_only_per_cell_transitions_reach_the_tree_scan(monkeypatch):
 
     monkeypatch.setattr(chimera2d.scan, "_scan_affine", recorded)
     rng = np.random.default_rng(10)
-    dp = random_dp(rng, 2)
+    dp = _random_dp(rng, 2)
     x = rng.standard_normal((4, 64, 3))
     scan_forward(dp, x)
     closed_loop_decode(dp, rng.standard_normal(2), rng.standard_normal(2), x, 3)

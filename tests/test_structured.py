@@ -95,14 +95,6 @@ def test_expm_rejects_nonfinite_product():
         expm(companion_from_coeffs([-4.0, 0.0]), 1e308)
 
 
-def test_expm_doubling():
-    rng = np.random.default_rng(2)
-    e = 0.5 * rng.standard_normal((3, 3))
-    lhs = expm(dense_matrix(e)) @ expm(dense_matrix(e))
-    rhs = expm(dense_matrix(2 * e))
-    assert np.max(np.abs(lhs - rhs)) < 1e-9
-
-
 def test_bad_kind_rejected():
     with pytest.raises(ValueError):
         StructuredMatrix("banded", np.zeros((2, 2)))

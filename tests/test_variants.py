@@ -5,17 +5,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chimera2d import mamba2d_forward, materialize_matrices, bidirectional_forward, forward_recurrence, DiscreteSSM2D
+from chimera2d import mamba2d_forward, materialize_matrices, forward_recurrence, DiscreteSSM2D
 from chimera2d.variants import matrix_form_apply, MAX_NAIVE_CELLS
 from chimera2d import SelectiveProjections, project_grid_params
 from chimera2d import companion_from_coeffs, diagonal_matrix
-
-from test_recurrence import random_dp
+from chimera2d.invariants import _random_dp
 
 
 def test_coupled_params_rejected():
     rng = np.random.default_rng(0)
-    dp = random_dp(rng, 2, coupled=True)
+    dp = _random_dp(rng, 2, coupled=True)
     with pytest.raises(ValueError):
         mamba2d_forward(dp, np.zeros((2, 2, 1)))
 
@@ -23,7 +22,7 @@ def test_coupled_params_rejected():
 def test_matches_two_1d_passes():
     rng = np.random.default_rng(1)
     n = 3
-    dp = random_dp(rng, n, coupled=False)
+    dp = _random_dp(rng, n, coupled=False)
     x = rng.standard_normal((5, 6, 1))
     y = mamba2d_forward(dp, x)
     expected = np.zeros_like(y)
@@ -43,7 +42,7 @@ def test_matches_two_1d_passes():
 def test_zero_variate_readout_is_pure_time_ssm():
     rng = np.random.default_rng(2)
     n = 2
-    base = random_dp(rng, n, coupled=False)
+    base = _random_dp(rng, n, coupled=False)
     dp = DiscreteSSM2D(
         Abar1=base.Abar1, Abar2=base.Abar2, Abar3=base.Abar3, Abar4=base.Abar4,
         Bbar1=base.Bbar1, Bbar2=base.Bbar2, C1=base.C1, C2=np.zeros(n),
@@ -61,8 +60,8 @@ def test_zero_variate_readout_is_pure_time_ssm():
 
 def test_single_timestep_time_matrix():
     rng = np.random.default_rng(3)
-    dp_f = random_dp(rng, 2, coupled=False)
-    dp_b = random_dp(rng, 2, coupled=False)
+    dp_f = _random_dp(rng, 2, coupled=False)
+    dp_b = _random_dp(rng, 2, coupled=False)
     m_time, _ = materialize_matrices(dp_f, dp_b, 2, 1)
     expected = dp_f.C1 @ dp_f.Bbar1 + dp_b.C1 @ dp_b.Bbar1
     assert np.allclose(m_time[:, 0, 0], expected, atol=1e-12)
@@ -71,7 +70,7 @@ def test_single_timestep_time_matrix():
 def test_time_matrix_rows_are_1d_kernel():
     rng = np.random.default_rng(4)
     n = 2
-    dp_f = random_dp(rng, n, coupled=False)
+    dp_f = _random_dp(rng, n, coupled=False)
     # silence the backward module so the forward kernel is isolated
     dp_b = DiscreteSSM2D(
         Abar1=dp_f.Abar1, Abar2=dp_f.Abar2, Abar3=dp_f.Abar3, Abar4=dp_f.Abar4,
@@ -83,28 +82,6 @@ def test_time_matrix_rows_are_1d_kernel():
         for th in range(t + 1):
             expected = dp_f.C1 @ np.linalg.matrix_power(dp_f.Abar1, t - th) @ dp_f.Bbar1
             assert abs(m_time[0, t, th] - expected) < 1e-11
-
-
-def test_time_matrix_is_causal():
-    rng = np.random.default_rng(5)
-    m_time, _ = materialize_matrices(
-        random_dp(rng, 3, coupled=False), random_dp(rng, 3, coupled=False), 4, 6
-    )
-    upper = np.triu(np.ones((6, 6)), k=1).astype(bool)
-    assert np.max(np.abs(m_time[:, upper])) == 0.0
-
-
-@pytest.mark.parametrize("grid", [(2, 2), (3, 4), (8, 8)])
-def test_matrix_form_matches_bidirectional(grid):
-    rng = np.random.default_rng(sum(grid))
-    v_count, t_count = grid
-    dp_f = random_dp(rng, 2, coupled=False)
-    dp_b = random_dp(rng, 2, coupled=False)
-    x = rng.standard_normal((v_count, t_count, 1))
-    y_ref = bidirectional_forward(dp_f, dp_b, x)
-    m_time, m_var = materialize_matrices(dp_f, dp_b, v_count, t_count)
-    y_mat = matrix_form_apply(m_time, m_var, x)
-    assert np.max(np.abs(y_mat - y_ref)) < 1e-9
 
 
 def test_matrix_form_matches_selective():
@@ -136,8 +113,8 @@ def test_matrix_form_matches_selective():
 
 def test_naive_size_bound():
     rng = np.random.default_rng(7)
-    dp_f = random_dp(rng, 2, coupled=False)
-    dp_b = random_dp(rng, 2, coupled=False)
+    dp_f = _random_dp(rng, 2, coupled=False)
+    dp_b = _random_dp(rng, 2, coupled=False)
     v_count = 9
     t_count = MAX_NAIVE_CELLS // v_count + 1
     with pytest.raises(ValueError):
