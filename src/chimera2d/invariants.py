@@ -8,6 +8,8 @@ invariant takes one decorated function.
 
 Each check is a zero-argument callable that raises ``AssertionError``
 (with a short message) on failure and returns ``None`` on success.
+Where the tests run a check on inputs of their own, its assertion is an
+``_assert_*`` helper that both the check and the tests call.
 """
 
 from __future__ import annotations
@@ -119,26 +121,29 @@ def _check_expm_doubling():
 # zero-order-hold discretization
 
 
+def _assert_step_resolution(a, b: np.ndarray, dt: float, k: int) -> None:
+    abar_big, bbar_big = zoh_pair(a, b, k * dt)
+    abar, bbar = zoh_pair(a, b, dt)
+    # homogeneous: one big step equals k small steps
+    small = np.linalg.matrix_power(abar, k)
+    diff = np.max(np.abs(abar_big - small))
+    assert diff < 1e-10, f"k={k}: transition resolution diff {diff:.3e}"
+    # forced with input held constant over the k-block
+    h_small = np.zeros(len(b))
+    for _ in range(k):
+        h_small = abar @ h_small + bbar
+    diff = np.max(np.abs(bbar_big - h_small))
+    assert diff < 1e-10, f"k={k}: forced resolution diff {diff:.3e}"
+
+
 @invariant("discretize.step_resolution")
 def _check_step_resolution():
     rng = np.random.default_rng(21)
     n = 3
     a = dense_matrix(0.5 * rng.standard_normal((n, n)))
     b = rng.standard_normal(n)
-    dt = 0.15
     for k in (2, 3, 4):
-        abar_big, bbar_big = zoh_pair(a, b, k * dt)
-        abar, bbar = zoh_pair(a, b, dt)
-        # homogeneous: one big step equals k small steps
-        small = np.linalg.matrix_power(abar, k)
-        diff = np.max(np.abs(abar_big - small))
-        assert diff < 1e-10, f"k={k}: transition resolution diff {diff:.3e}"
-        # forced with input held constant over the k-block
-        h_small = np.zeros(n)
-        for _ in range(k):
-            h_small = abar @ h_small + bbar
-        diff = np.max(np.abs(bbar_big - h_small))
-        assert diff < 1e-10, f"k={k}: forced resolution diff {diff:.3e}"
+        _assert_step_resolution(a, b, 0.15, k)
 
 
 @invariant("discretize.input_branch_agreement")
@@ -217,25 +222,29 @@ def _check_recurrence_decoupled_sum():
     assert diff < 1e-10, f"decoupled output differs from 1D sum by {diff:.3e}"
 
 
+def _assert_decode_matches_oracle(dp: DiscreteSSM2D, d1, d2, x: np.ndarray, horizon: int) -> None:
+    v_count, t_ctx = x.shape[:2]
+    out = closed_loop_decode(dp, d1, d2, x, horizon)
+    # oracle: rerun the sequential recurrence on the context extended
+    # by one fed-back column at a time
+    grid = x
+    for _ in range(horizon):
+        _, (h1, h2) = forward_recurrence(dp, grid)
+        u = np.einsum("n,vnd->vd", d1, h1[:, -1]) + np.einsum("n,vnd->vd", d2, h2[:, -1])
+        grid = np.concatenate([grid, u[:, None, :]], axis=1)
+    ref = forward_recurrence(dp, grid)[0][:, t_ctx:]
+    rel = np.max(np.abs(out - ref) / np.abs(ref))
+    assert rel < 1e-12, f"{v_count}x{t_ctx}: decode differs from the step-by-step oracle by {rel:.3e} (relative)"
+
+
 @invariant("recurrence.decode_oracle")
 def _check_recurrence_decode_oracle():
     rng = np.random.default_rng(34)
-    n, horizon = 3, 5
+    n = 3
     for v_count, t_ctx in [(4, 7), (1, 7), (4, 1), (1, 1)]:
         dp = _random_dp(rng, n)
         d1, d2 = rng.standard_normal(n), rng.standard_normal(n)
-        x = rng.standard_normal((v_count, t_ctx, 2))
-        out = closed_loop_decode(dp, d1, d2, x, horizon)
-        # oracle: rerun the sequential recurrence on the context extended
-        # by one fed-back column at a time
-        grid = x
-        for _ in range(horizon):
-            _, (h1, h2) = forward_recurrence(dp, grid)
-            u = np.einsum("n,vnd->vd", d1, h1[:, -1]) + np.einsum("n,vnd->vd", d2, h2[:, -1])
-            grid = np.concatenate([grid, u[:, None, :]], axis=1)
-        ref = forward_recurrence(dp, grid)[0][:, t_ctx:]
-        rel = np.max(np.abs(out - ref) / np.abs(ref))
-        assert rel < 1e-12, f"{v_count}x{t_ctx}: decode differs from the step-by-step oracle by {rel:.3e} (relative)"
+        _assert_decode_matches_oracle(dp, d1, d2, rng.standard_normal((v_count, t_ctx, 2)), 5)
 
 
 # ----------------------------------------------------------------------
@@ -322,17 +331,21 @@ def _check_scan_shared_matches_grid():
 # convolution form
 
 
+def _assert_conv_matches_recurrence(dp: DiscreteSSM2D, x: np.ndarray) -> None:
+    v_count, t_count = x.shape[:2]
+    k1, k2 = impulse_kernels(dp, v_count, t_count)
+    y_conv = conv_apply(k1, k2, dp.C1, dp.C2, x)
+    y_rec, _ = forward_recurrence(dp, x)
+    diff = np.max(np.abs(y_conv - y_rec))
+    assert diff < 1e-10, f"{v_count}x{t_count}: conv vs recurrence diff {diff:.3e}"
+
+
 @invariant("conv.matches_recurrence")
 def _check_conv_matches_recurrence():
     rng = np.random.default_rng(51)
     for v_count, t_count in [(3, 5), (8, 8), (1, 8), (8, 1)]:
         dp = _random_dp(rng, 2)
-        x = rng.standard_normal((v_count, t_count, 2))
-        k1, k2 = impulse_kernels(dp, v_count, t_count)
-        y_conv = conv_apply(k1, k2, dp.C1, dp.C2, x)
-        y_rec, _ = forward_recurrence(dp, x)
-        diff = np.max(np.abs(y_conv - y_rec))
-        assert diff < 1e-10, f"{v_count}x{t_count}: conv vs recurrence diff {diff:.3e}"
+        _assert_conv_matches_recurrence(dp, rng.standard_normal((v_count, t_count, 2)))
 
 
 @invariant("conv.translation_invariance")
@@ -458,6 +471,26 @@ def _check_model_gradient_sanity():
     assert agree >= 0.95 * total, f"only {agree}/{total} coords step-size consistent"
 
 
+def _assert_fd_reuse_exact(cfg: ModelConfig, x: np.ndarray, y: np.ndarray) -> None:
+    def loss_fn(m):
+        return mse_loss(m.forward(x), y)
+
+    model = ChimeraModel.init_random(cfg)
+    names = [n for n in model.params if not n.startswith("decoder.")]
+    grads = fd_gradient(model, loss_fn, names)
+    for name in names:
+        for i, orig in enumerate(model.params[name].reshape(-1)):
+            h = 1e-4 * max(1.0, abs(orig))
+            losses = []
+            for value in (orig + h, orig - h):
+                fresh = model.copy()
+                fresh.params[name].reshape(-1)[i] = value
+                losses.append(loss_fn(fresh))
+            ref = (losses[0] - losses[1]) / (2.0 * h)
+            got = grads[name].reshape(-1)[i]
+            assert got == ref, f"{name}[{i}]: reused {got:.17g} != rerun {ref:.17g}"
+
+
 @invariant("model.fd_reuse_exact")
 def _check_model_fd_reuse_exact():
     # fd_gradient reuses unchanged block passes; the gradient must equal,
@@ -465,30 +498,22 @@ def _check_model_fd_reuse_exact():
     rng = np.random.default_rng(74)
     x = rng.standard_normal((2, 6, 1))
     y = rng.standard_normal((2, 6, 1))
-
-    def loss_fn(m):
-        return mse_loss(m.forward(x), y)
-
     for cfg in (ModelConfig(layers=2, state_dim=2, channels=1, seed=16),
                 ModelConfig(layers=1, state_dim=2, channels=1, seed=17, selective=True)):
-        model = ChimeraModel.init_random(cfg)
-        names = [n for n in model.params if not n.startswith("decoder.")]
-        grads = fd_gradient(model, loss_fn, names)
-        for name in names:
-            for i, orig in enumerate(model.params[name].reshape(-1)):
-                h = 1e-4 * max(1.0, abs(orig))
-                losses = []
-                for value in (orig + h, orig - h):
-                    fresh = model.copy()
-                    fresh.params[name].reshape(-1)[i] = value
-                    losses.append(loss_fn(fresh))
-                ref = (losses[0] - losses[1]) / (2.0 * h)
-                got = grads[name].reshape(-1)[i]
-                assert got == ref, f"{name}[{i}]: reused {got:.17g} != rerun {ref:.17g}"
+        _assert_fd_reuse_exact(cfg, x, y)
 
 
 # ----------------------------------------------------------------------
 # decoupled variant and its matrix form
+
+
+def _assert_matrix_matches_recurrence(dp_f: DiscreteSSM2D, dp_b: DiscreteSSM2D, x: np.ndarray) -> None:
+    v_count, t_count = x.shape[:2]
+    y_ref = bidirectional_forward(dp_f, dp_b, x)
+    m_time, m_var = materialize_matrices(dp_f, dp_b, v_count, t_count)
+    y_mat = matrix_form_apply(m_time, m_var, x)
+    diff = np.max(np.abs(y_mat - y_ref))
+    assert diff < 1e-9, f"{v_count}x{t_count}: matrix form diff {diff:.3e}"
 
 
 @invariant("variants.matrix_matches_recurrence")
@@ -497,12 +522,7 @@ def _check_variants_matrix_matches_recurrence():
     for v_count, t_count in [(2, 4), (4, 4), (8, 8), (2, 2), (3, 4)]:
         dp_f = _random_dp(rng, 2, coupled=False)
         dp_b = _random_dp(rng, 2, coupled=False)
-        x = rng.standard_normal((v_count, t_count, 1))
-        y_ref = bidirectional_forward(dp_f, dp_b, x)
-        m_time, m_var = materialize_matrices(dp_f, dp_b, v_count, t_count)
-        y_mat = matrix_form_apply(m_time, m_var, x)
-        diff = np.max(np.abs(y_mat - y_ref))
-        assert diff < 1e-9, f"{v_count}x{t_count}: matrix form diff {diff:.3e}"
+        _assert_matrix_matches_recurrence(dp_f, dp_b, rng.standard_normal((v_count, t_count, 1)))
 
 
 @invariant("variants.time_matrix_causal")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chimera2d import impulse_kernels, conv_apply
-from chimera2d.invariants import _random_dp
+from chimera2d.invariants import _assert_conv_matches_recurrence, _random_dp
 
 from test_recurrence import per_cell
 
@@ -44,6 +44,13 @@ def test_impulse_input_recovers_kernel():
     y = conv_apply(k1, k2, dp.C1, dp.C2, x)
     scalar_kernel = k1 @ dp.C1 + k2 @ dp.C2
     assert np.max(np.abs(y[..., 0] - scalar_kernel)) < 1e-12
+
+
+@pytest.mark.parametrize("grid", [(3, 4), (1, 8), (8, 1), (8, 8)])
+def test_conv_matches_recurrence(grid):
+    rng = np.random.default_rng(sum(grid))
+    dp = _random_dp(rng, 3)
+    _assert_conv_matches_recurrence(dp, rng.standard_normal(grid + (2,)))
 
 
 def test_conv_linearity():

@@ -15,6 +15,7 @@ from chimera2d import (
     discretize_all,
     zoh_pair,
 )
+from chimera2d.invariants import _assert_step_resolution
 
 
 def test_zero_matrix_limit():
@@ -119,6 +120,13 @@ def test_step_doubling_squares_transition():
     p2 = _system(dt1=0.6)
     dp, dp2 = discretize_all(p), discretize_all(p2)
     assert np.allclose(dp2.Abar1, dp.Abar1 @ dp.Abar1, atol=1e-11)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_resolution_homogeneous_and_forced(k):
+    rng = np.random.default_rng(6)
+    a = dense_matrix(0.5 * rng.standard_normal((3, 3)))
+    _assert_step_resolution(a, rng.standard_normal(3), 0.2, k)
 
 
 def test_nonpositive_step_rejected():

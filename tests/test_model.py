@@ -5,6 +5,7 @@ import pytest
 
 import chimera2d.model
 from chimera2d import ChimeraModel, ModelConfig, fd_gradient, fit, transition_probe
+from chimera2d.invariants import _assert_fd_reuse_exact
 from chimera2d.model import mse_loss
 from chimera2d.selective import inv_softplus
 
@@ -231,6 +232,15 @@ def _count_scans(monkeypatch):
 
     monkeypatch.setattr(chimera2d.model, "scan_forward", counted)
     return calls
+
+
+@pytest.mark.parametrize("cfg", [
+    ModelConfig(layers=2, state_dim=2, channels=1, seed=16),
+    ModelConfig(layers=1, state_dim=2, channels=1, seed=17, selective=True),
+], ids=["constant", "selective"])
+def test_fd_gradient_equals_rerun_on_every_coordinate(cfg):
+    x, y = np.random.default_rng(16).standard_normal((2, 2, 6, 1))
+    _assert_fd_reuse_exact(cfg, x, y)
 
 
 def test_reused_block_output_is_read_only():

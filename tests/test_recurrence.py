@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chimera2d import DiscreteSSM2D, forward_recurrence, bidirectional_forward, closed_loop_decode
-from chimera2d.invariants import _random_dp
+from chimera2d.invariants import _assert_decode_matches_oracle, _random_dp
 from chimera2d.recurrence import as_series
 
 
@@ -139,6 +139,15 @@ def test_decode_one_step_matches_manual_extension():
     extended = np.concatenate([x, u[:, None, :]], axis=1)
     y_ref, _ = forward_recurrence(dp, extended)
     assert np.max(np.abs(out[:, 0] - y_ref[:, -1])) < 1e-12
+
+
+@pytest.mark.parametrize("v_count", [1, 4])
+@pytest.mark.parametrize("t_ctx", [1, 7])
+def test_decode_matches_step_by_step_oracle(v_count, t_ctx):
+    rng = np.random.default_rng(14)
+    dp = _random_dp(rng, 3)
+    d1, d2 = rng.standard_normal(3), rng.standard_normal(3)
+    _assert_decode_matches_oracle(dp, d1, d2, rng.standard_normal((v_count, t_ctx, 2)), 5)
 
 
 def test_decode_rejects_per_cell_parameters():

@@ -9,7 +9,7 @@ from chimera2d import mamba2d_forward, materialize_matrices, forward_recurrence,
 from chimera2d.variants import matrix_form_apply, MAX_NAIVE_CELLS
 from chimera2d import SelectiveProjections, project_grid_params
 from chimera2d import companion_from_coeffs, diagonal_matrix
-from chimera2d.invariants import _random_dp
+from chimera2d.invariants import _assert_matrix_matches_recurrence, _random_dp
 
 
 def test_coupled_params_rejected():
@@ -82,6 +82,14 @@ def test_time_matrix_rows_are_1d_kernel():
         for th in range(t + 1):
             expected = dp_f.C1 @ np.linalg.matrix_power(dp_f.Abar1, t - th) @ dp_f.Bbar1
             assert abs(m_time[0, t, th] - expected) < 1e-11
+
+
+@pytest.mark.parametrize("grid", [(2, 2), (3, 4), (8, 8)])
+def test_matrix_form_matches_bidirectional(grid):
+    rng = np.random.default_rng(sum(grid))
+    dp_f = _random_dp(rng, 2, coupled=False)
+    dp_b = _random_dp(rng, 2, coupled=False)
+    _assert_matrix_matches_recurrence(dp_f, dp_b, rng.standard_normal(grid + (1,)))
 
 
 def test_matrix_form_matches_selective():
