@@ -30,27 +30,36 @@ row is a single 1D chain
     h1[t] = Abar1[t] h1[t-1] + (Abar2[t] h2[t-1] + Bbar1[t] x[t]),
 
 the first row of the 2x3 element with the cross term folded into the
-translation. The chain has one schedule per transition kind, both on a
-single thread and both gated on the sequential oracle by the test suite:
+translation. Each transition kind has one sweep, with its own layout
+and its own schedule for the chain, both on a single thread and both
+gated on the sequential oracle by the test suite:
 
-- a per-cell Abar1 (the selective path) runs each row as one
-  work-efficient tree scan (Blelloch 1990, "Prefix sums and their
-  applications"), `_scan_affine`;
-- a constant Abar1 is one transition shared along every row, and the
-  rows go through `_SharedChain`, built once per call: blocks of K steps
-  (K set by N alone), each block one matmul with the lower
-  block-Toeplitz operator of the powers of Abar1, and the block-end
-  carries solved as the same chain in Abar1^K. This is the chunked
+- Constant parameters (every field of batch shape ()): `_sweep_shared`
+  keeps h1 and h2 as the two halves of one (V, d, 2N, T) grid, time
+  innermost. The input terms Bbar x are one broadcast multiply; a row's
+  h2 update is one [Abar3 Abar4] (N, 2N) @ (d, 2N, T) product on the
+  row before, its Abar2 cross term one (N, N) @ (d, N, T-1) product,
+  and the readout one [C1 C2] product with the grid, each one BLAS call
+  per channel slab. Every row's time chain goes through one
+  `_SharedChain`, built once per call. The chained axis is last: the
+  solver takes g of shape (..., N, m) and overwrites it with the
+  states. With blocks of K steps (K set by N alone), each block of each
+  channel is a row of N K entries ordered (state, step), times one
+  block-Toeplitz operator of the powers of Abar1 applied from the
+  right, so all blocks of all channels are one matmul; the block-end
+  carries are solved as the same chain in Abar1^K. This is the chunked
   schedule of the state-space duality in Mamba-2 (Dao & Gu 2024,
   "Transformers are SSMs").
+- Any per-cell field (the selective path): `_sweep_cells` keeps the
+  oracle's (V, T, N, d) layout, state innermost. A per-cell field enters
+  each row as its (T, ...) slice and a constant one as one (1, N, N)
+  matrix or (1, N) vector that `@` applies to the whole row, and each
+  row's chain is one work-efficient tree scan over its per-step
+  transitions (Blelloch 1990, "Prefix sums and their applications"),
+  `_scan_affine`.
 
-Apart from that choice, constant and per-cell parameters take the same
-code and differ only in the shapes numpy broadcasts. A per-cell field
-enters each row as its (T, ...) slice; a constant field enters as one
-(1, N, N) matrix or (1, N) vector that `@` applies to the whole row. A
-transition is never broadcast to the grid. The input terms Bbar1 x and
-Bbar2 x are formed for the whole grid before the row sweep and the
-readout C1 h1 + C2 h2 after it.
+Either way `scan_forward` returns y as (V, T, d) and the hidden grids as
+(V, T, N, d); the shared sweep's are transposed views of its grid.
 
 `closed_loop_decode` consumes the context with one `scan_forward` pass
 and then generates one column per step. Within a column h1 is pointwise
@@ -58,8 +67,9 @@ in v given the previous column, and h2 is the 1D chain over variates
 
     h2[v] = Abar4 h2[v-1] + (Abar3 h1[v-1] + Bbar2 u[v]),
 
-a chain with the shared transition Abar4, whose solver is built once
-per call and serves every step.
+a chain with the shared transition Abar4. The column is held as
+(d, N, V), variates last, so one solver, built once per call, serves
+every step.
 """
 
 from __future__ import annotations
@@ -69,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import DiscreteSSM2D
-from .recurrence import as_series, require_constant
+from .recurrence import as_series, is_constant, require_constant
 
 
 @dataclass(frozen=True)
@@ -157,24 +167,30 @@ def _block_length(n: int) -> int:
     """Steps per block of `_SharedChain` at state size N. The block
     operator spends K N^2 multiply-adds per step and channel, so K falls
     as 256 / N^2; it is capped at 64 (longer blocks were slower on long
-    chains at N = 1) and kept >= 2, so that each carry level shortens
-    the chain."""
-    return min(64, max(2, 256 // (n * n)))
+    chains at N = 1) and kept >= 8, because a chain of several blocks
+    moves its state and step axes apart and back, which short blocks
+    make slow (at N = 8, K = 8 beat K = 4 on every timed shape)."""
+    return min(64, max(8, 256 // (n * n)))
 
 
 class _SharedChain:
-    """Solver for the affine chain h[i] = A h[i-1] + g[i] (h[0] = g[0])
+    """Solver for the affine chain h[..., i] = A h[..., i-1] + g[..., i]
+    (h[..., 0] = g[..., 0]) along the last axis of g, shape (..., N, m),
     with one transition A shared by every step, for chains of up to
     `length` steps; built once and applied to many chains.
 
-    With block length K, h inside a block of K steps is the block's own
-    inputs times the lower block-Toeplitz operator whose block (t, s) is
-    A^(t-s), plus A^(t+1) times the state carried in from the previous
-    block. A chain of m <= K steps is one matmul. A longer one is padded
-    to whole blocks, all blocks go through the operator in one batched
-    matmul, the block-end carries form the same chain in A^K (solved by
-    this class again, one level down), and one more batched matmul adds
-    A^1..A^K times each previous block's carry."""
+    With block length K, a block's K steps of one leading index are a
+    row of N K entries ordered (state, step), and h inside the block is
+    that row of the block's own inputs times the block-Toeplitz operator
+    whose entry ((i, s), (j, t)) is A^(t-s)[j, i] for t >= s, plus
+    A^(t+1) times the state carried in from the previous block. A chain
+    of K steps is one matmul over every leading index. A longer one is
+    padded to whole blocks (only if m is not a multiple of K) and its
+    blocks moved to rows; one matmul with the operator's last-step
+    columns gives every block's end state from its own inputs, those
+    carries form the same chain in A^K (solved by this class again, one
+    level down), A times each carry joins the first step of the next
+    block, and one matmul with the operator solves all blocks."""
 
     def __init__(self, a: np.ndarray, length: int):
         n = a.shape[-1]
@@ -188,47 +204,81 @@ class _SharedChain:
             step = min(filled, k + 1 - filled)
             powers[filled : filled + step] = powers[:step] @ (powers[filled - 1] @ a)
             filled += step
-        # row block t of the operator is [A^t, ..., A^0, 0, ..., 0]: a
-        # window of one strip [A^(K-1) ... A^0 0 ... 0] that moves N
-        # columns left per block row
-        strip = np.zeros((n, (2 * k - 1) * n))
-        strip[:, : k * n] = powers[k - 1 :: -1].transpose(1, 0, 2).reshape(n, k * n)
-        windows = np.ndarray(
-            (k, n, k * n), strip.dtype, strip,
-            offset=(k - 1) * n * strip.itemsize,
-            strides=(-n * strip.itemsize, strip.strides[0], strip.itemsize),
-        )
-        self.operator = windows.reshape(k * n, k * n)
-        self.powers = powers[1:]
+        # block (i, j) of the operator is the upper-triangular Toeplitz
+        # matrix of A^0[j, i] .. A^(K-1)[j, i]: a window of one strip
+        # [0 ... 0 A^0[j, i] ... A^(K-1)[j, i]] that moves one step right
+        # per row
+        strip = np.zeros((n, n, 2 * k - 1))
+        strip[:, :, k - 1 :] = powers[:k].transpose(2, 1, 0)
+        s_i, s_j, s_t = strip.strides
+        windows = np.ndarray((n, k, n, k), strip.dtype, strip, offset=(k - 1) * s_t, strides=(s_i, -s_t, s_j, s_t))
+        self.operator = windows.reshape(n * k, n * k)
+        # the columns of each state's last step: a block's end state from
+        # its own inputs
+        self.ends = np.ascontiguousarray(self.operator[:, k - 1 :: k])
+        self.a_t = np.ascontiguousarray(a.T)
         self.carries = _SharedChain(powers[k], -(-length // k)) if length > k else None
 
     def __call__(self, g: np.ndarray) -> np.ndarray:
-        m, n, d = g.shape
+        """Solves the chain in place: g holds the inputs and is
+        overwritten with the states, and returned."""
+        *lead, n, m = g.shape
         k = self.k
-        if m <= k:
-            return (self.operator[: m * n, : m * n] @ g.reshape(m * n, d)).reshape(g.shape)
         blocks = -(-m // k)
-        padded = np.zeros((blocks * k, n, d))
-        padded[:m] = g
-        h = (self.operator @ padded.reshape(blocks, k * n, d)).reshape(blocks, k, n, d)
-        carry = self.carries(h[:, -1])
-        h[1:] += self.powers @ carry[:-1, None]
-        return h.reshape(blocks * k, n, d)[:m]
+        padded = g if m == blocks * k else np.concatenate((g, np.zeros((*lead, n, blocks * k - m))), axis=-1)
+        if blocks == 1:
+            padded[...] = (padded.reshape(*lead, n * k) @ self.operator).reshape(padded.shape)
+        else:
+            # one row per block, ordered (block, state, step)
+            rows = padded.reshape(*lead, n, blocks, k).swapaxes(-3, -2).reshape(*lead, blocks, n * k)
+            carry = self.carries((rows @ self.ends).swapaxes(-1, -2))
+            rows[..., 1:, ::k] += carry[..., :-1].swapaxes(-1, -2) @ self.a_t
+            # splitting the last axis of padded gives a view of it
+            padded.reshape(*lead, n, blocks, k)[...] = (rows @ self.operator).reshape(*lead, blocks, n, k).swapaxes(-3, -2)
+        if padded is not g:
+            g[...] = padded[..., :m]
+        return g
 
 
-def scan_forward(dp: DiscreteSSM2D, x, return_hidden: bool = False):
-    """Scan-based forward pass, equal to the sequential recurrence.
-
-    Each field of `dp` may be constant (batch shape ()) or per-cell on the
-    input's (V, T) grid."""
-    x = as_series(x)
+def _sweep_shared(dp: DiscreteSSM2D, x: np.ndarray):
+    """The row sweep for constant parameters, on one (V, d, 2N, T) grid
+    whose halves are h1 and h2; returns y and the hidden grids in
+    `scan_forward`'s shapes."""
     v_count, t_count, _ = x.shape
+    n = dp.n
+    # time innermost; a contiguous (V, d, T) copy of x first makes the
+    # broadcast multiply read it in order
+    x_rows = np.ascontiguousarray(x.transpose(0, 2, 1))
+    hidden = np.multiply(np.concatenate((dp.Bbar1, dp.Bbar2))[:, None], x_rows[:, :, None, :], order="C")
+    h1, h2 = hidden[:, :, :n], hidden[:, :, n:]
+    cross = np.concatenate((dp.Abar3, dp.Abar4), axis=1)
+    row_chain = _SharedChain(np.asarray(dp.Abar1), t_count)
+    for v in range(v_count):
+        if v > 0:
+            # cross-variate state: pointwise in t given the previous row
+            h2[v] += cross @ hidden[v - 1]
+        # cross-time state: one chain along the row
+        g = h1[v]
+        g[..., 1:] += dp.Abar2 @ h2[v, ..., :-1]
+        row_chain(g)
+    y = np.concatenate((dp.C1, dp.C2)) @ hidden
+    return np.ascontiguousarray(y.transpose(0, 2, 1)), h1.transpose(0, 3, 2, 1), h2.transpose(0, 3, 2, 1)
+
+
+def _sweep_cells(dp: DiscreteSSM2D, x: np.ndarray):
+    """The row sweep for parameters with any per-cell field, with the
+    state axes innermost: each row's time chain is one `_scan_affine`
+    tree scan over its per-step transitions."""
+    v_count, t_count, _ = x.shape
+    n = dp.n
     p = dp.on_rows(v_count, t_count)
-    # a constant Abar1 is one transition shared along every row
-    row_chain = _SharedChain(np.asarray(dp.Abar1), t_count) if np.ndim(dp.Abar1) == 2 else None
     # input terms for the whole grid; the row sweep completes them in place
     h1 = p.Bbar1[..., None] * x[:, :, None, :]
     h2 = p.Bbar2[..., None] * x[:, :, None, :]
+    # the tree takes one transition per step, so a constant Abar1 is tiled
+    # along the row; a per-cell one is passed as it is (the tree ran slower
+    # on a broadcast view of it)
+    abar1 = p.Abar1 if p.Abar1.shape[1] == t_count else np.broadcast_to(p.Abar1, (v_count, t_count, n, n))
     # Abar2 at t = 1..T-1: the last T-1 columns of a per-cell field, the
     # one column of a constant one (a slice from -k keeps a shorter axis)
     abar2 = p.Abar2[:, 1 - t_count :]
@@ -239,11 +289,22 @@ def scan_forward(dp: DiscreteSSM2D, x, return_hidden: bool = False):
         # cross-time state: one inclusive scan along the row
         g = h1[v]
         g[1:] += abar2[v] @ h2[v, :-1]
-        h1[v] = row_chain(g) if row_chain is not None else _scan_affine(np.ascontiguousarray(p.Abar1[v]), g)
+        h1[v] = _scan_affine(np.ascontiguousarray(abar1[v]), g)
     # the readout is one dot product per cell with no matrix to share;
     # at small N and d einsum's inner loop runs it about twice as fast as
     # matmul, which makes one BLAS call per cell
     y = np.einsum("...n,...nd->...d", p.C1, h1) + np.einsum("...n,...nd->...d", p.C2, h2)
+    return y, h1, h2
+
+
+def scan_forward(dp: DiscreteSSM2D, x, return_hidden: bool = False):
+    """Scan-based forward pass, equal to the sequential recurrence.
+
+    Each field of `dp` may be constant (batch shape ()) or per-cell on the
+    input's (V, T) grid. Returns y of shape (V, T, d), and with
+    `return_hidden` also the hidden grids (h1, h2), each (V, T, N, d)."""
+    x = as_series(x)
+    y, h1, h2 = (_sweep_shared if is_constant(dp) else _sweep_cells)(dp, x)
     if return_hidden:
         return y, (h1, h2)
     return y
@@ -270,15 +331,16 @@ def closed_loop_decode(
         return np.zeros((v_count, 0, d))
 
     _, (h1, h2) = scan_forward(dp, x_ctx, return_hidden=True)
-    h1_prev, h2_prev = h1[:, -1], h2[:, -1]
+    # the last context column with variates innermost, (d, N, V)
+    h1_prev, h2_prev = h1[:, -1].T, h2[:, -1].T
     variate_chain = _SharedChain(np.asarray(dp.Abar4), v_count)
     out = np.empty((v_count, horizon, d))
     for step in range(horizon):
         u = d1 @ h1_prev + d2 @ h2_prev
         h1_col = dp.Bbar1[:, None] * u[:, None, :] + dp.Abar1 @ h1_prev + dp.Abar2 @ h2_prev
         g = dp.Bbar2[:, None] * u[:, None, :]
-        g[1:] += dp.Abar3 @ h1_col[:-1]
+        g[..., 1:] += dp.Abar3 @ h1_col[..., :-1]
         h2_col = variate_chain(g)
-        out[:, step] = dp.C1 @ h1_col + dp.C2 @ h2_col
+        out[:, step] = (dp.C1 @ h1_col + dp.C2 @ h2_col).T
         h1_prev, h2_prev = h1_col, h2_col
     return out

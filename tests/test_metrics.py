@@ -70,6 +70,17 @@ def test_seasonal_naive_forecast_repeats_last_period():
     assert np.array_equal(out, [4.0, 5.0, 6.0, 4.0])
 
 
+@pytest.mark.parametrize("insample, season, match", [
+    (np.arange(5.0), 0, "season 0 is not >= 1"),
+    (np.arange(5.0), -2, "season -2 is not >= 1"),
+    (np.arange(5.0), 7, "length 5 is shorter than one season of 7"),
+    (np.ones((2, 5, 3)), 6, "length 5 is shorter than one season of 6"),
+])
+def test_seasonal_naive_forecast_rejects_a_bad_season(insample, season, match):
+    with pytest.raises(ValueError, match=match):
+        seasonal_naive_forecast(insample, 3, season)
+
+
 def test_owa_is_one_for_naive_forecast():
     # forecasting exactly the seasonal-naive values gives OWA = 1
     truth = np.array([2.0, 7.0, 1.0])

@@ -111,6 +111,33 @@ def test_scan_hidden_states_match_recurrence():
     assert np.max(np.abs(h2 - h2_ref)) < 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_shared_sweep_matches_recurrence_at_block_edges(n):
+    # rows of one step, inside one block, at its edges and across
+    # block-end carries, with hidden grids in the oracle's (V, T, N, d)
+    k = _block_length(n)
+    rng = np.random.default_rng(20 + n)
+    dp = _random_dp(rng, n)
+    for t_count in sorted({1, k - 1, k, k + 1, 2 * k + 5}):
+        x = rng.standard_normal((3, t_count, 3))
+        y, (h1, h2) = scan_forward(dp, x, return_hidden=True)
+        y_ref, (h1_ref, h2_ref) = forward_recurrence(dp, x)
+        assert h1.shape == h2.shape == (3, t_count, n, 3)
+        for got, want in ((y, y_ref), (h1, h1_ref), (h2, h2_ref)):
+            assert rel_diff(got, want) < 1e-10, f"T={t_count}"
+
+
+def test_reversed_view_matches_its_copy_bit_for_bit():
+    # backward blocks pass the variate-reversed view x[::-1]
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((5, 70, 3))[::-1]
+    for dp in (_random_dp(rng, 2), materialized(_random_dp(rng, 2), 5, 70)):
+        y, (h1, h2) = scan_forward(dp, x, return_hidden=True)
+        y_c, (h1_c, h2_c) = scan_forward(dp, np.ascontiguousarray(x), return_hidden=True)
+        for got, want in ((y, y_c), (h1, h1_c), (h2, h2_c)):
+            assert np.array_equal(got, want)
+
+
 def test_scan_grid_mismatch_rejected():
     rng = np.random.default_rng(9)
     dp = _random_dp(rng, 2)
@@ -154,7 +181,8 @@ def test_shared_parameters_match_materialized_grid(seed, v_count, t_count, d, n)
 ])
 def test_mixed_constant_and_per_cell_fields_match_recurrence(per_cell_names):
     rng = np.random.default_rng(len(per_cell_names))
-    # rows longer than one block of the shared-transition solver
+    # any per-cell field takes the per-cell sweep, which tiles a constant
+    # Abar1 along rows as long as two blocks of the shared sweep
     v_count, n = 5, 3
     t_count = 2 * _block_length(n) + 3
     dp = _random_dp(rng, n)
@@ -182,12 +210,16 @@ def test_shared_chain_matches_sequential(n):
     longest = k * k + 1
     solve = _SharedChain(a, longest)
     for count in sorted({1, k - 1, k, k + 1, k * k, longest, 2 * k + 5}):
-        g = rng.standard_normal((count, n, 2))
+        # the chained axis last, behind two leading axes; g is a view
+        # into a larger array, as a row of the scan's hidden grid is, and
+        # the solver overwrites it
+        g = rng.standard_normal((3, 2, 2 * n, count))[:, :, :n]
         expected = np.empty_like(g)
-        expected[0] = g[0]
+        expected[..., 0] = g[..., 0]
         for i in range(1, count):
-            expected[i] = a @ expected[i - 1] + g[i]
-        diff = float(np.max(np.abs(solve(g) - expected)) / np.max(np.abs(expected)))
+            expected[..., i : i + 1] = a @ expected[..., i - 1 : i] + g[..., i : i + 1]
+        solve(g)
+        diff = float(np.max(np.abs(g - expected)) / np.max(np.abs(expected)))
         assert diff < 1e-12, f"chain of {count}: {diff:.3e}"
 
 
@@ -203,6 +235,45 @@ def test_shared_rows_longer_than_a_block_match_materialized_grid():
         assert rel_diff(got, want) < 1e-13
     y_ref, _ = forward_recurrence(dp, x)
     assert rel_diff(y, y_ref) < 1e-10
+
+
+def test_constant_parameters_take_the_shared_sweep(monkeypatch):
+    calls = []
+    tree, on_rows = chimera2d.scan._scan_affine, DiscreteSSM2D.on_rows
+
+    class RecordedChain(_SharedChain):
+        def __init__(self, a, length):
+            calls.append(("chain", length))
+            super().__init__(a, length)
+
+    def recorded_tree(a, g):
+        calls.append(("tree", len(g)))
+        return tree(a, g)
+
+    def recorded_on_rows(self, v_count, t_count):
+        calls.append(("on_rows", t_count))
+        return on_rows(self, v_count, t_count)
+
+    monkeypatch.setattr(chimera2d.scan, "_SharedChain", RecordedChain)
+    monkeypatch.setattr(chimera2d.scan, "_scan_affine", recorded_tree)
+    monkeypatch.setattr(DiscreteSSM2D, "on_rows", recorded_on_rows)
+    rng = np.random.default_rng(11)
+    dp = _random_dp(rng, 2)
+    x = rng.standard_normal((3, _block_length(2), 2))
+    # one row chain per call, and no per-cell machinery
+    for _ in range(2):
+        scan_forward(dp, x)
+        assert calls == [("chain", x.shape[1])]
+        calls.clear()
+    # any one per-cell field sends the grid to the per-cell sweep
+    for name in vars(dp):
+        cells = np.broadcast_to(getattr(dp, name), x.shape[:2] + getattr(dp, name).shape)
+        scan_forward(DiscreteSSM2D(**{**vars(dp), name: cells}), x)
+        # the tree recurses under its own name: count the whole rows
+        assert calls[0] == ("on_rows", x.shape[1]), name
+        assert calls.count(("tree", x.shape[1])) == len(x), name
+        assert "chain" not in {kind for kind, _ in calls}, name
+        calls.clear()
 
 
 def test_only_per_cell_transitions_reach_the_tree_scan(monkeypatch):
