@@ -4,22 +4,20 @@ The continuous model carries four transition matrices (two companion
 along time, two diagonal along variates), input columns B1/B2, readout
 rows C1/C2, and one step size per axis. ZOH gives
 
-    Abar = exp(dt * A),   Bbar = (integral of exp(s * A) over [0, dt]) B.
+    Abar = exp(dt * A),   Bbar = Phi(dt) B,   Phi(dt) = integral of exp(sA) on [0, dt].
 
 For a non-diagonal A both come from one exponential of the augmented
 matrix (Van Loan 1978, "Computing integrals involving the matrix
-exponential"):
-
-    exp(dt * [[A, B], [0, 0]]) = [[Abar, Bbar], [0, 1]],
-
-which needs no inverse of A, so it is exact at every step size and for
-singular A alike. For a diagonal A both are elementwise, Abar = exp(dt*a)
-and Bbar = expm1(dt*a) / a * B (dt * B where dt*a == 0). Abar1/Abar2 use
-the time step, Abar3/Abar4 the variate step.
+exponential"), exp(dt * [[A, I], [0, 0]]) = [[Abar, Phi(dt)], [0, I]],
+with no inverse of A, so they are exact at every step size and for
+singular A alike. For a diagonal A both are elementwise, Abar =
+exp(dt*a) and Bbar = expm1(dt*a) / a * B (dt * B where dt*a == 0).
+Abar1/Abar2 use the time step, Abar3/Abar4 the variate step.
 
 B, C and the step sizes may carry any leading batch shape (one entry per
-grid cell on the selective path); the transition matrices are shared, so
-a whole grid costs one vectorized exponential per transition matrix.
+grid cell on the selective path). The augmented matrix holds A, not B,
+so one `expm` call serves a whole grid; a cell costs a row of a matmul,
+log2(dt ||A||_1) squarings (2N x 2N) and the product Phi(dt) B.
 """
 
 from __future__ import annotations
@@ -33,6 +31,13 @@ from .structured import DENSE, DIAGONAL, StructuredMatrix, expm
 # smallest step size: softplus underflows to 0.0 for very negative
 # preactivations, and the step must stay strictly positive
 DT_FLOOR = 1e-12
+
+
+def _checked_step(name: str, dt) -> np.ndarray:
+    dt = np.asarray(dt, dtype=float)
+    if not 0.0 < dt.min() <= dt.max() < np.inf:  # a NaN fails every comparison
+        raise ValueError(f"step size {name} must be positive and finite")
+    return dt
 
 
 @dataclass(frozen=True)
@@ -53,8 +58,8 @@ class ContinuousSSM2D:
     dt2: float | np.ndarray
 
     def __post_init__(self):
-        if (np.asarray(self.dt1) <= 0).any() or (np.asarray(self.dt2) <= 0).any():
-            raise ValueError("step sizes must be positive")
+        _checked_step("dt1", self.dt1)
+        _checked_step("dt2", self.dt2)
         n = self.A1.n
         for mat in (self.A2, self.A3, self.A4):
             if mat.n != n:
@@ -120,11 +125,12 @@ class DiscreteSSM2D:
 
 def zoh_pair(a: StructuredMatrix, b, dt) -> tuple[np.ndarray, np.ndarray]:
     """Discretize one (A, B) pair: returns (exp(dt*A), ZOH input matrix)
-    for B of shape (..., N) and dt of the batch shape (...)."""
-    dt = np.asarray(dt, dtype=float)
-    if (dt <= 0).any():
-        raise ValueError("step size must be positive")
+    for B of shape (..., N) and dt of a batch shape (...); Abar has dt's."""
+    dt = _checked_step("dt", dt)
     b = np.asarray(b, dtype=float)
+    n = a.n
+    if b.shape[-1:] != (n,):
+        raise ValueError(f"input matrix B has shape {b.shape}: its last axis must have length N = {n}")
     if not np.isfinite(b).all():
         raise ValueError("non-finite input matrix")
     if a.kind == DIAGONAL:
@@ -132,22 +138,16 @@ def zoh_pair(a: StructuredMatrix, b, dt) -> tuple[np.ndarray, np.ndarray]:
         # expm1(dt*a) / a elementwise, and its limit dt where dt*a == 0
         bbar = np.where(diag == 0.0, dt[..., None], np.expm1(diag) / np.where(diag == 0.0, 1.0, a.data)) * b
         return expm(a, dt), bbar
-    n = a.n
-    # B enters scaled below unit size (Bbar is linear in B): a large B
-    # column would otherwise set the exponential's scaling and cost Abar
-    # its accuracy
-    scale = 1.0 + np.abs(b).max(axis=-1, keepdims=True)
-    aug = np.zeros(b.shape[:-1] + (n + 1, n + 1))
-    aug[..., :n, :n] = a.dense()
-    aug[..., :n, n] = b / scale
+    aug = np.eye(2 * n, k=n)  # [[0, I], [0, 0]]
+    aug[:n, :n] = a.dense()
     e = expm(StructuredMatrix(DENSE, aug), dt)
-    return e[..., :n, :n], e[..., :n, n] * scale
+    return e[..., :n, :n], (e[..., :n, n:] @ b[..., None])[..., 0]
 
 
 def discretize_all(p: ContinuousSSM2D) -> DiscreteSSM2D:
     """Discretize the full parameter set (time step for A1/A2, variate
     step for A3/A4; B1 rides the (A1, dt1) pair, B2 the (A4, dt2) pair).
-    The result carries the batch shape of p's B, C and step sizes."""
+    Each field has the batch shape of its inputs (Abar its step's)."""
     abar1, bbar1 = zoh_pair(p.A1, p.B1, p.dt1)
     abar4, bbar2 = zoh_pair(p.A4, p.B2, p.dt2)
     return DiscreteSSM2D(

@@ -41,15 +41,10 @@ gated on the sequential oracle by the test suite:
   row before, its Abar2 cross term one (N, N) @ (d, N, T-1) product,
   and the readout one [C1 C2] product with the grid, each one BLAS call
   per channel slab. Every row's time chain goes through one
-  `_SharedChain`, built once per call. The chained axis is last: the
-  solver takes g of shape (..., N, m) and overwrites it with the
-  states. With blocks of K steps (K set by N alone), each block of each
-  channel is a row of N K entries ordered (state, step), times one
-  block-Toeplitz operator of the powers of Abar1 applied from the
-  right, so all blocks of all channels are one matmul; the block-end
-  carries are solved as the same chain in Abar1^K. This is the chunked
-  schedule of the state-space duality in Mamba-2 (Dao & Gu 2024,
-  "Transformers are SSMs").
+  `_SharedChain`, built once per call: blocks of K steps, each one
+  matmul with a block-Toeplitz operator of the powers of Abar1, the
+  chunked schedule of the state-space duality in Mamba-2 (Dao & Gu
+  2024, "Transformers are SSMs").
 - Any per-cell field (the selective path): `_sweep_cells` keeps the
   oracle's (V, T, N, d) layout, state innermost. A per-cell field enters
   each row as its (T, ...) slice and a constant one as one (1, N, N)
@@ -80,6 +75,7 @@ import numpy as np
 
 from .discretize import DiscreteSSM2D
 from .recurrence import as_series, is_constant, require_constant
+from .structured import powers
 
 
 @dataclass(frozen=True)
@@ -195,21 +191,13 @@ class _SharedChain:
     def __init__(self, a: np.ndarray, length: int):
         n = a.shape[-1]
         k = self.k = min(_block_length(n), length)
-        # A^0..A^K by doubling: each pass multiplies the powers so far by
-        # the next power of A
-        powers = np.empty((k + 1, n, n))
-        powers[0] = np.eye(n)
-        filled = 1
-        while filled <= k:
-            step = min(filled, k + 1 - filled)
-            powers[filled : filled + step] = powers[:step] @ (powers[filled - 1] @ a)
-            filled += step
+        pows = powers(a, k)
         # block (i, j) of the operator is the upper-triangular Toeplitz
         # matrix of A^0[j, i] .. A^(K-1)[j, i]: a window of one strip
         # [0 ... 0 A^0[j, i] ... A^(K-1)[j, i]] that moves one step right
         # per row
         strip = np.zeros((n, n, 2 * k - 1))
-        strip[:, :, k - 1 :] = powers[:k].transpose(2, 1, 0)
+        strip[:, :, k - 1 :] = np.concatenate(([np.eye(n)], pows[: k - 1])).transpose(2, 1, 0)
         s_i, s_j, s_t = strip.strides
         windows = np.ndarray((n, k, n, k), strip.dtype, strip, offset=(k - 1) * s_t, strides=(s_i, -s_t, s_j, s_t))
         self.operator = windows.reshape(n * k, n * k)
@@ -217,7 +205,7 @@ class _SharedChain:
         # its own inputs
         self.ends = np.ascontiguousarray(self.operator[:, k - 1 :: k])
         self.a_t = np.ascontiguousarray(a.T)
-        self.carries = _SharedChain(powers[k], -(-length // k)) if length > k else None
+        self.carries = _SharedChain(pows[k - 1], -(-length // k)) if length > k else None
 
     def __call__(self, g: np.ndarray) -> np.ndarray:
         """Solves the chain in place: g holds the inputs and is

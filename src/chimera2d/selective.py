@@ -5,7 +5,8 @@ the input vector x[v,t], and the step sizes as softplus(affine), keeping
 them strictly positive. The transition matrices A1..A4 stay shared and
 input-independent; the discretization then flows through the standard
 ZOH path, batched over the grid, so the Abar matrices depend on the input
-only through the step sizes.
+only through the step sizes (as in Mamba, Gu & Dao, arXiv 2312.00752),
+and one `structured.expm` call per shared matrix serves the whole grid.
 """
 
 from __future__ import annotations

@@ -4,12 +4,17 @@ A companion matrix is a shift matrix (ones on the subdiagonal) plus a
 rank-1 last column. Diagonal matrices exponentiate elementwise. Dense is
 the fallback used wherever structure is lost (e.g. after a matrix
 exponential of a companion).
+
+`expm` is scaling and squaring with a Taylor series in the powers of the
+shared M, so no matrix is inverted (Al-Mohy & Higham, SIAM J. Matrix
+Anal. Appl. 31(3), 2009, and SIAM J. Sci. Comput. 33(2), 2011).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from math import factorial
+from math import ceil, factorial, isfinite, ldexp, log2
 
 import numpy as np
 
@@ -69,46 +74,27 @@ def dense_matrix(entries) -> StructuredMatrix:
     return StructuredMatrix(DENSE, entries)
 
 
-# Higham (2005), "The scaling and squaring method for the matrix
-# exponential revisited": the 1-norm up to which the degree-m Pade
-# approximant p(Z) / p(-Z) to exp is accurate in double precision, and
-# the coefficients of p(Z) = sum_k (2m-k)! / (k! (m-k)!) Z^k
-_PADE = [
-    (theta, [factorial(2 * m - k) / (factorial(k) * factorial(m - k)) for k in range(m + 1)])
-    for m, theta in (
-        (3, 1.495585217958292e-2), (5, 2.539398330063230e-1), (7, 9.504178996162932e-1),
-        (9, 2.097847961257068), (13, 5.371920351148152),
-    )
-]
+# Degree m of exp(X)'s Taylor series is accurate while ||X||_1 <= theta_m:
+# the remainder is at most twice the first omitted term, which theta_m puts
+# at 2^-53 ||X||_1, so a block that shrinks with X (the integral in the Van
+# Loan matrix of `discretize`) stays exact. Above theta_18 = 1.11 the terms
+# of a decaying exponential cancel, so X is halved first.
+_DEGREE = 18
+_THETAS = [(2.0**-53 * factorial(m + 1) / 2) ** (1 / m) for m in range(1, _DEGREE + 1)]
+_INV_FACTORIALS = np.array([1.0 / factorial(k) for k in range(_DEGREE + 1)])
+_EXPONENTS = np.arange(1.0, _DEGREE + 1)
 
 
-def _expm_pade(z: np.ndarray) -> np.ndarray:
-    """exp of every matrix in a (..., N, N) stack by scaling and squaring.
-
-    The lowest degree accurate at the stack's largest 1-norm is used, and
-    a matrix above the degree-13 bound is halved s times and squared back
-    s times, so each matrix gets the accuracy of the per-matrix algorithm
-    in a fixed number of array operations."""
-    norm = np.abs(z).sum(axis=-2).max(axis=-1)
-    top = norm.max()
-    theta, coef = next((pade for pade in _PADE if top <= pade[0]), _PADE[-1])
-    squarings = 0
-    if top > theta:
-        s = np.ceil(np.log2(np.maximum(norm, theta) / theta))
-        z = z * np.exp2(-s)[..., None, None]
-        squarings = int(s.max())
-    ident = np.eye(z.shape[-1])
-    z2 = power = z @ z
-    u = coef[1] * ident + coef[3] * z2
-    v = coef[0] * ident + coef[2] * z2
-    for k in range(4, len(coef), 2):
-        power = power @ z2
-        u += coef[k + 1] * power
-        v += coef[k] * power
-    u = z @ u
-    out = np.linalg.solve(v - u, v + u)
-    for k in range(squarings):
-        out = np.where((s > k)[..., None, None], out @ out, out)
+def powers(a: np.ndarray, k: int, product=np.matmul) -> np.ndarray:
+    """a^1..a^k (k >= 1) along a new first axis, by doubling; `product` is
+    np.matmul for a (..., N, N) stack of matrices, np.multiply for numbers."""
+    out = np.empty((k,) + a.shape)
+    out[0] = a
+    f = 1
+    while f < k:
+        step = min(f, k - f)
+        product(out[:step], out[f - 1], out=out[f : f + step])  # a^(f+1)..a^(f+step)
+        f += step
     return out
 
 
@@ -117,20 +103,61 @@ def expm(m: StructuredMatrix, t=1.0) -> np.ndarray:
 
     The result has shape t.shape + (N, N); a dense M may also carry
     leading stack axes, broadcast against t. Diagonal is elementwise
-    exp; companion/dense go through one vectorized Pade scaling-and-
-    squaring over the whole stack. Raises ValueError if t * M has a
-    non-finite entry.
+    exp. Companion/dense: each t M is halved s times (its own s) to x Z,
+    Z = M / ||M||_1 and |x| <= theta_18, its Taylor series is one row of
+    one (results, m) @ (m, N^2) matmul of the powers of x with the terms
+    Z^k / k!, and it is squared back s times. Raises ValueError if t * M
+    has a non-finite entry.
     """
     t = np.asarray(t, dtype=float)
     if m.kind == DIAGONAL:
         z = t[..., None] * m.data
+        if not np.isfinite(z).all():
+            raise ValueError("non-finite entries")
+        out = np.zeros(z.shape + z.shape[-1:])
+        idx = np.arange(z.shape[-1])
+        out[..., idx, idx] = np.exp(z)
+        return out
+    a = m.dense()
+    n = a.shape[-1]
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    if t.ndim == norm.ndim == 0:
+        # one exponential: the scaling in Python floats
+        size = abs(float(t)) * float(norm)
+        if not isfinite(size):
+            raise ValueError("non-finite entries")
+        s = ceil(log2(size / _THETAS[-1])) if size > _THETAS[-1] else 0
+        x = np.float64(ldexp(float(t) * float(norm), -s))
+        deg = bisect_left(_THETAS, abs(x), hi=_DEGREE - 1) + 1
+        coef = x ** _EXPONENTS[:deg]
+        z = a / (float(norm) or 1.0)
     else:
-        z = t[..., None, None] * m.dense()
-    if not np.isfinite(z).all():
-        raise ValueError("non-finite entries")
-    if m.kind != DIAGONAL:
-        return _expm_pade(z)
-    out = np.zeros(z.shape + z.shape[-1:])
-    idx = np.arange(z.shape[-1])
-    out[..., idx, idx] = np.exp(z)
+        size = np.abs(t) * norm
+        if not np.isfinite(size).all():
+            raise ValueError("non-finite entries")
+        s = np.ceil(np.log2(np.maximum(size, _THETAS[-1]) / _THETAS[-1]))
+        x = t * norm * np.exp2(-s)
+        deg = bisect_left(_THETAS, np.abs(x).max(), hi=_DEGREE - 1) + 1
+        coef = powers(x, deg, np.multiply)  # x^k by doubling: a float ** table is slower
+        z = a / np.where(norm > 0.0, norm, 1.0)[..., None, None]
+    # the series terms Z^k / k!, one (results, m) @ (m, N^2) matmul away
+    terms = powers(z, deg).reshape((deg,) + z.shape[:-2] + (n * n,))
+    terms *= _INV_FACTORIALS[1 : deg + 1].reshape((deg,) + (1,) * (z.ndim - 1))
+    if z.ndim == 2:
+        out = coef.reshape(deg, -1).T @ terms
+    else:
+        out = np.moveaxis(coef, 0, -1)[..., None, :] @ np.moveaxis(terms, 0, -2)
+    out = out.reshape(x.shape + (n * n,))
+    out[..., :: n + 1] += 1.0  # the k = 0 term, on each flattened diagonal
+    out = out.reshape(x.shape + (n, n))
+    if isinstance(s, int):
+        for _ in range(s):
+            out = out @ out
+    elif s.any():
+        # sorted by s, each pass squares one trailing run of the results
+        order = np.argsort(s, axis=None)
+        work = out.reshape(-1, n, n)[order]
+        for start in np.searchsorted(s.ravel()[order], np.arange(s.max()), side="right"):
+            work[start:] = work[start:] @ work[start:]
+        out.reshape(-1, n, n)[order] = work
     return out

@@ -6,13 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import chimera2d.discretize
 from chimera2d import (
     ContinuousSSM2D,
     DiscreteSSM2D,
+    SelectiveProjections,
     companion_from_coeffs,
     diagonal_matrix,
     dense_matrix,
     discretize_all,
+    project_grid_params,
     zoh_pair,
 )
 from chimera2d.invariants import _assert_step_resolution
@@ -132,6 +135,79 @@ def test_resolution_homogeneous_and_forced(k):
 def test_nonpositive_step_rejected():
     with pytest.raises(ValueError):
         zoh_pair(dense_matrix(np.zeros((2, 2))), np.zeros(2), 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, [0.1, np.nan]], ids=["nan", "inf", "nan-in-array"])
+def test_nonfinite_step_rejected_by_name(bad):
+    # NaN passes a `dt <= 0` check, since every comparison with NaN is False
+    for a in (dense_matrix(np.zeros((2, 2))), diagonal_matrix([-1.0, -2.0])):
+        with pytest.raises(ValueError, match="step size dt must be positive and finite"):
+            zoh_pair(a, np.zeros(2), bad)
+    for name in ("dt1", "dt2"):
+        with pytest.raises(ValueError, match=f"step size {name} must be positive and finite"):
+            replace(_system(), **{name: np.asarray(bad, dtype=float)})
+
+
+@pytest.mark.parametrize("kind", ["dense", "diagonal"])
+@pytest.mark.parametrize("b", [np.ones(2), np.ones((4, 2)), np.ones(4)], ids=["short", "short-batch", "long"])
+def test_input_matrix_of_wrong_length_rejected(kind, b):
+    a = dense_matrix(-np.eye(3)) if kind == "dense" else diagonal_matrix([-1.0, -2.0, -3.0])
+    shape = re.escape(str(b.shape))
+    with pytest.raises(ValueError, match=rf"input matrix B has shape {shape}: its last axis must have length N = 3"):
+        zoh_pair(a, b, 0.1)
+
+
+@pytest.mark.parametrize("kind", ["companion", "dense", "diagonal"])
+def test_per_cell_pairs_match_scalar_calls_and_van_loan(kind):
+    import scipy.linalg
+
+    rng = np.random.default_rng(15)
+    n = 3
+    if kind == "companion":
+        a = companion_from_coeffs(rng.uniform(-0.5, 0.1, n))
+    elif kind == "dense":
+        a = dense_matrix(0.5 * rng.standard_normal((n, n)))
+    else:
+        a = diagonal_matrix(rng.uniform(-1.0, 0.2, n))
+    # steps from 1e-12 to 30 in shuffled cells, and a different B in each
+    dt = rng.permutation(np.geomspace(1e-12, 30.0, 24)).reshape(4, 6)
+    b = rng.standard_normal((4, 6, n))
+    abar, bbar = zoh_pair(a, b, dt)
+    assert abar.shape == (4, 6, n, n) and bbar.shape == (4, 6, n)
+    for idx in np.ndindex(dt.shape):
+        abar_1, bbar_1 = zoh_pair(a, b[idx], dt[idx])
+        assert np.max(np.abs(abar[idx] - abar_1)) <= 1e-14 * np.max(np.abs(abar_1)), idx
+        assert np.max(np.abs(bbar[idx] - bbar_1)) <= 1e-14 * np.max(np.abs(bbar_1)), idx
+        aug = np.zeros((n + 1, n + 1))
+        aug[:n, :n] = a.dense()
+        aug[:n, n] = b[idx]
+        ref = scipy.linalg.expm(dt[idx] * aug)
+        assert np.max(np.abs(abar[idx] - ref[:n, :n])) <= 1e-12 * np.max(np.abs(ref[:n, :n])), idx
+        assert np.max(np.abs(bbar[idx] - ref[:n, n])) <= 1e-12 * np.max(np.abs(ref[:n, n])), idx
+
+
+def test_discretization_takes_four_exponentials_and_no_solve(monkeypatch):
+    calls = []
+    expm = chimera2d.discretize.expm
+
+    def recorded_expm(m, t=1.0):
+        calls.append(np.shape(t))
+        return expm(m, t)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(chimera2d.discretize, "expm", recorded_expm)
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    discretize_all(_system())
+    assert calls == [()] * 4
+    calls.clear()
+    rng = np.random.default_rng(16)
+    n, d = 3, 2
+    p = _system(n)
+    dp = project_grid_params(SelectiveProjections.init_random(n, d, seed=16), rng.standard_normal((4, 5, d)), (p.A1, p.A2, p.A3, p.A4))
+    assert dp.Abar1.shape == (4, 5, n, n) and dp.Bbar2.shape == (4, 5, n)
+    assert calls == [(4, 5)] * 4
 
 
 def test_mismatched_state_dims_rejected():

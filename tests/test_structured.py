@@ -50,6 +50,22 @@ def test_expm_matches_dense_reference(kind):
 
 def test_expm_zero_is_identity():
     assert np.allclose(expm(dense_matrix(np.zeros((3, 3)))), np.eye(3), atol=1e-14)
+    # at t = 0 every M gives the identity bit for bit, alone and on a grid
+    rng = np.random.default_rng(2)
+    for m in (companion_from_coeffs(rng.standard_normal(3)), dense_matrix(1e3 * rng.standard_normal((3, 3)))):
+        assert np.array_equal(expm(m, 0.0), np.eye(3))
+        assert np.array_equal(expm(m, np.zeros((2, 4))), np.broadcast_to(np.eye(3), (2, 4, 3, 3)))
+
+
+def test_expm_large_norm_small_step():
+    import scipy.linalg
+
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((4, 4))
+    m = dense_matrix(1e6 * z / np.abs(z).sum(axis=0).max())
+    ref = scipy.linalg.expm(1e-7 * m.dense())
+    for out in (expm(m, 1e-7), expm(m, np.full((2, 3), 1e-7))[1, 2]):
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_expm_diagonal_log2():
@@ -68,7 +84,8 @@ def test_expm_stack_matches_each_matrix():
     import scipy.linalg
 
     rng = np.random.default_rng(12)
-    # 1-norms from about 1e-3 to 10: every Pade degree and the squaring path
+    # 1-norms from about 1e-3 to 10: low and high Taylor degrees, and
+    # scaling by different powers of two within one stack
     stack = rng.standard_normal((24, 3, 3)) * np.geomspace(1e-3, 4.0, 24)[:, None, None]
     out = expm(StructuredMatrix("dense", stack))
     for z, e in zip(stack, out):
