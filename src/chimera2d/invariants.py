@@ -35,7 +35,7 @@ from .conv import impulse_kernels, conv_apply
 from .selective import SelectiveProjections, softplus, project_grid_params
 from .variants import materialize_matrices, matrix_form_apply
 from .ar import simulate_sar, sar_to_ssm, sar_predict
-from .model import ChimeraModel, ModelConfig, fd_gradient, mse_loss
+from .model import ChimeraModel, ModelConfig, fd_gradient, mse_loss, stacked_fd_gradient
 
 
 @dataclass(frozen=True)
@@ -472,13 +472,13 @@ def _check_model_gradient_sanity():
     assert agree >= 0.95 * total, f"only {agree}/{total} coords step-size consistent"
 
 
-def _assert_fd_reuse_exact(cfg: ModelConfig, x: np.ndarray, y: np.ndarray) -> None:
+def _assert_fd_stacked_exact(cfg: ModelConfig, x: np.ndarray, y: np.ndarray) -> None:
     def loss_fn(m):
         return mse_loss(m.forward(x), y)
 
     model = ChimeraModel.init_random(cfg)
     names = [n for n in model.params if not n.startswith("decoder.")]
-    grads = fd_gradient(model, loss_fn, names)
+    grads = stacked_fd_gradient(model, x, y, names)
     for name in names:
         for i, orig in enumerate(model.params[name].reshape(-1)):
             h = 1e-4 * max(1.0, abs(orig))
@@ -489,19 +489,20 @@ def _assert_fd_reuse_exact(cfg: ModelConfig, x: np.ndarray, y: np.ndarray) -> No
                 losses.append(loss_fn(fresh))
             ref = (losses[0] - losses[1]) / (2.0 * h)
             got = grads[name].reshape(-1)[i]
-            assert got == ref, f"{name}[{i}]: reused {got:.17g} != rerun {ref:.17g}"
+            assert got == ref, f"{name}[{i}]: stacked {got:.17g} != rerun {ref:.17g}"
 
 
-@invariant("model.fd_reuse_exact")
-def _check_model_fd_reuse_exact():
-    # fd_gradient reuses unchanged block passes; the gradient must equal,
-    # bit for bit, one that reruns a fresh copy of the model per evaluation
+@invariant("model.fd_stacked_exact")
+def _check_model_fd_stacked_exact():
+    # fit's gradient evaluates each group's variants stacked and reuses the
+    # passes no variant reaches; it must equal, bit for bit, one that
+    # reruns a fresh copy of the model per evaluation
     rng = np.random.default_rng(74)
     x = rng.standard_normal((2, 6, 1))
     y = rng.standard_normal((2, 6, 1))
     for cfg in (ModelConfig(layers=2, state_dim=2, channels=1, seed=16),
                 ModelConfig(layers=1, state_dim=2, channels=1, seed=17, selective=True)):
-        _assert_fd_reuse_exact(cfg, x, y)
+        _assert_fd_stacked_exact(cfg, x, y)
 
 
 # ----------------------------------------------------------------------

@@ -12,10 +12,16 @@ The model output sums the trend components and the final residual, adds
 a SwiGLU gate branch computed from the raw input, and applies a linear
 readout. Training is plain gradient descent with central-difference
 gradients over the flat parameter store; the same store is what the
-JSON checkpoint format serializes. A block's output depends only on its
-own parameters and its input, so while differentiating, each loss
-evaluation reruns only the block passes whose parameters or input
-changed.
+JSON checkpoint format serializes.
+
+`fit` evaluates the differences one group of parameters at a time (one
+SSM block's, or one weight matrix), with the group's 2 x (coordinates)
+perturbed copies stacked on a leading variant axis: the blocks before
+the group run once per gradient, a perturbed block runs each variant
+alone, and every later pass runs once on the (B, V, T, d) stack. Each
+variant's loss is the one a fresh forward of it gives, bit for bit
+(`fd_gradient`, which reruns the whole model per evaluation, is the
+oracle).
 """
 
 from __future__ import annotations
@@ -66,23 +72,18 @@ def _swish(z):
     return z / (1.0 + np.exp(-z))
 
 
-@dataclass
-class _BlockSlot:
-    """The last pass of one SSM block: its parameters (concatenated in
-    `names` order, a copy) and a copy of its input, its discretization
-    (constant path only) and its read-only output. Reuse is decided by
-    value, never by identity, because `fd_gradient` perturbs parameter
-    arrays in place."""
+# Every intermediate of the forward may carry a leading variant axis,
+# (B, V, T, d), and every weight matrix a leading (B, 1) pair of axes.
 
-    names: tuple[str, ...]
-    params: np.ndarray | None = None
-    dp: DiscreteSSM2D | None = None
-    x: np.ndarray | None = None
-    y: np.ndarray | None = None
 
-    def flat(self, params: dict[str, np.ndarray]) -> np.ndarray:
-        """The block's parameters as one vector, compared in one call."""
-        return np.concatenate([params[n].reshape(-1) for n in self.names])
+def _flip(x: np.ndarray) -> np.ndarray:
+    """x with its variate axis reversed."""
+    return x[..., ::-1, :, :]
+
+
+def _linear(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w^T over the channel axis."""
+    return x @ w.swapaxes(-1, -2)
 
 
 @dataclass
@@ -90,10 +91,6 @@ class ChimeraModel:
     config: ModelConfig
     params: dict[str, np.ndarray] = field(default_factory=dict)
     loss_history: list[float] = field(default_factory=list)
-    # block prefix -> slot; set only on fd_gradient's private copy
-    _block_memo: dict[str, _BlockSlot] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     # ------------------------------------------------------------------
     # construction / serialization
@@ -252,29 +249,24 @@ class ChimeraModel:
                 return f"block {prefix} has joint transition spectral radius {rho:.4g} >= 1"
         return "every block's joint transition has spectral radius < 1"
 
-    def _ssm_pass(self, prefix: str, x: np.ndarray) -> np.ndarray:
-        slot = None if self._block_memo is None else self._block_memo[prefix]
-        dp = None
-        if slot is not None:
-            params = slot.flat(self.params)
-            if slot.y is not None and np.array_equal(params, slot.params):
-                if np.array_equal(slot.x, x):
-                    return slot.y
-                dp = slot.dp
-        if self.config.selective:
-            y = scan_forward(project_grid_params(self._block_proj(prefix), x, self._a_set(prefix)), x)
-        else:
-            dp = self._block_dp(prefix) if dp is None else dp
-            y = scan_forward(dp, x)
-        if slot is not None:
-            slot.params, slot.dp, slot.x, slot.y = params, dp, x.copy(), y
-            y.flags.writeable = False
-        return y
+    def _ssm_pass(self, prefix: str, x: np.ndarray, dp: DiscreteSSM2D | None = None) -> np.ndarray:
+        """One block pass on x, (V, T, d) or a stack (B, V, T, d). A
+        constant block scans a stack in one call, with `dp` if given; a
+        selective block's parameters depend on its input, so it projects
+        and scans each series of a stack in turn."""
+        if not self.config.selective:
+            return scan_forward(self._block_dp(prefix) if dp is None else dp, x)
+        proj, a_set = self._block_proj(prefix), self._a_set(prefix)
+
+        def scan(series):
+            return scan_forward(project_grid_params(proj, series, a_set), series)
+
+        return scan(x) if x.ndim == 3 else np.stack([scan(series) for series in x])
 
     def _directional_pass(self, prefix: str, x: np.ndarray) -> np.ndarray:
         y = self._ssm_pass(f"{prefix}.f", x)
         if self.config.bidirectional:
-            y = y + self._ssm_pass(f"{prefix}.b", x[::-1])[::-1]
+            y = y + _flip(self._ssm_pass(f"{prefix}.b", _flip(x)))
         return y
 
     def trend_forward(self, layer: int, x: np.ndarray) -> np.ndarray:
@@ -282,7 +274,7 @@ class ChimeraModel:
 
     def seasonal_forward(self, layer: int, x: np.ndarray) -> np.ndarray:
         y = self._directional_pass(f"layer{layer}.seasonal", x)
-        return y @ self.params[f"layer{layer}.redisc.w"].T
+        return _linear(y, self.params[f"layer{layer}.redisc.w"])
 
     def layer_forward(self, layer: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         trend = self.trend_forward(layer, x)
@@ -291,7 +283,7 @@ class ChimeraModel:
 
     def gate(self, x: np.ndarray) -> np.ndarray:
         p = self.params
-        return (_swish(x @ p["gate.w_in"].T) * (x @ p["gate.w_val"].T)) @ p["gate.w_out"].T
+        return _linear(_swish(_linear(x, p["gate.w_in"])) * _linear(x, p["gate.w_val"]), p["gate.w_out"])
 
     def forward(self, x) -> np.ndarray:
         x = as_series(x)
@@ -303,7 +295,7 @@ class ChimeraModel:
         if self.config.layers > 0:
             combined = combined + residual
         combined = combined + self.gate(x)
-        return combined @ self.params["head.w"].T
+        return _linear(combined, self.params["head.w"])
 
     __call__ = forward
 
@@ -320,6 +312,10 @@ class ChimeraModel:
 # finite-difference training
 
 
+def _fd_step(theta: float, step_scale: float = 1.0) -> float:
+    return 1e-4 * max(1.0, abs(theta)) * step_scale
+
+
 def fd_gradient(
     model: ChimeraModel,
     loss_fn,
@@ -330,39 +326,125 @@ def fd_gradient(
     named parameters (all of them by default); per-coordinate step is
     1e-4 * max(1, |theta|) * step_scale.
 
-    loss_fn receives a private copy of the model. While it runs, each
-    block pass whose parameters and input equal (by value) those of that
-    block's previous pass returns the previous output, read-only; a block
-    whose parameters are unchanged but whose input moved reuses its
-    discretization and only rescans. The gradient is bit-identical to
-    rerunning every block on every evaluation."""
+    loss_fn receives a private copy of the model, with one coordinate
+    moved, and evaluates it from scratch every time. This is the oracle
+    of `stacked_fd_gradient`, which `fit` uses."""
     names = list(model.params) if names is None else names
     grads: dict[str, np.ndarray] = {}
     work = model.copy()
-    work._block_memo = {
-        prefix: _BlockSlot(tuple(k for k in work.params if k.startswith(prefix + ".")))
-        for prefix in work._ssm_blocks()
-    }
-    try:
-        for name in names:
-            theta = work.params[name]
-            grad = np.zeros_like(theta)
-            flat = theta.reshape(-1)
-            gflat = grad.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                h = 1e-4 * max(1.0, abs(orig)) * step_scale
-                flat[i] = orig + h
-                up = loss_fn(work)
-                flat[i] = orig - h
-                down = loss_fn(work)
+    for name in names:
+        theta = work.params[name]
+        grad = np.zeros_like(theta)
+        flat = theta.reshape(-1)
+        gflat = grad.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            h = _fd_step(orig, step_scale)
+            flat[i] = orig + h
+            up = loss_fn(work)
+            flat[i] = orig - h
+            down = loss_fn(work)
+            flat[i] = orig
+            if not (np.isfinite(up) and np.isfinite(down)):
+                raise FloatingPointError(f"non-finite loss while differentiating {name}")
+            gflat[i] = (up - down) / (2.0 * h)
+        grads[name] = grad
+    return grads
+
+
+@dataclass
+class _BasePass:
+    x: np.ndarray
+    dp: DiscreteSSM2D | None  # None for a selective block
+    y: np.ndarray
+
+
+class _StackedVariants(ChimeraModel):
+    """A model on one series x that evaluates the perturbed copies
+    (variants) of one group of parameters at a time, stacked on a
+    leading axis: `outputs` gives their B forwards as one (B, V, T, d)
+    array.
+
+    Every block pass that no variant reaches is the base pass, run once
+    when the object is built, with its discretization kept. A perturbed
+    block runs each variant alone on its base input, and each block
+    after it runs once on the stack, with its base discretization. A
+    perturbed weight matrix is a (B, 1, d, d) stack in `params`."""
+
+    def __init__(self, model: ChimeraModel, x: np.ndarray):
+        super().__init__(model.config, {k: v.copy() for k, v in model.params.items()})
+        self.x = x
+        self.base: dict[str, _BasePass] = {}
+        self.own: tuple[str, np.ndarray] | None = None  # perturbed block, its outputs
+        self.forward(x)
+
+    def _ssm_pass(self, prefix, x, dp=None):
+        if self.own is not None and prefix == self.own[0]:
+            return self.own[1]
+        if x.ndim > 3:
+            return super()._ssm_pass(prefix, x, self.base[prefix].dp)
+        # no variant reached x: the base pass
+        if prefix not in self.base:
+            dp = None if self.config.selective else self._block_dp(prefix)
+            self.base[prefix] = _BasePass(x, dp, super()._ssm_pass(prefix, x, dp))
+        return self.base[prefix].y
+
+    def outputs(self, group: str, values: list[tuple[str, int, float]]) -> np.ndarray:
+        """The forward of each variant, variant b setting coordinate i of
+        parameter name to value for (name, i, value) = values[b]; `group`
+        is an SSM block's prefix or the name of the one parameter."""
+        p = self.params
+        if group in self.base:
+            outs = []
+            for name, i, value in values:
+                flat = p[name].reshape(-1)
+                orig, flat[i] = flat[i], value
+                outs.append(super()._ssm_pass(group, self.base[group].x))
                 flat[i] = orig
-                if not (np.isfinite(up) and np.isfinite(down)):
-                    raise FloatingPointError(f"non-finite loss while differentiating {name}")
-                gflat[i] = (up - down) / (2.0 * h)
-            grads[name] = grad
-    finally:
-        work._block_memo = None
+            self.own = (group, np.stack(outs))
+            out = self.forward(self.x)
+            self.own = None
+        else:
+            base = p[group]
+            stack = np.repeat(base[None], len(values), axis=0)
+            for b, (_, i, value) in enumerate(values):
+                stack[b].reshape(-1)[i] = value
+            p[group] = stack.reshape(len(values), 1, *base.shape)
+            out = self.forward(self.x)
+            p[group] = base
+        # a parameter the forward never reads leaves every variant at the base
+        return np.broadcast_to(out, (len(values),) + self.x.shape)
+
+
+def stacked_fd_gradient(model: ChimeraModel, x, y, names: list[str] | None = None) -> dict[str, np.ndarray]:
+    """`fd_gradient` of the MSE between model(x) and y, bit for bit,
+    evaluated one group at a time with the group's variants stacked. A
+    group is one SSM block's parameters or one other parameter, so the
+    stacks never hold more than the largest group's variants.
+
+    Raises FloatingPointError naming the parameter when a variant's loss
+    is not finite, and ValueError when a pass cannot be formed (as a
+    forward would)."""
+    x, y = as_series(x), as_series(y)
+    names = list(model.params) if names is None else names
+    work = _StackedVariants(model, x)
+    groups: dict[str, list[str]] = {}
+    for name in names:
+        prefix = name.rpartition(".")[0]
+        groups.setdefault(prefix if prefix in work.base else name, []).append(name)
+    grads = {name: np.zeros_like(model.params[name]) for name in names}
+    for group, members in groups.items():
+        coords = [
+            (name, i, orig, _fd_step(orig))
+            for name in members for i, orig in enumerate(model.params[name].reshape(-1))
+        ]
+        # coordinate j moved up in variant 2j and down in variant 2j + 1
+        out = work.outputs(group, [(name, i, orig + sign * h) for name, i, orig, h in coords for sign in (1.0, -1.0)])
+        for j, (name, i, _, h) in enumerate(coords):
+            up, down = mse_loss(out[2 * j], y), mse_loss(out[2 * j + 1], y)
+            if not (np.isfinite(up) and np.isfinite(down)):
+                raise FloatingPointError(f"non-finite loss while differentiating {name}")
+            grads[name].reshape(-1)[i] = (up - down) / (2.0 * h)
     return grads
 
 
@@ -409,7 +491,10 @@ def fit(
             model.loss_history.append(loss)
             if tol is not None and loss < tol:
                 break
-            grads = fd_gradient(model, loss_fn, names)
+            try:
+                grads = stacked_fd_gradient(model, x, y, names)
+            except ValueError as exc:
+                raise FloatingPointError(f"training diverged: {exc}; {model._first_unstable_block()}") from exc
             for name, g in grads.items():
                 model.params[name] -= lr * g
     return model

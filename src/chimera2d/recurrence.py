@@ -24,12 +24,13 @@ import numpy as np
 from .discretize import DiscreteSSM2D
 
 
-def as_series(x) -> np.ndarray:
-    """Validate and coerce a (V, T, d) series array."""
+def as_series(x, stacked: bool = False) -> np.ndarray:
+    """Validate and coerce a (V, T, d) series array, or with `stacked` a
+    stack (..., V, T, d) of them."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 2:
         x = x[:, :, None]
-    if x.ndim != 3 or min(x.shape) < 1:
+    if not (x.ndim == 3 or stacked and x.ndim > 3) or min(x.shape) < 1:
         raise ValueError("series must have shape (V, T, d) with positive extents")
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")

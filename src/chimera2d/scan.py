@@ -44,7 +44,12 @@ gated on the sequential oracle by the test suite:
   `_SharedChain`, built once per call: blocks of K steps, each one
   matmul with a block-Toeplitz operator of the powers of Abar1, the
   chunked schedule of the state-space duality in Mamba-2 (Dao & Gu
-  2024, "Transformers are SSMs").
+  2024, "Transformers are SSMs"). A stack of series, x of shape
+  (..., V, T, d), keeps its leading axes outside every product, so
+  numpy makes the same BLAS call per series as for one series alone and
+  each result is bit-identical to its own call (folding the stack into
+  the channel axis would turn the chain's one-row products into
+  multi-row ones, which round differently).
 - Any per-cell field (the selective path): `_sweep_cells` keeps the
   oracle's (V, T, N, d) layout, state innermost. A per-cell field enters
   each row as its (T, ...) slice and a constant one as one (1, N, N)
@@ -229,28 +234,31 @@ class _SharedChain:
 
 
 def _sweep_shared(dp: DiscreteSSM2D, x: np.ndarray):
-    """The row sweep for constant parameters, on one (V, d, 2N, T) grid
-    whose halves are h1 and h2; returns y and the hidden grids in
+    """The row sweep for constant parameters, on one (..., V, d, 2N, T)
+    grid whose halves are h1 and h2; returns y and the hidden grids in
     `scan_forward`'s shapes."""
-    v_count, t_count, _ = x.shape
+    v_count, t_count, _ = x.shape[-3:]
     n = dp.n
-    # time innermost; a contiguous (V, d, T) copy of x first makes the
-    # broadcast multiply read it in order
-    x_rows = np.ascontiguousarray(x.transpose(0, 2, 1))
-    hidden = np.multiply(np.concatenate((dp.Bbar1, dp.Bbar2))[:, None], x_rows[:, :, None, :], order="C")
-    h1, h2 = hidden[:, :, :n], hidden[:, :, n:]
+    # time innermost; a contiguous (..., V, d, T) copy of x first makes
+    # the broadcast multiply read it in order
+    x_rows = np.ascontiguousarray(x.swapaxes(-1, -2))
+    hidden = np.multiply(np.concatenate((dp.Bbar1, dp.Bbar2))[:, None], x_rows[..., None, :], order="C")
+    # variate rows first: rows[v] is row v of every series
+    rows = hidden.swapaxes(0, -4)
+    h1, h2 = rows[..., :n, :], rows[..., n:, :]
     cross = np.concatenate((dp.Abar3, dp.Abar4), axis=1)
     row_chain = _SharedChain(np.asarray(dp.Abar1), t_count)
     for v in range(v_count):
         if v > 0:
             # cross-variate state: pointwise in t given the previous row
-            h2[v] += cross @ hidden[v - 1]
+            h2[v] += cross @ rows[v - 1]
         # cross-time state: one chain along the row
         g = h1[v]
         g[..., 1:] += dp.Abar2 @ h2[v, ..., :-1]
         row_chain(g)
     y = np.concatenate((dp.C1, dp.C2)) @ hidden
-    return np.ascontiguousarray(y.transpose(0, 2, 1)), h1.transpose(0, 3, 2, 1), h2.transpose(0, 3, 2, 1)
+    h1, h2 = hidden[..., :n, :], hidden[..., n:, :]
+    return np.ascontiguousarray(y.swapaxes(-1, -2)), h1.swapaxes(-1, -3), h2.swapaxes(-1, -3)
 
 
 def _sweep_cells(dp: DiscreteSSM2D, x: np.ndarray):
@@ -290,9 +298,13 @@ def scan_forward(dp: DiscreteSSM2D, x, return_hidden: bool = False):
 
     Each field of `dp` may be constant (batch shape ()) or per-cell on the
     input's (V, T) grid. Returns y of shape (V, T, d), and with
-    `return_hidden` also the hidden grids (h1, h2), each (V, T, N, d)."""
-    x = as_series(x)
-    y, h1, h2 = (_sweep_shared if is_constant(dp) else _sweep_cells)(dp, x)
+    `return_hidden` also the hidden grids (h1, h2), each (V, T, N, d).
+    Constant parameters also take a stack of series, x of shape
+    (..., V, T, d), and give each one the result it gets alone, bit for
+    bit; the outputs then carry the same leading axes."""
+    constant = is_constant(dp)
+    x = as_series(x, stacked=constant)
+    y, h1, h2 = (_sweep_shared if constant else _sweep_cells)(dp, x)
     if return_hidden:
         return y, (h1, h2)
     return y

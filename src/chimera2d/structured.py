@@ -98,6 +98,12 @@ def powers(a: np.ndarray, k: int, product=np.matmul) -> np.ndarray:
     return out
 
 
+def _finite(e: np.ndarray) -> np.ndarray:
+    if not np.isfinite(e).all():
+        raise ValueError("exp(t M) overflows the float range")
+    return e
+
+
 def expm(m: StructuredMatrix, t=1.0) -> np.ndarray:
     """exp(t * M) as a dense array, for a scalar t or an array of them.
 
@@ -107,7 +113,7 @@ def expm(m: StructuredMatrix, t=1.0) -> np.ndarray:
     Z = M / ||M||_1 and |x| <= theta_18, its Taylor series is one row of
     one (results, m) @ (m, N^2) matmul of the powers of x with the terms
     Z^k / k!, and it is squared back s times. Raises ValueError if t * M
-    has a non-finite entry.
+    has a non-finite entry, or if exp(t * M) overflows.
     """
     t = np.asarray(t, dtype=float)
     if m.kind == DIAGONAL:
@@ -116,7 +122,7 @@ def expm(m: StructuredMatrix, t=1.0) -> np.ndarray:
             raise ValueError("non-finite entries")
         out = np.zeros(z.shape + z.shape[-1:])
         idx = np.arange(z.shape[-1])
-        out[..., idx, idx] = np.exp(z)
+        out[..., idx, idx] = _finite(np.exp(z))
         return out
     a = m.dense()
     n = a.shape[-1]
@@ -150,14 +156,16 @@ def expm(m: StructuredMatrix, t=1.0) -> np.ndarray:
     out = out.reshape(x.shape + (n * n,))
     out[..., :: n + 1] += 1.0  # the k = 0 term, on each flattened diagonal
     out = out.reshape(x.shape + (n, n))
+    squared = s > 0 if isinstance(s, int) else bool(s.any())
     if isinstance(s, int):
         for _ in range(s):
             out = out @ out
-    elif s.any():
+    elif squared:
         # sorted by s, each pass squares one trailing run of the results
         order = np.argsort(s, axis=None)
         work = out.reshape(-1, n, n)[order]
         for start in np.searchsorted(s.ravel()[order], np.arange(s.max()), side="right"):
             work[start:] = work[start:] @ work[start:]
         out.reshape(-1, n, n)[order] = work
-    return out
+    # the series is at most e^theta_18 in norm: only squaring can overflow
+    return _finite(out) if squared else out

@@ -148,6 +148,15 @@ def test_nonfinite_step_rejected_by_name(bad):
             replace(_system(), **{name: np.asarray(bad, dtype=float)})
 
 
+@pytest.mark.parametrize("a", [companion_from_coeffs([1.0, 0.5]), diagonal_matrix([1.0, -1.0])],
+                         ids=["companion", "diagonal"])
+def test_overflowing_pair_rejected(a):
+    # a finite step whose transition exceeds the float range: Abar and
+    # Bbar would be inf
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflows"):
+        zoh_pair(a, np.ones(2), 800.0)
+
+
 @pytest.mark.parametrize("kind", ["dense", "diagonal"])
 @pytest.mark.parametrize("b", [np.ones(2), np.ones((4, 2)), np.ones(4)], ids=["short", "short-batch", "long"])
 def test_input_matrix_of_wrong_length_rejected(kind, b):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import chimera2d.model
-from chimera2d import ChimeraModel, ModelConfig, fd_gradient, fit, transition_probe
-from chimera2d.invariants import _assert_fd_reuse_exact
-from chimera2d.model import mse_loss
+from chimera2d import ChimeraModel, ModelConfig, fd_gradient, fit, simulate_sar, transition_probe
+from chimera2d.invariants import _assert_fd_stacked_exact
+from chimera2d.model import mse_loss, stacked_fd_gradient
 from chimera2d.selective import inv_softplus
 
 
@@ -203,6 +203,41 @@ def test_fit_divergence_names_the_first_unstable_block(selective):
         fit(m, (x, x), steps=1, lr=1e-3)
 
 
+def test_fit_names_the_block_whose_exponential_overflows():
+    m = tiny_model(seed=14)
+    p = m.params
+    for prefix in m._ssm_blocks():
+        for name in ("dt1_raw", "dt2_raw"):
+            p[f"{prefix}.{name}"] = np.array(inv_softplus(20.0))
+    # eigenvalue 3 at a time step of 300: exp(dt A1) reaches e^900
+    p["layer0.seasonal.b.a1"] = np.array([0.0, 3.0])
+    p["layer0.seasonal.b.dt1_raw"] = np.array(inv_softplus(300.0))
+    x = np.random.default_rng(14).standard_normal((2, 8, 1))
+    named = r"overflows the float range; block layer0\.seasonal\.b has no finite transition \(exp\(t M\) overflows"
+    with pytest.raises(FloatingPointError, match=named):
+        fit(m, (x, x), steps=1, lr=1e-3)
+
+
+def test_fit_names_the_first_unstable_block_when_a_variant_fails(monkeypatch):
+    # a perturbed copy whose discretization fails, after the step's loss and
+    # the gradient's base passes (4 blocks each) went through
+    m = tiny_model(seed=22)
+    x = np.random.default_rng(22).standard_normal((2, 8, 1))
+    calls = []
+    discretize = chimera2d.model.discretize_all
+
+    def failing(cont):
+        calls.append(1)
+        if len(calls) > 8:
+            raise ValueError("exp(t M) overflows the float range")
+        return discretize(cont)
+
+    monkeypatch.setattr(chimera2d.model, "discretize_all", failing)
+    named = r"training diverged: exp\(t M\) overflows the float range; block layer0\.trend\.f has no finite"
+    with pytest.raises(FloatingPointError, match=named):
+        fit(m, (x, x), steps=1, lr=1e-3)
+
+
 def test_transition_probe_figures():
     dp = tiny_model(seed=3)._block_dp("layer0.trend.f")
     probe = transition_probe(dp)
@@ -240,23 +275,7 @@ def _count_scans(monkeypatch):
 ], ids=["constant", "selective"])
 def test_fd_gradient_equals_rerun_on_every_coordinate(cfg):
     x, y = np.random.default_rng(16).standard_normal((2, 2, 6, 1))
-    _assert_fd_reuse_exact(cfg, x, y)
-
-
-def test_reused_block_output_is_read_only():
-    m = tiny_model(seed=18, bidirectional=False)
-    x = np.random.default_rng(18).standard_normal((2, 6, 1))
-    outputs = []
-
-    def loss_fn(mm):
-        # unidirectional: trend_forward is the block pass itself
-        outputs.append(mm.trend_forward(0, x))
-        return mse_loss(mm.forward(x), x)
-
-    fd_gradient(m, loss_fn, ["head.w"])
-    assert outputs[1] is outputs[0]
-    with pytest.raises(ValueError, match="read-only"):
-        outputs[1][0, 0, 0] = 1.0
+    _assert_fd_stacked_exact(cfg, x, y)
 
 
 def test_forward_outside_fd_gradient_reruns_every_block(monkeypatch):
@@ -266,7 +285,6 @@ def test_forward_outside_fd_gradient_reruns_every_block(monkeypatch):
     x = 0.3 * rng.standard_normal((2, 8, 1))
     blocks = 8  # 2 layers x {trend, seasonal} x {forward, backward}
     fitted = fit(m, (x, x), steps=1, lr=1e-4)
-    assert m._block_memo is None and fitted._block_memo is None
     calls = _count_scans(monkeypatch)
     for model in (m, fitted):
         calls.clear()
@@ -276,8 +294,10 @@ def test_forward_outside_fd_gradient_reruns_every_block(monkeypatch):
 
 
 def test_fd_gradient_scans_only_reached_blocks(monkeypatch):
-    # the benchmark's fit shape: V8 x T64, d=1, N=2, 2 bidirectional layers;
-    # rerunning every block would take 2 x 150 coordinates x 8 = 2400 scans
+    # the benchmark's fit shape: V8 x T64, d=1, N=2, 2 bidirectional layers.
+    # Rerunning every block would take 2 x 150 coordinates x 8 = 2400 scans;
+    # the stacked gradient takes 8 base passes, 36 variants for each of the
+    # 8 blocks and one stacked pass per block downstream of a group (28)
     cfg = ModelConfig(layers=2, state_dim=2, channels=1, seed=20)
     m = ChimeraModel.init_random(cfg)
     rng = np.random.default_rng(20)
@@ -285,5 +305,54 @@ def test_fd_gradient_scans_only_reached_blocks(monkeypatch):
     names = [n for n in m.params if not n.startswith("decoder.")]
     calls = _count_scans(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
-        fd_gradient(m, lambda mm: mse_loss(mm.forward(x), y), names)
-    assert len(calls) <= 1200
+        stacked_fd_gradient(m, x, y, names)
+    assert len(calls) <= 400
+
+
+def _overflowing_readout(name):
+    """A gate-only model on one cell whose squared error sits just below
+    the float range, so that raising the readout weight `name` by its
+    finite-difference step overflows the loss."""
+    m = ChimeraModel.init_random(ModelConfig(layers=0, state_dim=2, channels=1, seed=21))
+    x, y = np.ones((1, 1, 1)), np.zeros((1, 1, 1))
+    m.params[name] = np.ones((1, 1))
+    unit = m.forward(x)[0, 0, 0]
+    m.params[name] = np.array([[np.sqrt(np.finfo(float).max / 1.0001) / unit]])
+    assert np.isfinite(mse_loss(m.forward(x), y))
+    return m, x, y
+
+
+@pytest.mark.parametrize("name", ["gate.w_out", "head.w"])
+def test_non_finite_variant_loss_names_the_parameter(name):
+    m, x, y = _overflowing_readout(name)
+    message = rf"non-finite loss while differentiating {name}"
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatingPointError, match=message):
+            fd_gradient(m, lambda mm: mse_loss(mm.forward(x), y), [name])
+        with pytest.raises(FloatingPointError, match=message):
+            stacked_fd_gradient(m, x, y, [name])
+    with pytest.raises(FloatingPointError, match="non-finite loss while differentiating gate"):
+        fit(m, (x, y), steps=1, lr=1e-3)
+
+
+def _seasonal_grid(seed, v_count, t_count):
+    rows = [simulate_sar([0.5], [0.3], 7, np.zeros(7), 1.0, t_count, seed=[seed, v]) for v in range(v_count)]
+    grid = np.array(rows)[:, :, None]
+    return (grid - grid.mean(axis=1, keepdims=True)) / grid.std(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fit_step_is_the_fd_gradient_step(seed):
+    # the benchmark's fit shape at default init, where the model diverges
+    # and rounding is amplified: one fit step moves every trained
+    # coordinate by exactly lr times fd_gradient's entry
+    lr = 1e-3
+    m = ChimeraModel.init_random(ModelConfig(layers=2, state_dim=2, channels=1, seed=seed))
+    grid = _seasonal_grid(seed, 8, 65)
+    x, y = grid[:, :-1], grid[:, 1:]
+    names = [n for n in m.params if not n.startswith("decoder.")]
+    with np.errstate(over="ignore", invalid="ignore"):
+        grads = fd_gradient(m, lambda mm: mse_loss(mm.forward(x), y), names)
+    fitted = fit(m, (x, y), steps=1, lr=lr)
+    for name in names:
+        assert np.array_equal(fitted.params[name], m.params[name] - lr * grads[name]), name

@@ -138,6 +138,33 @@ def test_reversed_view_matches_its_copy_bit_for_bit():
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_stacked_series_match_separate_scans_bit_for_bit(n):
+    # a leading axis of series, as the stacked finite differences pass it:
+    # reversed views, rows padded to whole blocks, carries across blocks
+    # and several channels
+    k = _block_length(n)
+    rng = np.random.default_rng(40 + n)
+    dp = _random_dp(rng, n)
+    for t_count in (k - 3, k, 2 * k + 5):
+        for d in (1, 3):
+            stack = rng.standard_normal((4, 3, t_count, d))
+            for x in (stack, stack[:, ::-1]):
+                y, (h1, h2) = scan_forward(dp, x, return_hidden=True)
+                assert y.shape == (4, 3, t_count, d) and h1.shape == h2.shape == (4, 3, t_count, n, d)
+                for b in range(4):
+                    y_b, (h1_b, h2_b) = scan_forward(dp, x[b], return_hidden=True)
+                    for got, want in ((y[b], y_b), (h1[b], h1_b), (h2[b], h2_b)):
+                        assert np.array_equal(got, want), f"T={t_count} d={d} series {b}"
+
+
+def test_stacked_series_need_constant_parameters():
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((2, 3, 4, 1))
+    with pytest.raises(ValueError, match=r"shape \(V, T, d\)"):
+        scan_forward(materialized(_random_dp(rng, 2), 3, 4), x)
+
+
 def test_scan_grid_mismatch_rejected():
     rng = np.random.default_rng(9)
     dp = _random_dp(rng, 2)

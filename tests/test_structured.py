@@ -112,6 +112,15 @@ def test_expm_rejects_nonfinite_product():
         expm(companion_from_coeffs([-4.0, 0.0]), 1e308)
 
 
+@pytest.mark.parametrize("mat", [companion_from_coeffs([1.0, 0.5]), diagonal_matrix([1.0, -1.0])],
+                         ids=["companion", "diagonal"])
+@pytest.mark.parametrize("t", [800.0, np.array([0.5, 800.0])], ids=["scalar", "grid"])
+def test_expm_overflow_rejected(mat, t):
+    # t M is finite, but exp(t M) has entries near e^800
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflows"):
+        expm(mat, t)
+
+
 def test_bad_kind_rejected():
     with pytest.raises(ValueError):
         StructuredMatrix("banded", np.zeros((2, 2)))
