@@ -1,14 +1,15 @@
 """2D state space models for multivariate time series.
 
 The package implements a coupled two-axis (time x variate) linear state
-space model with structured transition matrices, zero-order-hold
-discretization, an associative-operator parallel scan, a convolution
-form, input-dependent parameters, and a trend/seasonal layer stack with
-a closed-loop forecasting decoder.
+space model with zero-order-hold discretization, an associative-operator
+parallel scan, a convolution form, input-dependent parameters, and a
+trend/seasonal layer stack with a closed-loop forecasting decoder.
+Transitions are plain float arrays, (N, N) or the (N,) entries of a
+diagonal one, and a discrete parameter set is either constant (one set
+for every cell) or per-cell.
 """
 
 from .structured import (
-    StructuredMatrix,
     companion_from_coeffs,
     diagonal_matrix,
     dense_matrix,
@@ -25,7 +26,6 @@ from .model import ChimeraModel, ModelConfig, fd_gradient, fit
 from .metrics import compute_metrics
 
 __all__ = [
-    "StructuredMatrix",
     "companion_from_coeffs",
     "diagonal_matrix",
     "dense_matrix",

@@ -167,6 +167,8 @@ def read_series_csv(path: str) -> np.ndarray:
             raise ConfigError(f"non-numeric value in {path} line {lineno}: {line}") from None
         if not np.all(np.isfinite(rows[-1])):
             raise ConfigError(f"non-finite value in {path} line {lineno}: {line}")
+    if not rows:
+        raise ConfigError(f"no data rows in series file {path}")
     return np.asarray(rows, dtype=float).T
 
 
@@ -235,6 +237,10 @@ def cmd_forecast(args) -> int:
         raise ConfigError(
             f"cannot load checkpoint {args.checkpoint}: {type(exc).__name__}: {exc}"
         ) from exc
+    if model.config.channels != 1:
+        raise ConfigError(
+            f"checkpoint {args.checkpoint} has channels={model.config.channels}; forecast feeds the model one channel"
+        )
     series = read_series_csv(cfg.data)
     forecast = model.decode(series[:, :, None], cfg.horizon)[..., 0]
     path = _out_path(args, "forecast.csv")

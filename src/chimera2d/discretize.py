@@ -1,12 +1,13 @@
 """Zero-order-hold discretization of the continuous 2D SSM.
 
-The continuous model carries four transition matrices (two companion
-along time, two diagonal along variates), input columns B1/B2, readout
-rows C1/C2, and one step size per axis. ZOH gives
+The continuous model carries four transition matrices, input columns
+B1/B2, readout rows C1/C2, and one step size per axis. A transition is
+a plain float array: (N, N), or (N,) for the entries of a diagonal one
+(see `chimera2d.structured`). ZOH gives
 
     Abar = exp(dt * A),   Bbar = Phi(dt) B,   Phi(dt) = integral of exp(sA) on [0, dt].
 
-For a non-diagonal A both come from one exponential of the augmented
+For an (N, N) A both come from one exponential of the augmented
 matrix (Van Loan 1978, "Computing integrals involving the matrix
 exponential"), exp(dt * [[A, I], [0, 0]]) = [[Abar, Phi(dt)], [0, I]],
 with no inverse of A, so they are exact at every step size and for
@@ -18,6 +19,10 @@ B, C and the step sizes may carry any leading batch shape (one entry per
 grid cell on the selective path). The augmented matrix holds A, not B,
 so one `expm` call serves a whole grid; a cell costs a row of a matmul,
 log2(dt ||A||_1) squarings (2N x 2N) and the product Phi(dt) B.
+
+A discrete parameter set is either constant, every field of batch shape
+(), or per-cell, every field of one batch shape ((V, T) on a grid);
+nothing in between.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structured import DENSE, DIAGONAL, StructuredMatrix, expm
+from .structured import expm
 
 # smallest step size: softplus underflows to 0.0 for very negative
 # preactivations, and the step must stay strictly positive
@@ -42,14 +47,14 @@ def _checked_step(name: str, dt) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ContinuousSSM2D:
-    """Continuous-time parameter set, before discretization. B/C have
-    shape (..., N) and dt1/dt2 the batch shape (...): () for one cell,
-    (V, T) for a selective grid."""
+    """Continuous-time parameter set, before discretization. Each A is
+    (N, N) or the (N,) diagonal, B/C have shape (..., N) and dt1/dt2 the
+    batch shape (...): () for one cell, (V, T) for a selective grid."""
 
-    A1: StructuredMatrix
-    A2: StructuredMatrix
-    A3: StructuredMatrix
-    A4: StructuredMatrix
+    A1: np.ndarray
+    A2: np.ndarray
+    A3: np.ndarray
+    A4: np.ndarray
     B1: np.ndarray
     B2: np.ndarray
     C1: np.ndarray
@@ -60,20 +65,22 @@ class ContinuousSSM2D:
     def __post_init__(self):
         _checked_step("dt1", self.dt1)
         _checked_step("dt2", self.dt2)
-        n = self.A1.n
-        for mat in (self.A2, self.A3, self.A4):
-            if mat.n != n:
-                raise ValueError("all transition matrices must share N")
+        n = np.shape(self.A1)[-1:]  # (N,)
+        for name in ("A1", "A2", "A3", "A4"):
+            shape = np.shape(getattr(self, name))
+            if shape not in (n, n + n):
+                raise ValueError(f"{name} has shape {shape}: every A must be (N,) or (N, N), N from A1 {np.shape(self.A1)}")
         for vec in (self.B1, self.B2, self.C1, self.C2):
-            if np.shape(vec)[-1:] != (n,):
+            if np.shape(vec)[-1:] != n:
                 raise ValueError("B and C vectors must have length N")
 
 
 @dataclass(frozen=True)
 class DiscreteSSM2D:
     """Discrete parameter set driving the 2D recurrence. Abar* have shape
-    (..., N, N) and Bbar*/C* shape (..., N); the batch shape (...) is ()
-    for constant parameters and (V, T) for per-cell (selective) ones."""
+    (..., N, N) and Bbar*/C* shape (..., N), with one batch shape (...)
+    for every field: () for constant parameters and (V, T) for per-cell
+    (selective) ones."""
 
     Abar1: np.ndarray
     Abar2: np.ndarray
@@ -84,63 +91,54 @@ class DiscreteSSM2D:
     C1: np.ndarray
     C2: np.ndarray
 
+    def __post_init__(self):
+        shape = self.Abar1.shape
+        batch, n = shape[:-2], shape[-1:]
+        square, vector = batch + n + n, batch + n
+        for name, a in vars(self).items():
+            want = square if name.startswith("Abar") else vector
+            if a.shape != want:
+                raise ValueError(
+                    f"{name} has shape {a.shape}, expected {want}: every field takes the batch shape "
+                    f"of Abar1 {shape}, () when constant, with Abar* (..., N, N) and Bbar*/C* (..., N)"
+                )
+
     @property
     def n(self) -> int:
         return self.Abar1.shape[-1]
 
-    def on_rows(self, v_count: int, t_count: int) -> "DiscreteSSM2D":
-        """The parameters indexed by variate row: fields already on the
-        (V, T) grid pass through unchanged, and a constant field gets batch
-        shape (V, 1), a read-only view whose row v is the one matrix or
-        vector that numpy broadcasts along the row (of a contiguous copy
-        if the field is not contiguous). Raises if a field's batch shape
-        is neither () nor the grid."""
-        grid = (v_count, t_count)
-        fields = {}
-        for name, a in vars(self).items():
-            a = np.asarray(a)
-            lead = a.ndim - (2 if name.startswith("Abar") else 1)
-            batch = a.shape[:lead]
-            if batch not in ((), grid):
-                raise ValueError(f"{name} has batch shape {batch}; expected () or the grid {grid}")
-            if batch == ():
-                # the same stride-0 view np.broadcast_to makes, built by the
-                # ndarray constructor at a fraction of its per-call cost
-                a = np.ascontiguousarray(a)
-                a = np.ndarray((v_count, 1) + a.shape, a.dtype, a, strides=(0, 0) + a.strides)
-                a.flags.writeable = False
-            fields[name] = a
-        return DiscreteSSM2D(**fields)
-
     def on_grid(self, v_count: int, t_count: int) -> "DiscreteSSM2D":
-        """The parameters with batch shape (V, T): constant fields are
-        broadcast, fields already on the grid pass through unchanged."""
+        """The parameters with batch shape (V, T): constant ones broadcast,
+        per-cell ones on that grid unchanged. Raises for any other batch
+        shape."""
         grid = (v_count, t_count)
-        fields = vars(self.on_rows(v_count, t_count))
-        return DiscreteSSM2D(**{
-            name: a if a.shape[:2] == grid else np.broadcast_to(a, grid + a.shape[2:])
-            for name, a in fields.items()
-        })
+        batch = self.Abar1.shape[:-2]
+        if batch == grid:
+            return self
+        if batch:
+            raise ValueError(f"parameters have batch shape {batch}; expected () or the grid {grid}")
+        return DiscreteSSM2D(**{name: np.broadcast_to(a, grid + a.shape) for name, a in vars(self).items()})
 
 
-def zoh_pair(a: StructuredMatrix, b, dt) -> tuple[np.ndarray, np.ndarray]:
+def zoh_pair(a, b, dt) -> tuple[np.ndarray, np.ndarray]:
     """Discretize one (A, B) pair: returns (exp(dt*A), ZOH input matrix)
-    for B of shape (..., N) and dt of a batch shape (...); Abar has dt's."""
+    for A (N, N) or its (N,) diagonal, B of shape (..., N) and dt of a
+    batch shape (...); Abar has dt's."""
     dt = _checked_step("dt", dt)
-    b = np.asarray(b, dtype=float)
-    n = a.n
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    n = a.shape[-1]
     if b.shape[-1:] != (n,):
         raise ValueError(f"input matrix B has shape {b.shape}: its last axis must have length N = {n}")
     if not np.isfinite(b).all():
         raise ValueError("non-finite input matrix")
-    if a.kind == DIAGONAL:
-        diag = dt[..., None] * a.data
+    if a.ndim == 1:
+        diag = dt[..., None] * a
         # expm1(dt*a) / a elementwise, and its limit dt where dt*a == 0
-        bbar = np.where(diag == 0.0, dt[..., None], np.expm1(diag) / np.where(diag == 0.0, 1.0, a.data)) * b
+        bbar = np.where(diag == 0.0, dt[..., None], np.expm1(diag) / np.where(diag == 0.0, 1.0, a)) * b
         return expm(a, dt), bbar
     aug = np.eye(2 * n, k=n)  # [[0, I], [0, 0]]
-    aug[:n, :n] = a.dense()
-    e = expm(StructuredMatrix(DENSE, aug), dt)
+    aug[:n, :n] = a
+    e = expm(aug, dt)
     return e[..., :n, :n], (e[..., :n, n:] @ b[..., None])[..., 0]
 
 

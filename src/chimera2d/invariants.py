@@ -109,12 +109,12 @@ def _check_expm_doubling():
     rng = np.random.default_rng(13)
     diag = rng.uniform(-1, 1, 4)
     dense = 0.5 * rng.standard_normal((4, 4))
-    for m, m2 in [
-        (diagonal_matrix(diag), diagonal_matrix(2 * diag)),
-        (dense_matrix(dense), dense_matrix(2 * dense)),
+    for kind, m, m2 in [
+        ("diagonal", diagonal_matrix(diag), diagonal_matrix(2 * diag)),
+        ("dense", dense_matrix(dense), dense_matrix(2 * dense)),
     ]:
         diff = np.max(np.abs(expm(m) @ expm(m) - expm(m2)))
-        assert diff < 1e-9, f"{m.kind}: expm(A)^2 vs expm(2A) diff {diff:.3e}"
+        assert diff < 1e-9, f"{kind}: expm(A)^2 vs expm(2A) diff {diff:.3e}"
 
 
 # ----------------------------------------------------------------------
@@ -473,30 +473,20 @@ def _check_model_gradient_sanity():
 
 
 def _assert_fd_stacked_exact(cfg: ModelConfig, x: np.ndarray, y: np.ndarray) -> None:
-    def loss_fn(m):
-        return mse_loss(m.forward(x), y)
-
     model = ChimeraModel.init_random(cfg)
     names = [n for n in model.params if not n.startswith("decoder.")]
     grads = stacked_fd_gradient(model, x, y, names)
+    ref = fd_gradient(model, lambda m: mse_loss(m.forward(x), y), names)
     for name in names:
-        for i, orig in enumerate(model.params[name].reshape(-1)):
-            h = 1e-4 * max(1.0, abs(orig))
-            losses = []
-            for value in (orig + h, orig - h):
-                fresh = model.copy()
-                fresh.params[name].reshape(-1)[i] = value
-                losses.append(loss_fn(fresh))
-            ref = (losses[0] - losses[1]) / (2.0 * h)
-            got = grads[name].reshape(-1)[i]
-            assert got == ref, f"{name}[{i}]: stacked {got:.17g} != rerun {ref:.17g}"
+        for i, (got, want) in enumerate(zip(grads[name].reshape(-1), ref[name].reshape(-1))):
+            assert got == want, f"{name}[{i}]: stacked {got:.17g} != fd_gradient {want:.17g}"
 
 
 @invariant("model.fd_stacked_exact")
 def _check_model_fd_stacked_exact():
     # fit's gradient evaluates each group's variants stacked and reuses the
-    # passes no variant reaches; it must equal, bit for bit, one that
-    # reruns a fresh copy of the model per evaluation
+    # passes no variant reaches; it must equal, bit for bit, fd_gradient,
+    # which reruns the whole model per evaluation
     rng = np.random.default_rng(74)
     x = rng.standard_normal((2, 6, 1))
     y = rng.standard_normal((2, 6, 1))
@@ -566,7 +556,7 @@ def _stable_coeffs(rng: np.random.Generator, order: int) -> np.ndarray:
         coeffs = rng.uniform(-0.9, 0.9, order)
         if order == 0:
             return coeffs
-        companion = companion_from_coeffs(coeffs[::-1]).dense().T
+        companion = companion_from_coeffs(coeffs[::-1]).T
         if np.max(np.abs(np.linalg.eigvals(companion))) < 0.95:
             return coeffs
 

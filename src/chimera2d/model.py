@@ -328,7 +328,7 @@ def fd_gradient(
 
     loss_fn receives a private copy of the model, with one coordinate
     moved, and evaluates it from scratch every time. This is the oracle
-    of `stacked_fd_gradient`, which `fit` uses."""
+    of the stacked evaluation that `fit` uses (`stacked_fd_gradient`)."""
     names = list(model.params) if names is None else names
     grads: dict[str, np.ndarray] = {}
     work = model.copy()
@@ -363,10 +363,11 @@ class _StackedVariants(ChimeraModel):
     """A model on one series x that evaluates the perturbed copies
     (variants) of one group of parameters at a time, stacked on a
     leading axis: `outputs` gives their B forwards as one (B, V, T, d)
-    array.
+    array, and `gradient` the central differences of an MSE from them.
 
     Every block pass that no variant reaches is the base pass, run once
-    when the object is built, with its discretization kept. A perturbed
+    when the object is built, with its discretization kept; that forward
+    is `y`, the unperturbed model's output. A perturbed
     block runs each variant alone on its base input, and each block
     after it runs once on the stack, with its base discretization. A
     perturbed weight matrix is a (B, 1, d, d) stack in `params`."""
@@ -376,7 +377,7 @@ class _StackedVariants(ChimeraModel):
         self.x = x
         self.base: dict[str, _BasePass] = {}
         self.own: tuple[str, np.ndarray] | None = None  # perturbed block, its outputs
-        self.forward(x)
+        self.y = self.forward(x)
 
     def _ssm_pass(self, prefix, x, dp=None):
         if self.own is not None and prefix == self.own[0]:
@@ -415,37 +416,40 @@ class _StackedVariants(ChimeraModel):
         # a parameter the forward never reads leaves every variant at the base
         return np.broadcast_to(out, (len(values),) + self.x.shape)
 
+    def gradient(self, y: np.ndarray, names: list[str]) -> dict[str, np.ndarray]:
+        """`fd_gradient` of the MSE between the forward and y, bit for
+        bit, one group at a time with the group's variants stacked. A
+        group is one SSM block's parameters or one other parameter, so
+        the stacks never hold more than the largest group's variants."""
+        groups: dict[str, list[str]] = {}
+        for name in names:
+            prefix = name.rpartition(".")[0]
+            groups.setdefault(prefix if prefix in self.base else name, []).append(name)
+        grads = {name: np.zeros_like(self.params[name]) for name in names}
+        for group, members in groups.items():
+            coords = [
+                (name, i, orig, _fd_step(orig))
+                for name in members for i, orig in enumerate(self.params[name].reshape(-1))
+            ]
+            # coordinate j moved up in variant 2j and down in variant 2j + 1
+            out = self.outputs(group, [(name, i, orig + sign * h) for name, i, orig, h in coords for sign in (1.0, -1.0)])
+            for j, (name, i, _, h) in enumerate(coords):
+                up, down = mse_loss(out[2 * j], y), mse_loss(out[2 * j + 1], y)
+                if not (np.isfinite(up) and np.isfinite(down)):
+                    raise FloatingPointError(f"non-finite loss while differentiating {name}")
+                grads[name].reshape(-1)[i] = (up - down) / (2.0 * h)
+        return grads
+
 
 def stacked_fd_gradient(model: ChimeraModel, x, y, names: list[str] | None = None) -> dict[str, np.ndarray]:
     """`fd_gradient` of the MSE between model(x) and y, bit for bit,
-    evaluated one group at a time with the group's variants stacked. A
-    group is one SSM block's parameters or one other parameter, so the
-    stacks never hold more than the largest group's variants.
+    evaluated one group at a time with the group's variants stacked.
 
     Raises FloatingPointError naming the parameter when a variant's loss
     is not finite, and ValueError when a pass cannot be formed (as a
     forward would)."""
-    x, y = as_series(x), as_series(y)
     names = list(model.params) if names is None else names
-    work = _StackedVariants(model, x)
-    groups: dict[str, list[str]] = {}
-    for name in names:
-        prefix = name.rpartition(".")[0]
-        groups.setdefault(prefix if prefix in work.base else name, []).append(name)
-    grads = {name: np.zeros_like(model.params[name]) for name in names}
-    for group, members in groups.items():
-        coords = [
-            (name, i, orig, _fd_step(orig))
-            for name in members for i, orig in enumerate(model.params[name].reshape(-1))
-        ]
-        # coordinate j moved up in variant 2j and down in variant 2j + 1
-        out = work.outputs(group, [(name, i, orig + sign * h) for name, i, orig, h in coords for sign in (1.0, -1.0)])
-        for j, (name, i, _, h) in enumerate(coords):
-            up, down = mse_loss(out[2 * j], y), mse_loss(out[2 * j + 1], y)
-            if not (np.isfinite(up) and np.isfinite(down)):
-                raise FloatingPointError(f"non-finite loss while differentiating {name}")
-            grads[name].reshape(-1)[i] = (up - down) / (2.0 * h)
-    return grads
+    return _StackedVariants(model, as_series(x)).gradient(as_series(y), names)
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
@@ -472,28 +476,22 @@ def fit(
     model = model.copy()
     # the decoder is not trained: forward never reads it
     names = [n for n in model.params if not n.startswith("decoder.")]
-
-    def loss_fn(m: ChimeraModel) -> float:
-        try:
-            loss = mse_loss(m.forward(x), y)
-        except ValueError as exc:
-            # forward pass overflowed before the loss could be formed
-            raise FloatingPointError(f"training diverged: {exc}; {m._first_unstable_block()}") from exc
-        if not np.isfinite(loss):
-            raise FloatingPointError(f"training diverged: loss={loss}; {m._first_unstable_block()}")
-        return loss
-
     # overflow inside a diverging step surfaces as FloatingPointError
-    # above; the intermediate numpy warnings are just noise
+    # below; the intermediate numpy warnings are just noise
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
-            loss = loss_fn(model)
-            model.loss_history.append(loss)
-            if tol is not None and loss < tol:
-                break
             try:
-                grads = stacked_fd_gradient(model, x, y, names)
+                # the gradient's base pass is the step's forward
+                work = _StackedVariants(model, x)
+                loss = mse_loss(work.y, y)
+                if not np.isfinite(loss):
+                    raise ValueError(f"loss={loss}")
+                model.loss_history.append(loss)
+                if tol is not None and loss < tol:
+                    break
+                grads = work.gradient(y, names)
             except ValueError as exc:
+                # a pass or the loss overflowed
                 raise FloatingPointError(f"training diverged: {exc}; {model._first_unstable_block()}") from exc
             for name, g in grads.items():
                 model.params[name] -= lr * g

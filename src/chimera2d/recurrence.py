@@ -37,23 +37,11 @@ def as_series(x, stacked: bool = False) -> np.ndarray:
     return x
 
 
-def is_constant(dp: DiscreteSSM2D) -> bool:
-    """Whether one parameter set serves every cell: Abar* of shape
-    (N, N) and Bbar*/C* of shape (N,)."""
-    n = dp.n
-    return all(np.shape(a) == ((n, n) if i < 4 else (n,)) for i, a in enumerate(vars(dp).values()))
-
-
 def require_constant(dp: DiscreteSSM2D, caller: str) -> None:
     """Reject per-cell parameters where one parameter set must serve
     every cell."""
-    if not is_constant(dp):
-        n = dp.n
-        shapes = [np.shape(a) for a in vars(dp).values()]
-        raise ValueError(
-            f"{caller} needs constant parameters (Abar* of shape ({n}, {n}), "
-            f"Bbar*/C* of shape ({n},)), got shapes {shapes}"
-        )
+    if dp.Abar1.ndim != 2:
+        raise ValueError(f"{caller} needs constant parameters (batch shape ()), got batch shape {dp.Abar1.shape[:-2]}")
 
 
 def transition_probe(dp: DiscreteSSM2D) -> dict[str, float]:

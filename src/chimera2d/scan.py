@@ -50,10 +50,9 @@ gated on the sequential oracle by the test suite:
   each result is bit-identical to its own call (folding the stack into
   the channel axis would turn the chain's one-row products into
   multi-row ones, which round differently).
-- Any per-cell field (the selective path): `_sweep_cells` keeps the
-  oracle's (V, T, N, d) layout, state innermost. A per-cell field enters
-  each row as its (T, ...) slice and a constant one as one (1, N, N)
-  matrix or (1, N) vector that `@` applies to the whole row, and each
+- Per-cell parameters (the selective path, every field of batch shape
+  (V, T)): `_sweep_cells` keeps the oracle's (V, T, N, d) layout, state
+  innermost. Each field enters a row as its (T, ...) slice, and each
   row's chain is one work-efficient tree scan over its per-step
   transitions (Blelloch 1990, "Prefix sums and their applications"),
   `_scan_affine`.
@@ -79,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import DiscreteSSM2D
-from .recurrence import as_series, is_constant, require_constant
+from .recurrence import as_series, require_constant
 from .structured import powers
 
 
@@ -247,7 +246,7 @@ def _sweep_shared(dp: DiscreteSSM2D, x: np.ndarray):
     rows = hidden.swapaxes(0, -4)
     h1, h2 = rows[..., :n, :], rows[..., n:, :]
     cross = np.concatenate((dp.Abar3, dp.Abar4), axis=1)
-    row_chain = _SharedChain(np.asarray(dp.Abar1), t_count)
+    row_chain = _SharedChain(dp.Abar1, t_count)
     for v in range(v_count):
         if v > 0:
             # cross-variate state: pointwise in t given the previous row
@@ -262,30 +261,22 @@ def _sweep_shared(dp: DiscreteSSM2D, x: np.ndarray):
 
 
 def _sweep_cells(dp: DiscreteSSM2D, x: np.ndarray):
-    """The row sweep for parameters with any per-cell field, with the
-    state axes innermost: each row's time chain is one `_scan_affine`
-    tree scan over its per-step transitions."""
+    """The row sweep for per-cell parameters on x's grid, with the state
+    axes innermost: each row's time chain is one `_scan_affine` tree scan
+    over its per-step transitions."""
     v_count, t_count, _ = x.shape
-    n = dp.n
-    p = dp.on_rows(v_count, t_count)
+    p = dp.on_grid(v_count, t_count)  # raises unless dp is on x's grid
     # input terms for the whole grid; the row sweep completes them in place
     h1 = p.Bbar1[..., None] * x[:, :, None, :]
     h2 = p.Bbar2[..., None] * x[:, :, None, :]
-    # the tree takes one transition per step, so a constant Abar1 is tiled
-    # along the row; a per-cell one is passed as it is (the tree ran slower
-    # on a broadcast view of it)
-    abar1 = p.Abar1 if p.Abar1.shape[1] == t_count else np.broadcast_to(p.Abar1, (v_count, t_count, n, n))
-    # Abar2 at t = 1..T-1: the last T-1 columns of a per-cell field, the
-    # one column of a constant one (a slice from -k keeps a shorter axis)
-    abar2 = p.Abar2[:, 1 - t_count :]
     for v in range(v_count):
         if v > 0:
             # cross-variate state: pointwise in t given the previous row
             h2[v] += p.Abar3[v] @ h1[v - 1] + p.Abar4[v] @ h2[v - 1]
         # cross-time state: one inclusive scan along the row
         g = h1[v]
-        g[1:] += abar2[v] @ h2[v, :-1]
-        h1[v] = _scan_affine(np.ascontiguousarray(abar1[v]), g)
+        g[1:] += p.Abar2[v, 1:] @ h2[v, :-1]
+        h1[v] = _scan_affine(np.ascontiguousarray(p.Abar1[v]), g)
     # the readout is one dot product per cell with no matrix to share;
     # at small N and d einsum's inner loop runs it about twice as fast as
     # matmul, which makes one BLAS call per cell
@@ -296,13 +287,13 @@ def _sweep_cells(dp: DiscreteSSM2D, x: np.ndarray):
 def scan_forward(dp: DiscreteSSM2D, x, return_hidden: bool = False):
     """Scan-based forward pass, equal to the sequential recurrence.
 
-    Each field of `dp` may be constant (batch shape ()) or per-cell on the
-    input's (V, T) grid. Returns y of shape (V, T, d), and with
+    `dp` is constant (batch shape ()) or per-cell on the input's (V, T)
+    grid. Returns y of shape (V, T, d), and with
     `return_hidden` also the hidden grids (h1, h2), each (V, T, N, d).
     Constant parameters also take a stack of series, x of shape
     (..., V, T, d), and give each one the result it gets alone, bit for
     bit; the outputs then carry the same leading axes."""
-    constant = is_constant(dp)
+    constant = dp.Abar1.ndim == 2
     x = as_series(x, stacked=constant)
     y, h1, h2 = (_sweep_shared if constant else _sweep_cells)(dp, x)
     if return_hidden:
@@ -333,7 +324,7 @@ def closed_loop_decode(
     _, (h1, h2) = scan_forward(dp, x_ctx, return_hidden=True)
     # the last context column with variates innermost, (d, N, V)
     h1_prev, h2_prev = h1[:, -1].T, h2[:, -1].T
-    variate_chain = _SharedChain(np.asarray(dp.Abar4), v_count)
+    variate_chain = _SharedChain(dp.Abar4, v_count)
     out = np.empty((v_count, horizon, d))
     for step in range(horizon):
         u = d1 @ h1_prev + d2 @ h2_prev

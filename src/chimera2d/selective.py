@@ -2,11 +2,14 @@
 
 Per cell (v, t) the projections compute B1, B2, C1, C2 as affine maps of
 the input vector x[v,t], and the step sizes as softplus(affine), keeping
-them strictly positive. The transition matrices A1..A4 stay shared and
-input-independent; the discretization then flows through the standard
-ZOH path, batched over the grid, so the Abar matrices depend on the input
-only through the step sizes (as in Mamba, Gu & Dao, arXiv 2312.00752),
-and one `structured.expm` call per shared matrix serves the whole grid.
+them strictly positive. The transition matrices A1..A4 (plain arrays,
+(N, N) or an (N,) diagonal) stay shared and input-independent; the
+discretization then flows through the standard ZOH path, batched over
+the grid, so the Abar matrices depend on the input only through the step
+sizes (as in Mamba, Gu & Dao, arXiv 2312.00752), and one
+`structured.expm` call per shared matrix serves the whole grid. Every
+field of the result takes the batch shape of the inputs, (V, T) on a
+grid: a per-cell parameter set.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import numpy as np
 
 from .discretize import DT_FLOOR, ContinuousSSM2D, DiscreteSSM2D, discretize_all
 from .recurrence import as_series
-from .structured import StructuredMatrix
 
 # initial step size, a conventional stable step
 DT_INIT = 0.1
@@ -80,7 +82,7 @@ class SelectiveProjections:
 def project_cell_params(
     proj: SelectiveProjections,
     x: np.ndarray,
-    a_set: tuple[StructuredMatrix, StructuredMatrix, StructuredMatrix, StructuredMatrix],
+    a_set: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ) -> DiscreteSSM2D:
     """Discrete parameters for cell inputs x of shape (..., d): one cell
     for x of length d, and the leading shape of x as the batch shape
@@ -106,7 +108,7 @@ def project_cell_params(
 def project_grid_params(
     proj: SelectiveProjections,
     x,
-    a_set: tuple[StructuredMatrix, StructuredMatrix, StructuredMatrix, StructuredMatrix],
+    a_set: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ) -> DiscreteSSM2D:
     """Per-cell parameters (batch shape (V, T)) for a whole (V, T, d)
     grid, for the scan path: one projection and one batched

@@ -1,9 +1,9 @@
-"""Structured square matrices: companion, diagonal, and dense.
+"""Transition matrices as plain float arrays, and their exponential.
 
-A companion matrix is a shift matrix (ones on the subdiagonal) plus a
-rank-1 last column. Diagonal matrices exponentiate elementwise. Dense is
-the fallback used wherever structure is lost (e.g. after a matrix
-exponential of a companion).
+A transition is an (N, N) array, or an (N,) array holding the entries
+of a diagonal one, which exponentiates elementwise. The constructors
+below validate their input and return such arrays: a companion matrix
+is a shift matrix (ones on the subdiagonal) plus a rank-1 last column.
 
 `expm` is scaling and squaring with a Taylor series in the powers of the
 shared M, so no matrix is inverted (Al-Mohy & Higham, SIAM J. Matrix
@@ -13,65 +13,34 @@ Anal. Appl. 31(3), 2009, and SIAM J. Sci. Comput. 33(2), 2011).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from math import ceil, factorial, isfinite, ldexp, log2
 
 import numpy as np
 
-COMPANION = "companion"
-DIAGONAL = "diagonal"
-DENSE = "dense"
 
-
-@dataclass(frozen=True)
-class StructuredMatrix:
-    """Tagged N x N matrix. `data` holds the coefficient column for
-    companion, the diagonal for diagonal, and the full entries for dense."""
-
-    kind: str
-    data: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in (COMPANION, DIAGONAL, DENSE):
-            raise ValueError(f"unknown matrix kind {self.kind!r}")
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[-1]
-
-    def dense(self) -> np.ndarray:
-        """Materialize as a plain dense array."""
-        if self.kind == DENSE:
-            return self.data.copy()
-        if self.kind == DIAGONAL:
-            return np.diag(self.data)
-        n = self.data.shape[0]
-        out = np.zeros((n, n))
-        out[1:, :-1] = np.eye(n - 1)
-        out[:, -1] = self.data
-        return out
-
-
-def companion_from_coeffs(a) -> StructuredMatrix:
-    """Companion matrix with subdiagonal ones and last column `a`."""
+def companion_from_coeffs(a) -> np.ndarray:
+    """(N, N) companion matrix with subdiagonal ones and last column `a`."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise ValueError("companion coefficients must be a nonempty 1-d vector")
-    return StructuredMatrix(COMPANION, a)
+    out = np.eye(a.size, k=-1)
+    out[:, -1] = a
+    return out
 
 
-def diagonal_matrix(diag) -> StructuredMatrix:
+def diagonal_matrix(diag) -> np.ndarray:
+    """A diagonal transition: its (N,) vector of entries."""
     diag = np.asarray(diag, dtype=float)
     if diag.ndim != 1 or diag.size == 0:
         raise ValueError("diagonal must be a nonempty 1-d vector")
-    return StructuredMatrix(DIAGONAL, diag)
+    return diag
 
 
-def dense_matrix(entries) -> StructuredMatrix:
+def dense_matrix(entries) -> np.ndarray:
     entries = np.asarray(entries, dtype=float)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] == 0:
         raise ValueError("dense matrix must be square and nonempty")
-    return StructuredMatrix(DENSE, entries)
+    return entries
 
 
 # Degree m of exp(X)'s Taylor series is accurate while ||X||_1 <= theta_m:
@@ -104,39 +73,38 @@ def _finite(e: np.ndarray) -> np.ndarray:
     return e
 
 
-def expm(m: StructuredMatrix, t=1.0) -> np.ndarray:
-    """exp(t * M) as a dense array, for a scalar t or an array of them.
+def expm(a, t=1.0) -> np.ndarray:
+    """exp(t * A) as an (N, N) array, for a scalar t or an array of them.
 
-    The result has shape t.shape + (N, N); a dense M may also carry
-    leading stack axes, broadcast against t. Diagonal is elementwise
-    exp. Companion/dense: each t M is halved s times (its own s) to x Z,
-    Z = M / ||M||_1 and |x| <= theta_18, its Taylor series is one row of
+    A is an (N, N) array or the (N,) entries of a diagonal one, and the
+    result has shape t.shape + (N, N). Diagonal is elementwise exp.
+    Otherwise each t A is halved s times (its own s) to x Z,
+    Z = A / ||A||_1 and |x| <= theta_18, its Taylor series is one row of
     one (results, m) @ (m, N^2) matmul of the powers of x with the terms
-    Z^k / k!, and it is squared back s times. Raises ValueError if t * M
-    has a non-finite entry, or if exp(t * M) overflows.
+    Z^k / k!, and it is squared back s times. Raises ValueError if t * A
+    has a non-finite entry, or if exp(t * A) overflows.
     """
-    t = np.asarray(t, dtype=float)
-    if m.kind == DIAGONAL:
-        z = t[..., None] * m.data
+    a, t = np.asarray(a, dtype=float), np.asarray(t, dtype=float)
+    if a.ndim == 1:
+        z = t[..., None] * a
         if not np.isfinite(z).all():
             raise ValueError("non-finite entries")
         out = np.zeros(z.shape + z.shape[-1:])
         idx = np.arange(z.shape[-1])
         out[..., idx, idx] = _finite(np.exp(z))
         return out
-    a = m.dense()
     n = a.shape[-1]
-    norm = np.abs(a).sum(axis=-2).max(axis=-1)
-    if t.ndim == norm.ndim == 0:
+    norm = float(np.abs(a).sum(axis=0).max())
+    z = a / (norm or 1.0)
+    if t.ndim == 0:
         # one exponential: the scaling in Python floats
-        size = abs(float(t)) * float(norm)
+        size = abs(float(t)) * norm
         if not isfinite(size):
             raise ValueError("non-finite entries")
         s = ceil(log2(size / _THETAS[-1])) if size > _THETAS[-1] else 0
-        x = np.float64(ldexp(float(t) * float(norm), -s))
+        x = np.float64(ldexp(float(t) * norm, -s))
         deg = bisect_left(_THETAS, abs(x), hi=_DEGREE - 1) + 1
         coef = x ** _EXPONENTS[:deg]
-        z = a / (float(norm) or 1.0)
     else:
         size = np.abs(t) * norm
         if not np.isfinite(size).all():
@@ -145,14 +113,10 @@ def expm(m: StructuredMatrix, t=1.0) -> np.ndarray:
         x = t * norm * np.exp2(-s)
         deg = bisect_left(_THETAS, np.abs(x).max(), hi=_DEGREE - 1) + 1
         coef = powers(x, deg, np.multiply)  # x^k by doubling: a float ** table is slower
-        z = a / np.where(norm > 0.0, norm, 1.0)[..., None, None]
     # the series terms Z^k / k!, one (results, m) @ (m, N^2) matmul away
-    terms = powers(z, deg).reshape((deg,) + z.shape[:-2] + (n * n,))
-    terms *= _INV_FACTORIALS[1 : deg + 1].reshape((deg,) + (1,) * (z.ndim - 1))
-    if z.ndim == 2:
-        out = coef.reshape(deg, -1).T @ terms
-    else:
-        out = np.moveaxis(coef, 0, -1)[..., None, :] @ np.moveaxis(terms, 0, -2)
+    terms = powers(z, deg).reshape(deg, n * n)
+    terms *= _INV_FACTORIALS[1 : deg + 1, None]
+    out = coef.reshape(deg, -1).T @ terms
     out = out.reshape(x.shape + (n * n,))
     out[..., :: n + 1] += 1.0  # the k = 0 term, on each flattened diagonal
     out = out.reshape(x.shape + (n, n))

@@ -69,6 +69,21 @@ def test_bad_csv_cell_exits_2_naming_file_and_line(tmp_path, capsys, cell, probl
     assert capsys.readouterr().err.startswith(f"error: config: {problem} value in {data} line 3")
 
 
+def test_header_only_csv_exits_2_naming_file(tmp_path, capsys):
+    data = tmp_path / "header.csv"
+    data.write_text("t,var_0,var_1\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": str(data), "steps": 1}))
+    assert cmd_dispatch(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.strip() == f"error: config: no data rows in series file {data}"
+    series = tmp_path / "series.csv"
+    with open(series, "w", encoding="utf-8") as fh:
+        write_series_csv(fh, np.ones((2, 4)))
+    args = ["eval", "--pred", str(series), "--truth", str(series), "--insample", str(data), "--out", str(tmp_path)]
+    assert cmd_dispatch(args) == 2
+    assert capsys.readouterr().err.strip() == f"error: config: no data rows in series file {data}"
+
+
 # ----------------------------------------------------------------------
 # subcommands
 
@@ -173,6 +188,22 @@ def test_bad_checkpoint_exits_2_naming_it(tmp_path, capsys, case):
     named = {"unknown_key": "gate_dim", "missing_param": "head.w", "misshapen_param": "layer0.trend.f.a1"}
     if case in named:
         assert named[case] in err
+
+
+def test_forecast_rejects_checkpoint_with_several_channels(tmp_path, capsys):
+    from chimera2d import ChimeraModel, ModelConfig
+
+    data = tmp_path / "series.csv"
+    with open(data, "w", encoding="utf-8") as fh:
+        write_series_csv(fh, np.zeros((2, 6)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": str(data)}))
+    ckpt = tmp_path / "ckpt.json"
+    ChimeraModel.init_random(ModelConfig(layers=1, state_dim=2, channels=3)).save(ckpt)
+    args = ["forecast", "--config", str(cfg), "--out", str(tmp_path), "--checkpoint", str(ckpt)]
+    assert cmd_dispatch(args) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: config:") and str(ckpt) in err and "channels=3" in err
 
 
 def test_unknown_subcommand_exits_2():

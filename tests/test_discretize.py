@@ -95,10 +95,10 @@ def test_discretize_all_pairing():
     p = _system()
     dp = discretize_all(p)
     # time-axis blocks use dt1, variate-axis blocks use dt2
-    assert np.allclose(dp.Abar1, scipy.linalg.expm(p.dt1 * p.A1.dense()), atol=1e-12)
-    assert np.allclose(dp.Abar2, scipy.linalg.expm(p.dt1 * p.A2.dense()), atol=1e-12)
-    assert np.allclose(dp.Abar3, np.diag(np.exp(p.dt2 * p.A3.data)), atol=1e-12)
-    assert np.allclose(dp.Abar4, np.diag(np.exp(p.dt2 * p.A4.data)), atol=1e-12)
+    assert np.allclose(dp.Abar1, scipy.linalg.expm(p.dt1 * p.A1), atol=1e-12)
+    assert np.allclose(dp.Abar2, scipy.linalg.expm(p.dt1 * p.A2), atol=1e-12)
+    assert np.allclose(dp.Abar3, np.diag(np.exp(p.dt2 * p.A3)), atol=1e-12)
+    assert np.allclose(dp.Abar4, np.diag(np.exp(p.dt2 * p.A4)), atol=1e-12)
     assert np.array_equal(dp.C1, p.C1)
     assert np.array_equal(dp.C2, p.C2)
 
@@ -188,7 +188,7 @@ def test_per_cell_pairs_match_scalar_calls_and_van_loan(kind):
         assert np.max(np.abs(abar[idx] - abar_1)) <= 1e-14 * np.max(np.abs(abar_1)), idx
         assert np.max(np.abs(bbar[idx] - bbar_1)) <= 1e-14 * np.max(np.abs(bbar_1)), idx
         aug = np.zeros((n + 1, n + 1))
-        aug[:n, :n] = a.dense()
+        aug[:n, :n] = np.diag(a) if kind == "diagonal" else a
         aug[:n, n] = b[idx]
         ref = scipy.linalg.expm(dt[idx] * aug)
         assert np.max(np.abs(abar[idx] - ref[:n, :n])) <= 1e-12 * np.max(np.abs(ref[:n, :n])), idx
@@ -229,6 +229,23 @@ def test_mismatched_state_dims_rejected():
         )
 
 
+@pytest.mark.parametrize("name, a", [("A2", np.zeros((2, 3))), ("A3", np.zeros((2, 2, 2)))], ids=["2x3", "3-d"])
+def test_malformed_transition_rejected_by_name(name, a):
+    with pytest.raises(ValueError, match=rf"{name} has shape {re.escape(str(a.shape))}: every A must be \(N,\) or \(N, N\)"):
+        replace(_system(n=2), **{name: a})
+
+
+def test_mixed_constant_and_per_cell_set_rejected_by_name():
+    rng = np.random.default_rng(9)
+    n = 3
+    dp = DiscreteSSM2D(*rng.standard_normal((4, n, n)), *rng.standard_normal((4, n)))
+    with pytest.raises(ValueError, match=r"C1 has shape \(2, 5, 3\), expected \(3,\)"):
+        replace(dp, C1=rng.standard_normal((2, 5, n)))
+    cells = DiscreteSSM2D(**{k: np.broadcast_to(a, (2, 5) + a.shape) for k, a in vars(dp).items()})
+    with pytest.raises(ValueError, match=r"Abar3 has shape \(3, 3\), expected \(2, 5, 3, 3\)"):
+        replace(cells, Abar3=dp.Abar3)
+
+
 def test_on_grid_broadcasts_constant_and_passes_grid_through():
     rng = np.random.default_rng(7)
     n = 3
@@ -239,21 +256,6 @@ def test_on_grid_broadcasts_constant_and_passes_grid_through():
         assert np.array_equal(a[1, 4], getattr(dp, name))
     again = grid.on_grid(2, 5)
     assert all(getattr(again, k) is a for k, a in vars(grid).items())
-
-
-def test_on_rows_keeps_constant_fields_single():
-    rng = np.random.default_rng(9)
-    n = 3
-    dp = DiscreteSSM2D(*rng.standard_normal((4, n, n)), *rng.standard_normal((4, n)))
-    per_cell_c1 = rng.standard_normal((2, 5, n))
-    rows = replace(dp, C1=per_cell_c1).on_rows(2, 5)
-    assert rows.C1 is per_cell_c1
-    for name in ("Abar1", "Abar2", "Abar3", "Abar4", "Bbar1", "Bbar2", "C2"):
-        a = getattr(rows, name)
-        # one (1, ...) view of the constant per row, never a copy
-        assert a.shape == (2, 1) + getattr(dp, name).shape
-        assert np.shares_memory(a, getattr(dp, name)) and a.strides[0] == 0
-        assert np.array_equal(a[1, 0], getattr(dp, name))
 
 
 @pytest.mark.parametrize("batch", [(2,), (5, 2), (2, 5, 1)])

@@ -219,8 +219,8 @@ def test_fit_names_the_block_whose_exponential_overflows():
 
 
 def test_fit_names_the_first_unstable_block_when_a_variant_fails(monkeypatch):
-    # a perturbed copy whose discretization fails, after the step's loss and
-    # the gradient's base passes (4 blocks each) went through
+    # a perturbed copy whose discretization fails, after the gradient's base
+    # passes (4 blocks), which give the step's loss, went through
     m = tiny_model(seed=22)
     x = np.random.default_rng(22).standard_normal((2, 8, 1))
     calls = []
@@ -228,7 +228,7 @@ def test_fit_names_the_first_unstable_block_when_a_variant_fails(monkeypatch):
 
     def failing(cont):
         calls.append(1)
-        if len(calls) > 8:
+        if len(calls) > 4:
             raise ValueError("exp(t M) overflows the float range")
         return discretize(cont)
 
@@ -307,6 +307,23 @@ def test_fd_gradient_scans_only_reached_blocks(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         stacked_fd_gradient(m, x, y, names)
     assert len(calls) <= 400
+
+
+def test_fit_step_takes_its_loss_from_the_gradient_base_pass(monkeypatch):
+    m = ChimeraModel.init_random(ModelConfig(layers=1, state_dim=2, channels=1, seed=23))
+    x, y = 0.3 * np.random.default_rng(23).standard_normal((2, 3, 8, 1))
+    names = [n for n in m.params if not n.startswith("decoder.")]
+    loss = mse_loss(m.forward(x), y)
+    calls = _count_scans(monkeypatch)
+    stacked_fd_gradient(m, x, y, names)
+    gradient_scans = len(calls)
+    calls.clear()
+    assert fit(m, (x, y), steps=1, lr=1e-4).loss_history == [loss]
+    assert len(calls) == gradient_scans
+    # a loss under tol ends training after the base pass of each of the 4 blocks
+    calls.clear()
+    assert fit(m, (x, y), steps=3, lr=1e-4, tol=np.inf).loss_history == [loss]
+    assert len(calls) == 4
 
 
 def _overflowing_readout(name):

@@ -201,31 +201,6 @@ def test_shared_parameters_match_materialized_grid(seed, v_count, t_count, d, n)
     assert rel_diff(y_grid, y_ref) < 1e-10
 
 
-@pytest.mark.parametrize("per_cell_names", [
-    ("Abar1", "C2"),
-    ("Abar2", "Abar3", "Bbar1"),
-    ("Abar4", "Bbar2", "C1"),
-])
-def test_mixed_constant_and_per_cell_fields_match_recurrence(per_cell_names):
-    rng = np.random.default_rng(len(per_cell_names))
-    # any per-cell field takes the per-cell sweep, which tiles a constant
-    # Abar1 along rows as long as two blocks of the shared sweep
-    v_count, n = 5, 3
-    t_count = 2 * _block_length(n) + 3
-    dp = _random_dp(rng, n)
-    # per-cell fields get distinct values on every cell, the rest stay shared
-    fields = dict(vars(dp))
-    for name in per_cell_names:
-        cells = [[getattr(_random_dp(rng, n), name) for _ in range(t_count)] for _ in range(v_count)]
-        fields[name] = np.array(cells)
-    mixed = DiscreteSSM2D(**fields)
-    x = rng.standard_normal((v_count, t_count, 2))
-    y, (h1, h2) = scan_forward(mixed, x, return_hidden=True)
-    y_ref, (h1_ref, h2_ref) = forward_recurrence(mixed, x)
-    for got, want in ((y, y_ref), (h1, h1_ref), (h2, h2_ref)):
-        assert rel_diff(got, want) < 1e-10
-
-
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_shared_chain_matches_sequential(n):
     # chains inside one block, at its edges, and across one and two
@@ -266,7 +241,7 @@ def test_shared_rows_longer_than_a_block_match_materialized_grid():
 
 def test_constant_parameters_take_the_shared_sweep(monkeypatch):
     calls = []
-    tree, on_rows = chimera2d.scan._scan_affine, DiscreteSSM2D.on_rows
+    tree = chimera2d.scan._scan_affine
 
     class RecordedChain(_SharedChain):
         def __init__(self, a, length):
@@ -277,13 +252,8 @@ def test_constant_parameters_take_the_shared_sweep(monkeypatch):
         calls.append(("tree", len(g)))
         return tree(a, g)
 
-    def recorded_on_rows(self, v_count, t_count):
-        calls.append(("on_rows", t_count))
-        return on_rows(self, v_count, t_count)
-
     monkeypatch.setattr(chimera2d.scan, "_SharedChain", RecordedChain)
     monkeypatch.setattr(chimera2d.scan, "_scan_affine", recorded_tree)
-    monkeypatch.setattr(DiscreteSSM2D, "on_rows", recorded_on_rows)
     rng = np.random.default_rng(11)
     dp = _random_dp(rng, 2)
     x = rng.standard_normal((3, _block_length(2), 2))
@@ -292,15 +262,11 @@ def test_constant_parameters_take_the_shared_sweep(monkeypatch):
         scan_forward(dp, x)
         assert calls == [("chain", x.shape[1])]
         calls.clear()
-    # any one per-cell field sends the grid to the per-cell sweep
-    for name in vars(dp):
-        cells = np.broadcast_to(getattr(dp, name), x.shape[:2] + getattr(dp, name).shape)
-        scan_forward(DiscreteSSM2D(**{**vars(dp), name: cells}), x)
-        # the tree recurses under its own name: count the whole rows
-        assert calls[0] == ("on_rows", x.shape[1]), name
-        assert calls.count(("tree", x.shape[1])) == len(x), name
-        assert "chain" not in {kind for kind, _ in calls}, name
-        calls.clear()
+    # the same parameters with every field per-cell take the per-cell sweep
+    scan_forward(materialized(dp, *x.shape[:2]), x)
+    # the tree recurses under its own name: count the whole rows
+    assert calls.count(("tree", x.shape[1])) == len(x)
+    assert "chain" not in {kind for kind, _ in calls}
 
 
 def test_only_per_cell_transitions_reach_the_tree_scan(monkeypatch):

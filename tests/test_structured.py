@@ -1,10 +1,9 @@
-"""Tests for the structured transition-matrix kinds."""
+"""Tests for the transition-matrix constructors and the exponential."""
 
 import numpy as np
 import pytest
 
 from chimera2d import (
-    StructuredMatrix,
     companion_from_coeffs,
     diagonal_matrix,
     dense_matrix,
@@ -15,13 +14,13 @@ from chimera2d import (
 def test_companion_zero_coeffs_is_pure_shift():
     m = companion_from_coeffs([0.0, 0.0, 0.0])
     expected = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
-    assert np.array_equal(m.dense(), expected)
+    assert np.array_equal(m, expected)
 
 
 def test_companion_dense_formula_n3():
     a = np.array([0.7, -0.2, 0.4])
     x = np.array([1.0, 2.0, 3.0])
-    out = companion_from_coeffs(a).dense() @ x
+    out = companion_from_coeffs(a) @ x
     # shift the vector down, plus coefficients times the last entry
     expected = np.array([a[0] * 3, 1 + a[1] * 3, 2 + a[2] * 3])
     assert np.allclose(out, expected, atol=1e-14)
@@ -29,7 +28,7 @@ def test_companion_dense_formula_n3():
 
 def test_companion_nilpotent_power():
     m = companion_from_coeffs(np.zeros(4))
-    assert np.all(np.linalg.matrix_power(m.dense(), 4) == 0.0)
+    assert np.all(np.linalg.matrix_power(m, 4) == 0.0)
 
 
 @pytest.mark.parametrize("kind", ["companion", "diagonal", "dense"])
@@ -44,7 +43,8 @@ def test_expm_matches_dense_reference(kind):
         m = diagonal_matrix(rng.standard_normal(n))
     else:
         m = dense_matrix(rng.standard_normal((n, n)))
-    ref = scipy.linalg.expm(0.7 * m.dense())
+    # a diagonal transition is its vector of entries
+    ref = scipy.linalg.expm(0.7 * (np.diag(m) if kind == "diagonal" else m))
     assert np.max(np.abs(expm(m, 0.7) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -63,7 +63,7 @@ def test_expm_large_norm_small_step():
     rng = np.random.default_rng(3)
     z = rng.standard_normal((4, 4))
     m = dense_matrix(1e6 * z / np.abs(z).sum(axis=0).max())
-    ref = scipy.linalg.expm(1e-7 * m.dense())
+    ref = scipy.linalg.expm(1e-7 * m)
     for out in (expm(m, 1e-7), expm(m, np.full((2, 3), 1e-7))[1, 2]):
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -75,24 +75,9 @@ def test_expm_diagonal_log2():
 
 def test_expm_nilpotent_shift_is_linear():
     dt = 0.37
-    shift = companion_from_coeffs([0.0, 0.0]).dense()
+    shift = companion_from_coeffs([0.0, 0.0])
     out = expm(dense_matrix(dt * shift))
     assert np.allclose(out, np.eye(2) + dt * shift, atol=1e-14)
-
-
-def test_expm_stack_matches_each_matrix():
-    import scipy.linalg
-
-    rng = np.random.default_rng(12)
-    # 1-norms from about 1e-3 to 10: low and high Taylor degrees, and
-    # scaling by different powers of two within one stack
-    stack = rng.standard_normal((24, 3, 3)) * np.geomspace(1e-3, 4.0, 24)[:, None, None]
-    out = expm(StructuredMatrix("dense", stack))
-    for z, e in zip(stack, out):
-        alone = expm(dense_matrix(z))
-        assert np.max(np.abs(e - alone)) <= 1e-14 * np.max(np.abs(alone))
-        ref = scipy.linalg.expm(z)
-        assert np.max(np.abs(e - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_expm_batched_steps():
@@ -119,11 +104,6 @@ def test_expm_overflow_rejected(mat, t):
     # t M is finite, but exp(t M) has entries near e^800
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflows"):
         expm(mat, t)
-
-
-def test_bad_kind_rejected():
-    with pytest.raises(ValueError):
-        StructuredMatrix("banded", np.zeros((2, 2)))
 
 
 def test_dense_requires_square():
