@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -70,12 +71,12 @@ class RunConfig:
             "season": self.season,
         }
         for name, value in positive.items():
-            if value <= 0:
-                raise ConfigError(f"{name} must be positive, got {value}")
+            if not 0 < value < math.inf:  # a NaN fails every comparison
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         for name, value in (("layers", self.layers), ("steps", self.steps),
                             ("tol", self.tol), ("noise_std", self.noise_std)):
-            if value < 0:
-                raise ConfigError(f"{name} must be nonnegative, got {value}")
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"{name} must be nonnegative and finite, got {value}")
 
     def to_dict(self) -> dict:
         blob = dataclasses.asdict(self)

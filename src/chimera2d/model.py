@@ -17,11 +17,11 @@ JSON checkpoint format serializes.
 `fit` evaluates the differences one group of parameters at a time (one
 SSM block's, or one weight matrix), with the group's 2 x (coordinates)
 perturbed copies stacked on a leading variant axis: the blocks before
-the group run once per gradient, a perturbed block runs each variant
-alone, and every later pass runs once on the (B, V, T, d) stack. Each
-variant's loss is the one a fresh forward of it gives, bit for bit
-(`fd_gradient`, which reruns the whole model per evaluation, is the
-oracle).
+the group run once per gradient, and every later pass runs once on the
+(B, V, T, d) stack; a perturbed constant block recomputes for each
+variant only what its coordinate reaches. Each variant's loss is the
+one a fresh forward of it gives, bit for bit (`fd_gradient`, which
+reruns the whole model per evaluation, is the oracle).
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .discretize import DT_FLOOR, ContinuousSSM2D, DiscreteSSM2D, discretize_all
+from .discretize import DT_FLOOR, ContinuousSSM2D, DiscreteSSM2D, discretize_all, rediscretize
 from .recurrence import as_series, transition_probe
-from .scan import closed_loop_decode, scan_forward
+from .scan import _SharedChain, closed_loop_decode, readout, scan_forward, sweep_shared
 from .selective import (
     DT_INIT, SelectiveProjections, inv_softplus, project_cell_params, project_grid_params, softplus,
 )
@@ -200,10 +200,10 @@ class ChimeraModel:
             diagonal_matrix(p[f"{prefix}.a4"]),
         )
 
-    def _block_dp(self, prefix: str):
+    def _block_cont(self, prefix: str) -> ContinuousSSM2D:
         p = self.params
         a1, a2, a3, a4 = self._a_set(prefix)
-        cont = ContinuousSSM2D(
+        return ContinuousSSM2D(
             A1=a1, A2=a2, A3=a3, A4=a4,
             B1=p[f"{prefix}.b1"], B2=p[f"{prefix}.b2"],
             C1=p[f"{prefix}.c1"], C2=p[f"{prefix}.c2"],
@@ -212,7 +212,9 @@ class ChimeraModel:
             dt1=max(float(softplus(p[f"{prefix}.dt1_raw"])), DT_FLOOR),
             dt2=max(float(softplus(p[f"{prefix}.dt2_raw"])), DT_FLOOR),
         )
-        return discretize_all(cont)
+
+    def _block_dp(self, prefix: str) -> DiscreteSSM2D:
+        return discretize_all(self._block_cont(prefix))
 
     def _block_proj(self, prefix: str) -> SelectiveProjections:
         p = self.params
@@ -249,13 +251,13 @@ class ChimeraModel:
                 return f"block {prefix} has joint transition spectral radius {rho:.4g} >= 1"
         return "every block's joint transition has spectral radius < 1"
 
-    def _ssm_pass(self, prefix: str, x: np.ndarray, dp: DiscreteSSM2D | None = None) -> np.ndarray:
+    def _ssm_pass(self, prefix: str, x: np.ndarray) -> np.ndarray:
         """One block pass on x, (V, T, d) or a stack (B, V, T, d). A
-        constant block scans a stack in one call, with `dp` if given; a
-        selective block's parameters depend on its input, so it projects
-        and scans each series of a stack in turn."""
+        constant block scans a stack in one call; a selective block's
+        parameters depend on its input, so it projects and scans each
+        series of a stack in turn."""
         if not self.config.selective:
-            return scan_forward(self._block_dp(prefix) if dp is None else dp, x)
+            return scan_forward(self._block_dp(prefix), x)
         proj, a_set = self._block_proj(prefix), self._a_set(prefix)
 
         def scan(series):
@@ -352,11 +354,24 @@ def fd_gradient(
     return grads
 
 
+# the continuous field that each SSM block parameter sets
+_FIELD = {
+    "a1": "A1", "a2": "A2", "a3": "A3", "a4": "A4", "dt1_raw": "dt1", "dt2_raw": "dt2",
+    "b1": "B1", "b2": "B2", "c1": "C1", "c2": "C2",
+}
+
+
 @dataclass
 class _BasePass:
+    """A block pass that no variant reaches: its input and output, and for
+    a constant block its `rediscretize` result (dp, Phi1, Phi4), its
+    Abar1 row chain and its solved (V, d, 2N, T) grid."""
+
     x: np.ndarray
-    dp: DiscreteSSM2D | None  # None for a selective block
     y: np.ndarray
+    zoh: tuple | None = None
+    chain: _SharedChain | None = None
+    hidden: np.ndarray | None = None
 
 
 class _StackedVariants(ChimeraModel):
@@ -366,10 +381,13 @@ class _StackedVariants(ChimeraModel):
     array, and `gradient` the central differences of an MSE from them.
 
     Every block pass that no variant reaches is the base pass, run once
-    when the object is built, with its discretization kept; that forward
-    is `y`, the unperturbed model's output. A perturbed
-    block runs each variant alone on its base input, and each block
-    after it runs once on the stack, with its base discretization. A
+    when the object is built; that forward is `y`, the unperturbed
+    model's output. A constant block's base pass keeps its
+    discretization with its Phi factors, its Abar1 row chain and its
+    solved grid, and the block's own variants recompute only what their
+    coordinate reaches (`_variant_passes`). A selective block runs each
+    of its variants alone. Each block after the group runs once on the
+    stack, a constant one with its base discretization and row chain. A
     perturbed weight matrix is a (B, 1, d, d) stack in `params`."""
 
     def __init__(self, model: ChimeraModel, x: np.ndarray):
@@ -379,16 +397,58 @@ class _StackedVariants(ChimeraModel):
         self.own: tuple[str, np.ndarray] | None = None  # perturbed block, its outputs
         self.y = self.forward(x)
 
-    def _ssm_pass(self, prefix, x, dp=None):
+    def _ssm_pass(self, prefix, x):
         if self.own is not None and prefix == self.own[0]:
             return self.own[1]
-        if x.ndim > 3:
-            return super()._ssm_pass(prefix, x, self.base[prefix].dp)
-        # no variant reached x: the base pass
         if prefix not in self.base:
-            dp = None if self.config.selective else self._block_dp(prefix)
-            self.base[prefix] = _BasePass(x, dp, super()._ssm_pass(prefix, x, dp))
-        return self.base[prefix].y
+            # no variant reached x: the base pass
+            self.base[prefix] = self._base_pass(prefix, x)
+        base = self.base[prefix]
+        if x.ndim == 3:
+            return base.y
+        if self.config.selective:
+            return super()._ssm_pass(prefix, x)
+        return sweep_shared(base.zoh[0], as_series(x, stacked=True), base.chain)[0]
+
+    def _base_pass(self, prefix: str, x: np.ndarray) -> _BasePass:
+        if self.config.selective:
+            return _BasePass(x, super()._ssm_pass(prefix, x))
+        x = as_series(x)
+        zoh = rediscretize(self._block_cont(prefix))
+        chain = _SharedChain(zoh[0].Abar1, x.shape[-2])
+        y, hidden = sweep_shared(zoh[0], x, chain)
+        return _BasePass(x, y, zoh, chain, hidden)
+
+    def _variant_passes(self, prefix: str, values: list[tuple[str, int, float]]) -> np.ndarray:
+        """The constant block's pass for each variant, (B, V, T, d). A C
+        variant is one readout of the base grid, with no exponential and
+        no sweep. Every other variant re-exponentiates only the pairs its
+        coordinate reaches (`rediscretize`; a B variant none). Those that
+        keep Abar1 (B, A2, A3, A4, dt2) run as one sweep with their
+        fields stacked, on the base row chain; an A1 or dt1 variant is
+        scanned alone."""
+        p, base = self.params, self.base[prefix]
+        readouts, stacked, alone = {}, {}, {}
+        for b, (name, i, value) in enumerate(values):
+            moved = _FIELD[name.rpartition(".")[2]]
+            flat = p[name].reshape(-1)
+            orig, flat[i] = flat[i], value
+            if moved in ("C1", "C2"):
+                readouts[b] = np.concatenate((p[f"{prefix}.c1"], p[f"{prefix}.c2"]))
+            else:
+                dp = rediscretize(self._block_cont(prefix), base.zoh, {moved})[0]
+                (alone if moved in ("A1", "dt1") else stacked)[b] = dp
+            flat[i] = orig
+        out = np.empty((len(values),) + base.y.shape)
+        if readouts:
+            out[list(readouts)] = readout(np.stack(list(readouts.values())), base.hidden)
+        if stacked:
+            dps = list(stacked.values())
+            stack = DiscreteSSM2D(**{f: np.stack([vars(dp)[f] for dp in dps]) for f in vars(dps[0])})
+            out[list(stacked)] = sweep_shared(stack, base.x, base.chain)[0]
+        for b, dp in alone.items():
+            out[b] = scan_forward(dp, base.x)
+        return out
 
     def outputs(self, group: str, values: list[tuple[str, int, float]]) -> np.ndarray:
         """The forward of each variant, variant b setting coordinate i of
@@ -396,13 +456,16 @@ class _StackedVariants(ChimeraModel):
         is an SSM block's prefix or the name of the one parameter."""
         p = self.params
         if group in self.base:
-            outs = []
-            for name, i, value in values:
-                flat = p[name].reshape(-1)
-                orig, flat[i] = flat[i], value
-                outs.append(super()._ssm_pass(group, self.base[group].x))
-                flat[i] = orig
-            self.own = (group, np.stack(outs))
+            if self.config.selective:
+                outs = []
+                for name, i, value in values:
+                    flat = p[name].reshape(-1)
+                    orig, flat[i] = flat[i], value
+                    outs.append(super()._ssm_pass(group, self.base[group].x))
+                    flat[i] = orig
+                self.own = (group, np.stack(outs))
+            else:
+                self.own = (group, self._variant_passes(group, values))
             out = self.forward(self.x)
             self.own = None
         else:
@@ -466,13 +529,19 @@ def fit(
     """Plain gradient descent on the MSE between model(x) and y.
 
     Returns an updated copy; the per-step losses are recorded on its
-    `loss_history`. Aborts with FloatingPointError if the loss diverges.
+    `loss_history`. Raises ValueError, before any pass, unless lr is
+    finite and > 0 and x and y have one shape; aborts with
+    FloatingPointError if the loss diverges.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
+    if not 0.0 < lr < np.inf:  # a NaN fails every comparison
+        raise ValueError(f"lr must be finite and > 0, got {lr}")
     x, y = data
     x = as_series(x)
     y = as_series(y)
+    if x.shape != y.shape:
+        raise ValueError(f"inputs x {x.shape} and targets y {y.shape} must have the same shape")
     model = model.copy()
     # the decoder is not trained: forward never reads it
     names = [n for n in model.params if not n.startswith("decoder.")]

@@ -34,22 +34,27 @@ translation. Each transition kind has one sweep, with its own layout
 and its own schedule for the chain, both on a single thread and both
 gated on the sequential oracle by the test suite:
 
-- Constant parameters (every field of batch shape ()): `_sweep_shared`
+- Constant parameters (every field of batch shape ()): `sweep_shared`
   keeps h1 and h2 as the two halves of one (V, d, 2N, T) grid, time
-  innermost. The input terms Bbar x are one broadcast multiply; a row's
-  h2 update is one [Abar3 Abar4] (N, 2N) @ (d, 2N, T) product on the
-  row before, its Abar2 cross term one (N, N) @ (d, N, T-1) product,
-  and the readout one [C1 C2] product with the grid, each one BLAS call
-  per channel slab. Every row's time chain goes through one
-  `_SharedChain`, built once per call: blocks of K steps, each one
-  matmul with a block-Toeplitz operator of the powers of Abar1, the
-  chunked schedule of the state-space duality in Mamba-2 (Dao & Gu
-  2024, "Transformers are SSMs"). A stack of series, x of shape
-  (..., V, T, d), keeps its leading axes outside every product, so
-  numpy makes the same BLAS call per series as for one series alone and
-  each result is bit-identical to its own call (folding the stack into
-  the channel axis would turn the chain's one-row products into
-  multi-row ones, which round differently).
+  innermost, in three steps. The input terms Bbar x are one broadcast
+  multiply (`input_terms`). The row solve (`solve_rows`) completes them
+  in place: a row's h2 update is one [Abar3 Abar4] (N, 2N) @ (d, 2N, T)
+  product on the row before and its Abar2 cross term one
+  (N, N) @ (d, N, T-1) product, each one BLAS call per channel slab,
+  and every row's time chain goes through one `_SharedChain`: blocks of
+  K steps, each one matmul with a block-Toeplitz operator of the powers
+  of Abar1, the chunked schedule of the state-space duality in Mamba-2
+  (Dao & Gu 2024, "Transformers are SSMs"). The readout (`readout`) is
+  one [C1 C2] product with the grid per channel slab. A stack of
+  series, x of shape (..., V, T, d), keeps its leading axes outside
+  every product, so numpy makes the same BLAS call per series as for
+  one series alone and each result is bit-identical to its own call
+  (folding the stack into the channel axis would turn the chain's
+  one-row products into multi-row ones, which round differently). The
+  same holds for a stack of parameter sets that share Abar1 (fields of
+  batch shape (B,), one set per series, on one prebuilt chain) and for
+  a stack of readout rows on one solved grid; `fit`'s finite
+  differences run on both.
 - Per-cell parameters (the selective path, every field of batch shape
   (V, T)): `_sweep_cells` keeps the oracle's (V, T, N, d) layout, state
   innermost. Each field enters a row as its (T, ...) slice, and each
@@ -232,32 +237,58 @@ class _SharedChain:
         return g
 
 
-def _sweep_shared(dp: DiscreteSSM2D, x: np.ndarray):
-    """The row sweep for constant parameters, on one (..., V, d, 2N, T)
-    grid whose halves are h1 and h2; returns y and the hidden grids in
-    `scan_forward`'s shapes."""
-    v_count, t_count, _ = x.shape[-3:]
-    n = dp.n
-    # time innermost; a contiguous (..., V, d, T) copy of x first makes
-    # the broadcast multiply read it in order
+def input_terms(bbar: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The shared sweep's hidden grid before its row solve: Bbar x as one
+    (..., V, d, 2N, T) grid whose halves are h1 and h2, time innermost,
+    for bbar = [Bbar1 Bbar2] of shape (..., 2N) and x of shape
+    (..., V, T, d); their leading axes broadcast."""
+    # a contiguous (..., V, d, T) copy of x first makes the broadcast
+    # multiply read it in order
     x_rows = np.ascontiguousarray(x.swapaxes(-1, -2))
-    hidden = np.multiply(np.concatenate((dp.Bbar1, dp.Bbar2))[:, None], x_rows[..., None, :], order="C")
-    # variate rows first: rows[v] is row v of every series
+    return np.multiply(bbar[..., None, None, :, None], x_rows[..., None, :], order="C")
+
+
+def solve_rows(hidden: np.ndarray, abar2, abar3, abar4, row_chain: _SharedChain) -> np.ndarray:
+    """Completes a grid of input terms (`input_terms`'s layout) to the
+    hidden states in place, row by row, and returns it. Abar2-4 are
+    (N, N), or (B, N, N) for a grid with the one leading axis (B,), one
+    transition set per leading index; `row_chain` solves Abar1's chain
+    over rows of T steps. Each leading index gets the result it gets
+    alone, bit for bit."""
+    n = abar2.shape[-1]
+    # variate rows first: rows[v] is row v of every leading index
     rows = hidden.swapaxes(0, -4)
     h1, h2 = rows[..., :n, :], rows[..., n:, :]
-    cross = np.concatenate((dp.Abar3, dp.Abar4), axis=1)
-    row_chain = _SharedChain(dp.Abar1, t_count)
-    for v in range(v_count):
+    # the transitions meet the grid's leading axes outside its channel axis
+    cross = np.concatenate((abar3, abar4), axis=-1)[..., None, :, :]
+    abar2 = abar2[..., None, :, :]
+    for v in range(len(rows)):
         if v > 0:
             # cross-variate state: pointwise in t given the previous row
             h2[v] += cross @ rows[v - 1]
         # cross-time state: one chain along the row
         g = h1[v]
-        g[..., 1:] += dp.Abar2 @ h2[v, ..., :-1]
+        g[..., 1:] += abar2 @ h2[v, ..., :-1]
         row_chain(g)
-    y = np.concatenate((dp.C1, dp.C2)) @ hidden
-    h1, h2 = hidden[..., :n, :], hidden[..., n:, :]
-    return np.ascontiguousarray(y.swapaxes(-1, -2)), h1.swapaxes(-1, -3), h2.swapaxes(-1, -3)
+    return hidden
+
+
+def readout(c: np.ndarray, hidden: np.ndarray) -> np.ndarray:
+    """y = [C1 C2] h as (..., V, T, d), for c = [C1 C2] of shape (..., 2N)
+    and a solved grid; their leading axes broadcast."""
+    y = (c[..., None, None, None, :] @ hidden)[..., 0, :]
+    return np.ascontiguousarray(y.swapaxes(-1, -2))
+
+
+def sweep_shared(dp: DiscreteSSM2D, x: np.ndarray, row_chain: _SharedChain):
+    """The row sweep for constant parameters on x, (..., V, T, d), with
+    `row_chain` Abar1's solver for rows of T steps: returns y and the
+    solved (..., V, d, 2N, T) grid. dp may also be a stack of parameter
+    sets that share Abar1 (batch shape (B,)); its leading axis meets the
+    grid's."""
+    hidden = input_terms(np.concatenate((dp.Bbar1, dp.Bbar2), axis=-1), x)
+    solve_rows(hidden, dp.Abar2, dp.Abar3, dp.Abar4, row_chain)
+    return readout(np.concatenate((dp.C1, dp.C2), axis=-1), hidden), hidden
 
 
 def _sweep_cells(dp: DiscreteSSM2D, x: np.ndarray):
@@ -295,7 +326,12 @@ def scan_forward(dp: DiscreteSSM2D, x, return_hidden: bool = False):
     bit; the outputs then carry the same leading axes."""
     constant = dp.Abar1.ndim == 2
     x = as_series(x, stacked=constant)
-    y, h1, h2 = (_sweep_shared if constant else _sweep_cells)(dp, x)
+    if constant:
+        y, hidden = sweep_shared(dp, x, _SharedChain(dp.Abar1, x.shape[-2]))
+        # (V, T, N, d) views of the grid's two halves
+        h1, h2 = hidden[..., : dp.n, :].swapaxes(-1, -3), hidden[..., dp.n :, :].swapaxes(-1, -3)
+    else:
+        y, h1, h2 = _sweep_cells(dp, x)
     if return_hidden:
         return y, (h1, h2)
     return y

@@ -27,6 +27,17 @@ def test_nonpositive_values_rejected():
         RunConfig(lr=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lr", "NaN"), ("lr", "Infinity"), ("season_hint", "NaN"), ("tol", "NaN"), ("noise_std", "NaN"),
+])
+def test_non_finite_values_exit_2_naming_the_field(tmp_path, capsys, field, value):
+    # json reads NaN and Infinity, and NaN passes every <= 0 and < 0 check
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"{field}": {value}}}')
+    assert cmd_dispatch(["generate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config: {field} must be")
+
+
 def test_config_json_file_roundtrip(tmp_path):
     path = tmp_path / "run.json"
     cfg = RunConfig(steps=3, seed=9)

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+import chimera2d.discretize
 import chimera2d.model
+import chimera2d.scan
 from chimera2d import ChimeraModel, ModelConfig, fd_gradient, fit, simulate_sar, transition_probe
 from chimera2d.invariants import _assert_fd_stacked_exact
 from chimera2d.model import mse_loss, stacked_fd_gradient
+from chimera2d.scan import _block_length
 from chimera2d.selective import inv_softplus
 
 
@@ -219,23 +222,30 @@ def test_fit_names_the_block_whose_exponential_overflows():
 
 
 def test_fit_names_the_first_unstable_block_when_a_variant_fails(monkeypatch):
-    # a perturbed copy whose discretization fails, after the gradient's base
-    # passes (4 blocks), which give the step's loss, went through
+    # a perturbed copy whose exponential fails, after the gradient's base
+    # passes (4 blocks of 4 exponentials), which give the step's loss, went
+    # through
     m = tiny_model(seed=22)
     x = np.random.default_rng(22).standard_normal((2, 8, 1))
-    calls = []
-    discretize = chimera2d.model.discretize_all
-
-    def failing(cont):
-        calls.append(1)
-        if len(calls) > 4:
-            raise ValueError("exp(t M) overflows the float range")
-        return discretize(cont)
-
-    monkeypatch.setattr(chimera2d.model, "discretize_all", failing)
+    calls = _count_calls(monkeypatch, chimera2d.discretize, "expm", fail_after=16)
     named = r"training diverged: exp\(t M\) overflows the float range; block layer0\.trend\.f has no finite"
     with pytest.raises(FloatingPointError, match=named):
         fit(m, (x, x), steps=1, lr=1e-3)
+    assert len(calls) > 16
+
+
+@pytest.mark.parametrize("lr", [np.nan, np.inf, 0.0, -1e-3])
+def test_fit_rejects_a_bad_learning_rate(lr):
+    x = np.random.default_rng(24).standard_normal((2, 6, 1))
+    with pytest.raises(ValueError, match=f"lr must be finite and > 0, got {lr}"):
+        fit(tiny_model(seed=24), (x, x), steps=1, lr=lr)
+
+
+def test_fit_names_mismatched_input_and_target_shapes():
+    rng = np.random.default_rng(25)
+    x, y = rng.standard_normal((2, 6, 1)), rng.standard_normal((2, 5, 1))
+    with pytest.raises(ValueError, match=r"inputs x \(2, 6, 1\) and targets y \(2, 5, 1\) must have the same shape"):
+        fit(tiny_model(seed=25), (x, y), steps=1, lr=1e-3)
 
 
 def test_transition_probe_figures():
@@ -257,16 +267,26 @@ def test_fit_ignores_decoder_parameters():
         assert np.array_equal(out.params[name], value)
 
 
-def _count_scans(monkeypatch):
+def _count_calls(monkeypatch, module, name, fail_after=None):
+    """Counts the calls of module.name; with `fail_after`, every later call
+    raises the ValueError of an overflowing exponential."""
     calls = []
-    scan = chimera2d.model.scan_forward
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return scan(*args, **kwargs)
+        if fail_after is not None and len(calls) > fail_after:
+            raise ValueError("exp(t M) overflows the float range")
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(chimera2d.model, "scan_forward", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _count_scans(monkeypatch):
+    # every constant-parameter sweep solves its rows once, whether it
+    # comes from scan_forward or from a stacked pass
+    return _count_calls(monkeypatch, chimera2d.scan, "solve_rows")
 
 
 @pytest.mark.parametrize("cfg", [
@@ -276,6 +296,22 @@ def _count_scans(monkeypatch):
 def test_fd_gradient_equals_rerun_on_every_coordinate(cfg):
     x, y = np.random.default_rng(16).standard_normal((2, 2, 6, 1))
     _assert_fd_stacked_exact(cfg, x, y)
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_fd_gradient_is_exact_on_rows_of_several_chain_blocks(bidirectional):
+    # at N = 3 a row chain block holds K = 28 steps, so rows of 70 steps
+    # span three blocks joined by carries
+    assert _block_length(3) == 28
+    cfg = ModelConfig(layers=2, state_dim=3, channels=2, bidirectional=bidirectional, seed=26)
+    x, y = 0.3 * np.random.default_rng(26).standard_normal((2, 3, 70, 2))
+    m = ChimeraModel.init_random(cfg)
+    names = [n for n in m.params if not n.startswith("decoder.")]
+    with np.errstate(over="ignore", invalid="ignore"):
+        grads = stacked_fd_gradient(m, x, y, names)
+        ref = fd_gradient(m, lambda mm: mse_loss(mm.forward(x), y), names)
+    for name in names:
+        assert np.array_equal(grads[name], ref[name]), name
 
 
 def test_forward_outside_fd_gradient_reruns_every_block(monkeypatch):
@@ -295,18 +331,25 @@ def test_forward_outside_fd_gradient_reruns_every_block(monkeypatch):
 
 def test_fd_gradient_scans_only_reached_blocks(monkeypatch):
     # the benchmark's fit shape: V8 x T64, d=1, N=2, 2 bidirectional layers.
-    # Rerunning every block would take 2 x 150 coordinates x 8 = 2400 scans;
-    # the stacked gradient takes 8 base passes, 36 variants for each of the
-    # 8 blocks and one stacked pass per block downstream of a group (28)
+    # Rerunning every block would take 2 x 150 coordinates x 8 = 2400 scans.
+    # The stacked gradient takes 8 base passes; per block, one sweep of the
+    # 22 variants that keep Abar1 and 6 of A1 and dt1 alone (the 8 of C are
+    # readouts of the base grid); and one stacked pass per block downstream
+    # of a group (28)
     cfg = ModelConfig(layers=2, state_dim=2, channels=1, seed=20)
     m = ChimeraModel.init_random(cfg)
     rng = np.random.default_rng(20)
     x, y = 0.3 * rng.standard_normal((2, 8, 64, 1))
     names = [n for n in m.params if not n.startswith("decoder.")]
     calls = _count_scans(monkeypatch)
+    expms = _count_calls(monkeypatch, chimera2d.discretize, "expm")
     with np.errstate(over="ignore", invalid="ignore"):
         stacked_fd_gradient(m, x, y, names)
-    assert len(calls) <= 400
+    assert len(calls) <= 8 + 8 * (1 + 6) + 28
+    # 4 per base pass, and per block one per variant of A2, A3, A4 and A1
+    # (4 each) and two per variant of dt1 and dt2 (2 each); B and C
+    # variants reuse the base pass's
+    assert len(expms) <= 8 * 4 + 8 * (4 * 4 + 2 * 2 * 2)
 
 
 def test_fit_step_takes_its_loss_from_the_gradient_base_pass(monkeypatch):

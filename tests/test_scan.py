@@ -10,7 +10,7 @@ from chimera2d import (
     DiscreteSSM2D, ScanElement, closed_loop_decode, op_star, inclusive_scan, scan_forward, forward_recurrence,
 )
 from chimera2d.invariants import _element_diff, _random_dp, _random_element
-from chimera2d.scan import _SharedChain, _block_length, _scan_affine
+from chimera2d.scan import _SharedChain, _block_length, _scan_affine, readout, sweep_shared
 
 
 def test_identity_is_two_sided():
@@ -156,6 +156,35 @@ def test_stacked_series_match_separate_scans_bit_for_bit(n):
                     y_b, (h1_b, h2_b) = scan_forward(dp, x[b], return_hidden=True)
                     for got, want in ((y[b], y_b), (h1[b], h1_b), (h2[b], h2_b)):
                         assert np.array_equal(got, want), f"T={t_count} d={d} series {b}"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stacked_parameter_sets_match_separate_scans_bit_for_bit(n):
+    # the stacked finite differences' own-block sweep: parameter sets that
+    # share Abar1 and each move Abar2, Abar3, Abar4 or Bbar, on one row
+    # chain; and sets that move only C, as readouts of one solved grid
+    k = _block_length(n)
+    rng = np.random.default_rng(50 + n)
+    base = _random_dp(rng, n)
+    moved = [{"Abar2": _random_dp(rng, n).Abar2}, {"Abar3": _random_dp(rng, n).Abar3},
+             {"Abar4": _random_dp(rng, n).Abar4, "Bbar2": rng.standard_normal(n)},
+             {"Bbar1": rng.standard_normal(n)}, {}]
+    sets = [DiscreteSSM2D(**{**vars(base), **fields}) for fields in moved]
+    stack = DiscreteSSM2D(**{name: np.stack([vars(dp)[name] for dp in sets]) for name in vars(base)})
+    readouts = [DiscreteSSM2D(**{**vars(base), "C1": rng.standard_normal(n), "C2": rng.standard_normal(n)})
+                for _ in range(3)]
+    c = np.stack([np.concatenate((dp.C1, dp.C2)) for dp in readouts])
+    for t_count in (k, 2 * k + 5):
+        x = rng.standard_normal((3, t_count, 2))[::-1]
+        chain = _SharedChain(base.Abar1, t_count)
+        y, _ = sweep_shared(stack, x, chain)
+        assert y.shape == (len(sets), 3, t_count, 2)
+        for b, dp in enumerate(sets):
+            assert np.array_equal(y[b], scan_forward(dp, x)), f"T={t_count} set {b}"
+        _, grid = sweep_shared(base, x, chain)
+        y = readout(c, grid)
+        for b, dp in enumerate(readouts):
+            assert np.array_equal(y[b], scan_forward(dp, x)), f"T={t_count} readout {b}"
 
 
 def test_stacked_series_need_constant_parameters():
