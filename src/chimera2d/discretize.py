@@ -23,8 +23,7 @@ log2(dt ||A||_1) squarings (2N x 2N) and the product Phi(dt) B.
 A discrete parameter set is either constant, every field of batch shape
 (), or per-cell, every field of one batch shape ((V, T) on a grid);
 nothing in between (`scan.sweep_shared` also takes a (B,) stack of
-constant sets). `rediscretize` recomputes only the fields that moved
-continuous fields reach, from a kept discretization.
+constant sets), which a stacked continuous set discretizes into.
 """
 
 from __future__ import annotations
@@ -51,7 +50,9 @@ def _checked_step(name: str, dt) -> np.ndarray:
 class ContinuousSSM2D:
     """Continuous-time parameter set, before discretization. Each A is
     (N, N) or the (N,) diagonal, B/C have shape (..., N) and dt1/dt2 the
-    batch shape (...): () for one cell, (V, T) for a selective grid."""
+    batch shape (...): () for one cell, (V, T) for a selective grid. A
+    `stacked` set is one set per item of the steps' shape (B,), which
+    leads every field: A (B, N, N) or (B, N), B and C (B, N)."""
 
     A1: np.ndarray
     A2: np.ndarray
@@ -63,15 +64,18 @@ class ContinuousSSM2D:
     C2: np.ndarray
     dt1: float | np.ndarray
     dt2: float | np.ndarray
+    stacked: bool = False
 
     def __post_init__(self):
         _checked_step("dt1", self.dt1)
         _checked_step("dt2", self.dt2)
+        lead = np.shape(self.dt1) if self.stacked else ()
         n = np.shape(self.A1)[-1:]  # (N,)
         for name in ("A1", "A2", "A3", "A4"):
             shape = np.shape(getattr(self, name))
-            if shape not in (n, n + n):
-                raise ValueError(f"{name} has shape {shape}: every A must be (N,) or (N, N), N from A1 {np.shape(self.A1)}")
+            if shape not in (lead + n, lead + n + n):
+                stack = f" behind the stack axes {lead}" if lead else ""
+                raise ValueError(f"{name} has shape {shape}: every A must be (N,) or (N, N){stack}, N from A1 {np.shape(self.A1)}")
         for vec in (self.B1, self.B2, self.C1, self.C2):
             if np.shape(vec)[-1:] != n:
                 raise ValueError("B and C vectors must have length N")
@@ -131,77 +135,36 @@ def _checked_input(b, n: int) -> np.ndarray:
     return b
 
 
-def _zoh_phi(a: np.ndarray, dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(exp(dt*A), Phi(dt)) for a float A, (N, N) or its (N,) diagonal,
-    and a checked dt of a batch shape (...). Phi is (..., N, N), or the
-    (..., N) entries of a diagonal one; `_phi_times` gives Bbar = Phi B."""
-    if a.ndim == 1:
-        diag = dt[..., None] * a
-        # expm1(dt*a) / a elementwise, and its limit dt where dt*a == 0
-        phi = np.where(diag == 0.0, dt[..., None], np.expm1(diag) / np.where(diag == 0.0, 1.0, a))
-        return expm(a, dt), phi
-    n = a.shape[-1]
-    aug = np.eye(2 * n, k=n)  # [[0, I], [0, 0]]
-    aug[:n, :n] = a
-    e = expm(aug, dt)
-    return e[..., :n, :n], e[..., :n, n:]
-
-
-def _phi_times(a: np.ndarray, phi: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return phi * b if a.ndim == 1 else (phi @ b[..., None])[..., 0]
-
-
-def zoh_pair(a, b, dt) -> tuple[np.ndarray, np.ndarray]:
+def zoh_pair(a, b, dt, stacked: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Discretize one (A, B) pair: returns (exp(dt*A), ZOH input matrix)
     for A (N, N) or its (N,) diagonal, B of shape (..., N) and dt of a
-    batch shape (...); Abar has dt's."""
+    batch shape (...); Abar has dt's. With `stacked`, a holds one A per
+    step size, dt's shape leading."""
     dt = _checked_step("dt", dt)
     a = np.asarray(a, dtype=float)
     b = _checked_input(b, a.shape[-1])
-    abar, phi = _zoh_phi(a, dt)
-    return abar, _phi_times(a, phi, b)
+    if a.ndim == (dt.ndim if stacked else 0) + 1:
+        diag = dt[..., None] * a
+        # expm1(dt*a) / a elementwise, and its limit dt where dt*a == 0
+        phi = np.where(diag == 0.0, dt[..., None], np.expm1(diag) / np.where(diag == 0.0, 1.0, a))
+        return expm(a, dt, stacked), phi * b
+    n = a.shape[-1]
+    aug = np.zeros(a.shape[:-2] + (2 * n, 2 * n))
+    aug[...] = np.eye(2 * n, k=n)  # [[0, I], [0, 0]]
+    aug[..., :n, :n] = a
+    e = expm(aug, dt, stacked)
+    return e[..., :n, :n], (e[..., :n, n:] @ b[..., None])[..., 0]
 
 
 def discretize_all(p: ContinuousSSM2D) -> DiscreteSSM2D:
     """Discretize the full parameter set (time step for A1/A2, variate
     step for A3/A4; B1 rides the (A1, dt1) pair, B2 the (A4, dt2) pair).
-    Each field has the batch shape of its inputs (Abar its step's)."""
-    return rediscretize(p)[0]
-
-
-def rediscretize(p: ContinuousSSM2D, base: tuple | None = None, moved: frozenset[str] | set[str] = frozenset()):
-    """`discretize_all(p)` with the Phi factors of its two input pairs:
-    returns (dp, Phi1, Phi4), Phi(dt1) of the (A1, dt1) pair and Phi(dt2)
-    of the (A4, dt2) pair.
-
-    `base` is this function's result for a parameter set that differs
-    from p only in the continuous fields named in `moved` (such as
-    {"A2"} or {"dt1"}). Then only the discrete fields that read a moved
-    field are computed, each exactly as `discretize_all` computes it, and
-    the rest are base's: a moved B is multiplied by its pair's Phi, with
-    no exponential, and a moved C is copied."""
-    fields, phi1, phi4 = ({}, None, None) if base is None else (dict(vars(base[0])), base[1], base[2])
-
-    def reads(*names):
-        return base is None or not moved.isdisjoint(names)
-
-    dt1, dt2 = _checked_step("dt1", p.dt1), _checked_step("dt2", p.dt2)
-    a1, a4 = np.asarray(p.A1, dtype=float), np.asarray(p.A4, dtype=float)
-    if reads("A1", "B1", "dt1"):
-        b1 = _checked_input(p.B1, a1.shape[-1])
-        if reads("A1", "dt1"):
-            fields["Abar1"], phi1 = _zoh_phi(a1, dt1)
-        fields["Bbar1"] = _phi_times(a1, phi1, b1)
-    if reads("A4", "B2", "dt2"):
-        b2 = _checked_input(p.B2, a4.shape[-1])
-        if reads("A4", "dt2"):
-            fields["Abar4"], phi4 = _zoh_phi(a4, dt2)
-        fields["Bbar2"] = _phi_times(a4, phi4, b2)
-    if reads("A2", "dt1"):
-        fields["Abar2"] = expm(p.A2, dt1)
-    if reads("A3", "dt2"):
-        fields["Abar3"] = expm(p.A3, dt2)
-    for name in ("C1", "C2"):
-        if reads(name):
-            fields[name] = np.asarray(getattr(p, name), dtype=float).copy()
-    return DiscreteSSM2D(**fields), phi1, phi4
+    Each field has the batch shape of its inputs (Abar its step's); an
+    item of a stacked set is bit for bit its own set's discretization."""
+    abar1, bbar1 = zoh_pair(p.A1, p.B1, p.dt1, p.stacked)
+    abar4, bbar2 = zoh_pair(p.A4, p.B2, p.dt2, p.stacked)
+    return DiscreteSSM2D(
+        Abar1=abar1, Abar2=expm(p.A2, p.dt1, p.stacked), Abar3=expm(p.A3, p.dt2, p.stacked), Abar4=abar4,
+        Bbar1=bbar1, Bbar2=bbar2,
+        C1=np.asarray(p.C1, dtype=float).copy(), C2=np.asarray(p.C2, dtype=float).copy(),
+    )

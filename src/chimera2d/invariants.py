@@ -79,6 +79,11 @@ def _random_dp(rng: np.random.Generator, n: int, coupled: bool = True) -> Discre
     )
 
 
+def _random_a_set(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
+    """Mildly contractive (A1, A2, A3, A4): two companions, two diagonals."""
+    return (*companion_from_coeffs(rng.uniform(-0.4, 0, (2, n))), *diagonal_matrix(rng.uniform(-1, -0.1, (2, n))))
+
+
 def _random_element(rng: np.random.Generator, n: int, d: int) -> ScanElement:
     return ScanElement(
         rng.standard_normal((n, n)),
@@ -115,6 +120,28 @@ def _check_expm_doubling():
     ]:
         diff = np.max(np.abs(expm(m) @ expm(m) - expm(m2)))
         assert diff < 1e-9, f"{kind}: expm(A)^2 vs expm(2A) diff {diff:.3e}"
+
+
+@invariant("structured.expm_stack_exact")
+def _check_expm_stack_exact():
+    # fit exponentiates a block's variants in one stacked call: each item
+    # must be its own call, bit for bit. Steps from 1e-6 to 30 span degrees
+    # 3 to 18 and up to 6 squarings; the diagonal stack is square
+    rng = np.random.default_rng(15)
+    for gens in (0.5 * rng.standard_normal((9, 3, 3)), rng.uniform(-1, 0.5, (3, 3))):
+        steps = np.geomspace(1e-6, 30.0, len(gens))
+        for b, item in enumerate(expm(gens, steps, stacked=True)):
+            assert np.array_equal(item, expm(gens[b], steps[b])), f"{gens.shape} stack: item {b} is not its own call"
+    # an item that overflows fails the stack, as it fails alone
+    gens = companion_from_coeffs([[-0.3, -0.2], [1.0, 0.5]])
+    for args in ((gens[1], 800.0), (gens, np.array([1.0, 800.0]), True)):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                expm(*args)
+        except ValueError as exc:
+            assert "overflows" in str(exc), str(exc)
+        else:
+            raise AssertionError("an overflowing exponential was not rejected")
 
 
 # ----------------------------------------------------------------------
@@ -284,12 +311,7 @@ def _check_scan_oracle_equivalence():
         diff = np.max(np.abs(scan_forward(dp, x) - y_ref))
         assert diff < 1e-9, f"{v_count}x{t_count}: diff {diff:.3e}"
         # selective (input-dependent) parameters on the same grid
-        a_set = (
-            companion_from_coeffs(rng.uniform(-0.4, 0, 3)),
-            companion_from_coeffs(rng.uniform(-0.4, 0, 3)),
-            diagonal_matrix(rng.uniform(-1, -0.1, 3)),
-            diagonal_matrix(rng.uniform(-1, -0.1, 3)),
-        )
+        a_set = _random_a_set(rng, 3)
         proj = SelectiveProjections.init_random(3, 2, seed=v_count * 10 + t_count)
         cells = project_grid_params(proj, x, a_set)
         y_ref, _ = forward_recurrence(cells, x)
@@ -387,12 +409,7 @@ def _check_selective_step_monotonicity():
 def _check_selective_zero_weight_degeneration():
     rng = np.random.default_rng(61)
     n, d = 3, 2
-    a_set = (
-        companion_from_coeffs(rng.uniform(-0.4, 0, n)),
-        companion_from_coeffs(rng.uniform(-0.4, 0, n)),
-        diagonal_matrix(rng.uniform(-1, -0.1, n)),
-        diagonal_matrix(rng.uniform(-1, -0.1, n)),
-    )
+    a_set = _random_a_set(rng, n)
     proj = replace(
         SelectiveProjections.zeros(n, d),
         b_B1=rng.standard_normal(n),

@@ -18,10 +18,11 @@ JSON checkpoint format serializes.
 SSM block's, or one weight matrix), with the group's 2 x (coordinates)
 perturbed copies stacked on a leading variant axis: the blocks before
 the group run once per gradient, and every later pass runs once on the
-(B, V, T, d) stack; a perturbed constant block recomputes for each
-variant only what its coordinate reaches. Each variant's loss is the
-one a fresh forward of it gives, bit for bit (`fd_gradient`, which
-reruns the whole model per evaluation, is the oracle).
+(B, V, T, d) stack. A perturbed constant block discretizes its variants
+as one stack and runs them in at most two stacked sweeps and one
+readout. Each variant's loss is the one a fresh forward of it gives,
+bit for bit (`fd_gradient`, which reruns the whole model per
+evaluation, is the oracle).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .discretize import DT_FLOOR, ContinuousSSM2D, DiscreteSSM2D, discretize_all, rediscretize
+from .discretize import DT_FLOOR, ContinuousSSM2D, DiscreteSSM2D, discretize_all
 from .recurrence import as_series, transition_probe
 from .scan import _SharedChain, closed_loop_decode, readout, scan_forward, sweep_shared
 from .selective import (
@@ -60,6 +61,8 @@ class ModelConfig:
                                    ("channels", self.channels, 1)):
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
+        if not 0.0 < self.season_hint < np.inf:  # a NaN fails every comparison
+            raise ValueError(f"season_hint must be positive and finite, got {self.season_hint}")
 
 
 PROJ_PARAM_NAMES = (
@@ -201,16 +204,17 @@ class ChimeraModel:
         )
 
     def _block_cont(self, prefix: str) -> ContinuousSSM2D:
+        """The block's continuous set, stacked if its parameters are."""
         p = self.params
         a1, a2, a3, a4 = self._a_set(prefix)
+        # softplus underflows to 0.0 for very negative raws; keep the step
+        # size strictly positive so the model stays valid mid-fit
+        dt1, dt2 = (np.maximum(softplus(p[f"{prefix}.{name}"]), DT_FLOOR) for name in ("dt1_raw", "dt2_raw"))
         return ContinuousSSM2D(
             A1=a1, A2=a2, A3=a3, A4=a4,
             B1=p[f"{prefix}.b1"], B2=p[f"{prefix}.b2"],
             C1=p[f"{prefix}.c1"], C2=p[f"{prefix}.c2"],
-            # softplus underflows to 0.0 for very negative raws; keep the
-            # step size strictly positive so the model stays valid mid-fit
-            dt1=max(float(softplus(p[f"{prefix}.dt1_raw"])), DT_FLOOR),
-            dt2=max(float(softplus(p[f"{prefix}.dt2_raw"])), DT_FLOOR),
+            dt1=dt1, dt2=dt2, stacked=dt1.ndim > 0,
         )
 
     def _block_dp(self, prefix: str) -> DiscreteSSM2D:
@@ -287,8 +291,15 @@ class ChimeraModel:
         p = self.params
         return _linear(_swish(_linear(x, p["gate.w_in"])) * _linear(x, p["gate.w_val"]), p["gate.w_out"])
 
-    def forward(self, x) -> np.ndarray:
+    def _series(self, x) -> np.ndarray:
+        """x as a (V, T, d) series with the model's channel count d."""
         x = as_series(x)
+        if x.shape[-1] != self.config.channels:
+            raise ValueError(f"input has {x.shape[-1]} channels, but the model takes channels={self.config.channels}")
+        return x
+
+    def forward(self, x) -> np.ndarray:
+        x = self._series(x)
         residual = x
         combined = np.zeros_like(x)
         for layer in range(self.config.layers):
@@ -305,7 +316,7 @@ class ChimeraModel:
         """Closed-loop forecast through the decoder SSM and the readout."""
         dp = self._block_dp("decoder")
         out = closed_loop_decode(
-            dp, self.params["decoder.d1"], self.params["decoder.d2"], x_ctx, horizon
+            dp, self.params["decoder.d1"], self.params["decoder.d2"], self._series(x_ctx), horizon
         )
         return out @ self.params["head.w"].T
 
@@ -354,22 +365,25 @@ def fd_gradient(
     return grads
 
 
-# the continuous field that each SSM block parameter sets
-_FIELD = {
-    "a1": "A1", "a2": "A2", "a3": "A3", "a4": "A4", "dt1_raw": "dt1", "dt2_raw": "dt2",
-    "b1": "B1", "b2": "B2", "c1": "C1", "c2": "C2",
-}
+def _variant_stack(base: np.ndarray, name: str, values: list[tuple[str, int, float]]) -> np.ndarray:
+    """base once per variant, (B, *base.shape), coordinate i of variant b
+    set to value where values[b] = (name, i, value) names this one."""
+    stack = np.repeat(base[None], len(values), axis=0)
+    for b, (moved, i, value) in enumerate(values):
+        if moved == name:
+            stack.reshape(len(values), -1)[b, i] = value
+    return stack
 
 
 @dataclass
 class _BasePass:
     """A block pass that no variant reaches: its input and output, and for
-    a constant block its `rediscretize` result (dp, Phi1, Phi4), its
-    Abar1 row chain and its solved (V, d, 2N, T) grid."""
+    a constant block its discretization, its Abar1 row chain and its
+    solved (V, d, 2N, T) grid."""
 
     x: np.ndarray
     y: np.ndarray
-    zoh: tuple | None = None
+    dp: DiscreteSSM2D | None = None
     chain: _SharedChain | None = None
     hidden: np.ndarray | None = None
 
@@ -383,11 +397,12 @@ class _StackedVariants(ChimeraModel):
     Every block pass that no variant reaches is the base pass, run once
     when the object is built; that forward is `y`, the unperturbed
     model's output. A constant block's base pass keeps its
-    discretization with its Phi factors, its Abar1 row chain and its
-    solved grid, and the block's own variants recompute only what their
-    coordinate reaches (`_variant_passes`). A selective block runs each
-    of its variants alone. Each block after the group runs once on the
-    stack, a constant one with its base discretization and row chain. A
+    discretization, its Abar1 row chain and its solved grid. The
+    block's own variants are one stacked discretization, with each
+    parameter a (B, ...) stack, and three stacked passes
+    (`_variant_passes`). A selective block runs each of its variants
+    alone. Each block after the group runs once on the stack, a
+    constant one with its base discretization and row chain. A
     perturbed weight matrix is a (B, 1, d, d) stack in `params`."""
 
     def __init__(self, model: ChimeraModel, x: np.ndarray):
@@ -408,46 +423,37 @@ class _StackedVariants(ChimeraModel):
             return base.y
         if self.config.selective:
             return super()._ssm_pass(prefix, x)
-        return sweep_shared(base.zoh[0], as_series(x, stacked=True), base.chain)[0]
+        return sweep_shared(base.dp, as_series(x, stacked=True), base.chain)[0]
 
     def _base_pass(self, prefix: str, x: np.ndarray) -> _BasePass:
         if self.config.selective:
             return _BasePass(x, super()._ssm_pass(prefix, x))
         x = as_series(x)
-        zoh = rediscretize(self._block_cont(prefix))
-        chain = _SharedChain(zoh[0].Abar1, x.shape[-2])
-        y, hidden = sweep_shared(zoh[0], x, chain)
-        return _BasePass(x, y, zoh, chain, hidden)
+        dp = self._block_dp(prefix)
+        chain = _SharedChain(dp.Abar1, x.shape[-2])
+        y, hidden = sweep_shared(dp, x, chain)
+        return _BasePass(x, y, dp, chain, hidden)
 
     def _variant_passes(self, prefix: str, values: list[tuple[str, int, float]]) -> np.ndarray:
-        """The constant block's pass for each variant, (B, V, T, d). A C
-        variant is one readout of the base grid, with no exponential and
-        no sweep. Every other variant re-exponentiates only the pairs its
-        coordinate reaches (`rediscretize`; a B variant none). Those that
-        keep Abar1 (B, A2, A3, A4, dt2) run as one sweep with their
-        fields stacked, on the base row chain; an A1 or dt1 variant is
-        scanned alone."""
+        """The constant block's pass for each variant, (B, V, T, d), from
+        one discretization of its parameters as (B, ...) stacks. The C
+        variants are one readout of the base grid; those that keep Abar1
+        are one sweep on the base row chain, and those of A1 and dt1 one
+        sweep on a chain of their own stack of Abar1."""
         p, base = self.params, self.base[prefix]
-        readouts, stacked, alone = {}, {}, {}
-        for b, (name, i, value) in enumerate(values):
-            moved = _FIELD[name.rpartition(".")[2]]
-            flat = p[name].reshape(-1)
-            orig, flat[i] = flat[i], value
-            if moved in ("C1", "C2"):
-                readouts[b] = np.concatenate((p[f"{prefix}.c1"], p[f"{prefix}.c2"]))
-            else:
-                dp = rediscretize(self._block_cont(prefix), base.zoh, {moved})[0]
-                (alone if moved in ("A1", "dt1") else stacked)[b] = dp
-            flat[i] = orig
+        own = {name: p[name] for name in p if name.rpartition(".")[0] == prefix}
+        p.update({name: _variant_stack(value, name, values) for name, value in own.items()})
+        dp = self._block_dp(prefix)
+        p.update(own)
+        kinds = np.array([name.rpartition(".")[2] for name, _, _ in values])
+        reads, rechained = np.isin(kinds, ("c1", "c2")), np.isin(kinds, ("a1", "dt1_raw"))
         out = np.empty((len(values),) + base.y.shape)
-        if readouts:
-            out[list(readouts)] = readout(np.stack(list(readouts.values())), base.hidden)
-        if stacked:
-            dps = list(stacked.values())
-            stack = DiscreteSSM2D(**{f: np.stack([vars(dp)[f] for dp in dps]) for f in vars(dps[0])})
-            out[list(stacked)] = sweep_shared(stack, base.x, base.chain)[0]
-        for b, dp in alone.items():
-            out[b] = scan_forward(dp, base.x)
+        if reads.any():
+            out[reads] = readout(np.concatenate((dp.C1[reads], dp.C2[reads]), axis=-1), base.hidden)
+        for group, chain in ((~(reads | rechained), base.chain), (rechained, None)):
+            if group.any():
+                part = DiscreteSSM2D(**{f: v[group] for f, v in vars(dp).items()})
+                out[group] = sweep_shared(part, base.x, chain or _SharedChain(part.Abar1, base.x.shape[-2]))[0]
         return out
 
     def outputs(self, group: str, values: list[tuple[str, int, float]]) -> np.ndarray:
@@ -470,10 +476,7 @@ class _StackedVariants(ChimeraModel):
             self.own = None
         else:
             base = p[group]
-            stack = np.repeat(base[None], len(values), axis=0)
-            for b, (_, i, value) in enumerate(values):
-                stack[b].reshape(-1)[i] = value
-            p[group] = stack.reshape(len(values), 1, *base.shape)
+            p[group] = _variant_stack(base, group, values).reshape(len(values), 1, *base.shape)
             out = self.forward(self.x)
             p[group] = base
         # a parameter the forward never reads leaves every variant at the base
@@ -496,8 +499,10 @@ class _StackedVariants(ChimeraModel):
             ]
             # coordinate j moved up in variant 2j and down in variant 2j + 1
             out = self.outputs(group, [(name, i, orig + sign * h) for name, i, orig, h in coords for sign in (1.0, -1.0)])
+            # each variant's mse_loss, the mean over its own contiguous grid
+            losses = np.mean((out - y) ** 2, axis=(1, 2, 3))
             for j, (name, i, _, h) in enumerate(coords):
-                up, down = mse_loss(out[2 * j], y), mse_loss(out[2 * j + 1], y)
+                up, down = losses[2 * j], losses[2 * j + 1]
                 if not (np.isfinite(up) and np.isfinite(down)):
                     raise FloatingPointError(f"non-finite loss while differentiating {name}")
                 grads[name].reshape(-1)[i] = (up - down) / (2.0 * h)
@@ -530,15 +535,15 @@ def fit(
 
     Returns an updated copy; the per-step losses are recorded on its
     `loss_history`. Raises ValueError, before any pass, unless lr is
-    finite and > 0 and x and y have one shape; aborts with
-    FloatingPointError if the loss diverges.
+    finite and > 0, x has the model's channel count and x and y have one
+    shape; aborts with FloatingPointError if the loss diverges.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if not 0.0 < lr < np.inf:  # a NaN fails every comparison
         raise ValueError(f"lr must be finite and > 0, got {lr}")
     x, y = data
-    x = as_series(x)
+    x = model._series(x)
     y = as_series(y)
     if x.shape != y.shape:
         raise ValueError(f"inputs x {x.shape} and targets y {y.shape} must have the same shape")

@@ -51,10 +51,9 @@ gated on the sequential oracle by the test suite:
   one series alone and each result is bit-identical to its own call
   (folding the stack into the channel axis would turn the chain's
   one-row products into multi-row ones, which round differently). The
-  same holds for a stack of parameter sets that share Abar1 (fields of
-  batch shape (B,), one set per series, on one prebuilt chain) and for
-  a stack of readout rows on one solved grid; `fit`'s finite
-  differences run on both.
+  same holds for a stack of parameter sets (batch shape (B,)) on one
+  chain, of a shared Abar1 or of their stacked ones, and for a stack of
+  readout rows on one solved grid; `fit`'s finite differences use all.
 - Per-cell parameters (the selective path, every field of batch shape
   (V, T)): `_sweep_cells` keeps the oracle's (V, T, N, d) layout, state
   innermost. Each field enters a row as its (T, ...) slice, and each
@@ -182,7 +181,9 @@ class _SharedChain:
     """Solver for the affine chain h[..., i] = A h[..., i-1] + g[..., i]
     (h[..., 0] = g[..., 0]) along the last axis of g, shape (..., N, m),
     with one transition A shared by every step, for chains of up to
-    `length` steps; built once and applied to many chains.
+    `length` steps; built once and applied to many chains. A (B, N, N)
+    stack of transitions solves g of shape (B, c, N, m), item b as A[b]
+    alone would, bit for bit.
 
     With block length K, a block's K steps of one leading index are a
     row of N K entries ordered (state, step), and h inside the block is
@@ -198,22 +199,29 @@ class _SharedChain:
     block, and one matmul with the operator solves all blocks."""
 
     def __init__(self, a: np.ndarray, length: int):
-        n = a.shape[-1]
+        *stack, n, _ = a.shape
         k = self.k = min(_block_length(n), length)
         pows = powers(a, k)
         # block (i, j) of the operator is the upper-triangular Toeplitz
         # matrix of A^0[j, i] .. A^(K-1)[j, i]: a window of one strip
         # [0 ... 0 A^0[j, i] ... A^(K-1)[j, i]] that moves one step right
         # per row
-        strip = np.zeros((n, n, 2 * k - 1))
-        strip[:, :, k - 1 :] = np.concatenate(([np.eye(n)], pows[: k - 1])).transpose(2, 1, 0)
-        s_i, s_j, s_t = strip.strides
-        windows = np.ndarray((n, k, n, k), strip.dtype, strip, offset=(k - 1) * s_t, strides=(s_i, -s_t, s_j, s_t))
-        self.operator = windows.reshape(n * k, n * k)
+        strip = np.zeros((*stack, n, n, 2 * k - 1))
+        # strip[..., i, j, K - 1 + t] = A^t[j, i]
+        tail = strip[..., k - 1 :].transpose(-1, *range(len(stack)), -2, -3)
+        tail[0] = np.eye(n)
+        tail[1:] = pows[: k - 1]
+        *s_b, s_i, s_j, s_t = strip.strides
+        windows = np.ndarray((*stack, n, k, n, k), strip.dtype, strip, (k - 1) * s_t, (*s_b, s_i, -s_t, s_j, s_t))
+        self.operator = windows.reshape(*stack, n * k, n * k)
+        # in a chain of several blocks a stack's axis meets g's first axis,
+        # past its channel axis
+        row_stack = (*stack, 1) if stack else ()
+        self.row_operator = self.operator.reshape(*row_stack, n * k, n * k)
         # the columns of each state's last step: a block's end state from
         # its own inputs
-        self.ends = np.ascontiguousarray(self.operator[:, k - 1 :: k])
-        self.a_t = np.ascontiguousarray(a.T)
+        self.ends = np.ascontiguousarray(self.operator[..., k - 1 :: k]).reshape(*row_stack, n * k, n)
+        self.a_t = np.ascontiguousarray(a.swapaxes(-1, -2)).reshape(*row_stack, n, n)
         self.carries = _SharedChain(pows[k - 1], -(-length // k)) if length > k else None
 
     def __call__(self, g: np.ndarray) -> np.ndarray:
@@ -231,7 +239,7 @@ class _SharedChain:
             carry = self.carries((rows @ self.ends).swapaxes(-1, -2))
             rows[..., 1:, ::k] += carry[..., :-1].swapaxes(-1, -2) @ self.a_t
             # splitting the last axis of padded gives a view of it
-            padded.reshape(*lead, n, blocks, k)[...] = (rows @ self.operator).reshape(*lead, blocks, n, k).swapaxes(-3, -2)
+            padded.reshape(*lead, n, blocks, k)[...] = (rows @ self.row_operator).reshape(*lead, blocks, n, k).swapaxes(-3, -2)
         if padded is not g:
             g[...] = padded[..., :m]
         return g
@@ -284,8 +292,8 @@ def sweep_shared(dp: DiscreteSSM2D, x: np.ndarray, row_chain: _SharedChain):
     """The row sweep for constant parameters on x, (..., V, T, d), with
     `row_chain` Abar1's solver for rows of T steps: returns y and the
     solved (..., V, d, 2N, T) grid. dp may also be a stack of parameter
-    sets that share Abar1 (batch shape (B,)); its leading axis meets the
-    grid's."""
+    sets (batch shape (B,)) on a chain of their shared or stacked Abar1;
+    its leading axis meets the grid's."""
     hidden = input_terms(np.concatenate((dp.Bbar1, dp.Bbar2), axis=-1), x)
     solve_rows(hidden, dp.Abar2, dp.Abar3, dp.Abar4, row_chain)
     return readout(np.concatenate((dp.C1, dp.C2), axis=-1), hidden), hidden
@@ -358,16 +366,17 @@ def closed_loop_decode(
         return np.zeros((v_count, 0, d))
 
     _, (h1, h2) = scan_forward(dp, x_ctx, return_hidden=True)
-    # the last context column with variates innermost, (d, N, V)
-    h1_prev, h2_prev = h1[:, -1].T, h2[:, -1].T
+    n = dp.n
+    # the last context column, h1 over h2 with variates innermost, (d, 2N, V)
+    h = np.concatenate((h1[:, -1], h2[:, -1]), axis=-2).T
     variate_chain = _SharedChain(dp.Abar4, v_count)
+    readin, c = np.concatenate((d1, d2)), np.concatenate((dp.C1, dp.C2))
+    abar12 = np.concatenate((dp.Abar1, dp.Abar2), axis=-1)
     out = np.empty((v_count, horizon, d))
     for step in range(horizon):
-        u = d1 @ h1_prev + d2 @ h2_prev
-        h1_col = dp.Bbar1[:, None] * u[:, None, :] + dp.Abar1 @ h1_prev + dp.Abar2 @ h2_prev
-        g = dp.Bbar2[:, None] * u[:, None, :]
-        g[..., 1:] += dp.Abar3 @ h1_col[..., :-1]
-        h2_col = variate_chain(g)
-        out[:, step] = (dp.C1 @ h1_col + dp.C2 @ h2_col).T
-        h1_prev, h2_prev = h1_col, h2_col
+        u = (readin @ h)[:, None, :]
+        h = np.concatenate((dp.Bbar1[:, None] * u + abar12 @ h, dp.Bbar2[:, None] * u), axis=1)
+        h[:, n:, 1:] += dp.Abar3 @ h[:, :n, :-1]
+        variate_chain(h[:, n:])
+        out[:, step] = (c @ h).T
     return out

@@ -5,34 +5,37 @@ of a diagonal one, which exponentiates elementwise. The constructors
 below validate their input and return such arrays: a companion matrix
 is a shift matrix (ones on the subdiagonal) plus a rank-1 last column.
 
-`expm` is scaling and squaring with a Taylor series in the powers of the
-shared M, so no matrix is inverted (Al-Mohy & Higham, SIAM J. Matrix
-Anal. Appl. 31(3), 2009, and SIAM J. Sci. Comput. 33(2), 2011).
+`expm` is scaling and squaring with a Taylor series in the powers of
+M, so no matrix is inverted (Al-Mohy & Higham, SIAM J. Matrix Anal.
+Appl. 31(3), 2009, and SIAM J. Sci. Comput. 33(2), 2011).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from math import ceil, factorial, isfinite, ldexp, log2
+from math import factorial
 
 import numpy as np
 
 
 def companion_from_coeffs(a) -> np.ndarray:
-    """(N, N) companion matrix with subdiagonal ones and last column `a`."""
+    """(N, N) companion matrix with subdiagonal ones and last column `a`,
+    or (..., N, N) for a stack of coefficient vectors `a`, (..., N)."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise ValueError("companion coefficients must be a nonempty 1-d vector")
-    out = np.eye(a.size, k=-1)
-    out[:, -1] = a
+    if a.ndim == 0 or a.shape[-1] == 0:
+        raise ValueError("companion coefficients must be nonempty vectors")
+    n = a.shape[-1]
+    out = np.zeros(a.shape + (n,))
+    out.reshape(*a.shape[:-1], n * n)[..., n :: n + 1] = 1.0  # the subdiagonal
+    out[..., -1] = a
     return out
 
 
 def diagonal_matrix(diag) -> np.ndarray:
-    """A diagonal transition: its (N,) vector of entries."""
+    """A diagonal transition: its (N,) vector of entries, or (..., N) for
+    a stack of them."""
     diag = np.asarray(diag, dtype=float)
-    if diag.ndim != 1 or diag.size == 0:
-        raise ValueError("diagonal must be a nonempty 1-d vector")
+    if diag.ndim == 0 or diag.shape[-1] == 0:
+        raise ValueError("diagonal must be a nonempty vector")
     return diag
 
 
@@ -50,8 +53,12 @@ def dense_matrix(entries) -> np.ndarray:
 # of a decaying exponential cancel, so X is halved first.
 _DEGREE = 18
 _THETAS = [(2.0**-53 * factorial(m + 1) / 2) ** (1 / m) for m in range(1, _DEGREE + 1)]
+_THETA_TOP = _THETAS[-1]
+_TINY = np.finfo(float).tiny
 _INV_FACTORIALS = np.array([1.0 / factorial(k) for k in range(_DEGREE + 1)])
 _EXPONENTS = np.arange(1.0, _DEGREE + 1)
+# searchsorted on these gives the degree: the least m with |x| <= theta_m
+_DEGREE_BOUNDS = np.array([-1.0] + _THETAS[:-1])
 
 
 def powers(a: np.ndarray, k: int, product=np.matmul) -> np.ndarray:
@@ -73,19 +80,32 @@ def _finite(e: np.ndarray) -> np.ndarray:
     return e
 
 
-def expm(a, t=1.0) -> np.ndarray:
-    """exp(t * A) as an (N, N) array, for a scalar t or an array of them.
+def _runs(keys: np.ndarray) -> list[tuple[int, np.ndarray | slice]]:
+    """(key, indices of its items) per distinct key, keys ascending."""
+    if len(keys) == 1 or (keys == keys[0]).all():
+        return [(int(keys[0]), slice(None))]
+    return [(int(key), np.flatnonzero(keys == key)) for key in np.unique(keys)]
 
-    A is an (N, N) array or the (N,) entries of a diagonal one, and the
-    result has shape t.shape + (N, N). Diagonal is elementwise exp.
-    Otherwise each t A is halved s times (its own s) to x Z,
-    Z = A / ||A||_1 and |x| <= theta_18, its Taylor series is one row of
-    one (results, m) @ (m, N^2) matmul of the powers of x with the terms
-    Z^k / k!, and it is squared back s times. Raises ValueError if t * A
-    has a non-finite entry, or if exp(t * A) overflows.
+
+def expm(a, t=1.0, stacked: bool = False) -> np.ndarray:
+    """exp(t * A), of shape t.shape + (N, N), for A an (N, N) array or
+    the (N,) entries of a diagonal one; with `stacked`, a holds one such
+    generator per step size, t.shape + (N, N) or t.shape + (N,).
+
+    Diagonal is elementwise exp. Otherwise each t A is halved s times
+    (its own s) to x Z, Z = A / ||A||_1 and |x| <= theta_18, summed as
+    a Taylor series in Z^k / k! and squared back s times. One generator
+    per step (stacked, or a scalar t) takes its own degree m, x^k and
+    (1, m) @ (m, N^2) product: an item of a stack is its own call, bit
+    for bit. One generator at an array of steps shares its terms in one
+    (results, m) @ (m, N^2) matmul at the largest degree. Raises
+    ValueError if t * A has a non-finite entry or exp(t * A) overflows.
     """
     a, t = np.asarray(a, dtype=float), np.asarray(t, dtype=float)
-    if a.ndim == 1:
+    lead = t.shape if stacked else ()
+    if a.shape[: len(lead)] != lead or a.ndim - len(lead) not in (1, 2):
+        raise ValueError(f"generators of shape {a.shape} do not lead with the step sizes' shape {lead}")
+    if a.ndim == len(lead) + 1:
         z = t[..., None] * a
         if not np.isfinite(z).all():
             raise ValueError("non-finite entries")
@@ -94,42 +114,51 @@ def expm(a, t=1.0) -> np.ndarray:
         out[..., idx, idx] = _finite(np.exp(z))
         return out
     n = a.shape[-1]
-    norm = float(np.abs(a).sum(axis=0).max())
-    z = a / (norm or 1.0)
-    if t.ndim == 0:
-        # one exponential: the scaling in Python floats
-        size = abs(float(t)) * norm
-        if not isfinite(size):
-            raise ValueError("non-finite entries")
-        s = ceil(log2(size / _THETAS[-1])) if size > _THETAS[-1] else 0
-        x = np.float64(ldexp(float(t) * norm, -s))
-        deg = bisect_left(_THETAS, abs(x), hi=_DEGREE - 1) + 1
-        coef = x ** _EXPONENTS[:deg]
+    z = a.reshape(-1, n, n)  # the generators, one unless stacked
+    # ||A||_1, at least the smallest normal float (so A = 0 has Z = 0)
+    norm = np.abs(z).sum(axis=-2).max(axis=-1, initial=_TINY)
+    z = z / norm[:, None, None]
+    x = t.reshape(-1) * norm
+    size = np.abs(x)
+    largest = size.max()
+    if not largest < np.inf:  # a NaN fails every comparison
+        raise ValueError("non-finite entries")
+    squarings = 0
+    if largest > _THETA_TOP:
+        # s = ceil(log2(size / theta_18)), or 0 when size <= theta_18
+        frac, e = np.frexp(np.maximum(size, _THETA_TOP) / _THETA_TOP)
+        s = e - (frac == 0.5)
+        x, size, squarings = np.ldexp(x, -s), np.ldexp(size, -s), int(s.max())
+    shared = len(z) < len(x)
+    if shared:
+        top = int(_DEGREE_BOUNDS.searchsorted(size.max()))
     else:
-        size = np.abs(t) * norm
-        if not np.isfinite(size).all():
-            raise ValueError("non-finite entries")
-        s = np.ceil(np.log2(np.maximum(size, _THETAS[-1]) / _THETAS[-1]))
-        x = t * norm * np.exp2(-s)
-        deg = bisect_left(_THETAS, np.abs(x).max(), hi=_DEGREE - 1) + 1
-        coef = powers(x, deg, np.multiply)  # x^k by doubling: a float ** table is slower
-    # the series terms Z^k / k!, one (results, m) @ (m, N^2) matmul away
-    terms = powers(z, deg).reshape(deg, n * n)
-    terms *= _INV_FACTORIALS[1 : deg + 1, None]
-    out = coef.reshape(deg, -1).T @ terms
-    out = out.reshape(x.shape + (n * n,))
-    out[..., :: n + 1] += 1.0  # the k = 0 term, on each flattened diagonal
-    out = out.reshape(x.shape + (n, n))
-    squared = s > 0 if isinstance(s, int) else bool(s.any())
-    if isinstance(s, int):
-        for _ in range(s):
-            out = out @ out
-    elif squared:
-        # sorted by s, each pass squares one trailing run of the results
-        order = np.argsort(s, axis=None)
-        work = out.reshape(-1, n, n)[order]
-        for start in np.searchsorted(s.ravel()[order], np.arange(s.max()), side="right"):
-            work[start:] = work[start:] @ work[start:]
-        out.reshape(-1, n, n)[order] = work
-    # the series is at most e^theta_18 in norm: only squaring can overflow
-    return _finite(out) if squared else out
+        # the items of each degree, in increasing degree
+        runs = _runs(_DEGREE_BOUNDS.searchsorted(size))
+        top = runs[-1][0]
+    # the series terms Z^k / k!, (generators, m, N^2)
+    terms = powers(z, top).swapaxes(0, 1).reshape(len(z), top, n * n)
+    terms *= _INV_FACTORIALS[1 : top + 1, None]
+    if shared:
+        # x^k by doubling: a float ** table is slower
+        out = powers(x, top, np.multiply).T @ terms[0]
+    else:
+        out = np.empty((len(x), n * n))
+        for m, idx in runs:
+            out[idx] = (x[idx, None, None] ** _EXPONENTS[:m] @ terms[idx, :m])[:, 0]
+    out[:, :: n + 1] += 1.0  # the k = 0 term, on each flattened diagonal
+    out = out.reshape(-1, n, n)
+    if squarings:
+        if s.min() == squarings:
+            for _ in range(squarings):
+                out = out @ out
+        else:
+            # sorted by s, each pass squares one trailing run of the results
+            order = np.argsort(s)
+            work = out[order]
+            for start in np.searchsorted(s[order], np.arange(squarings), side="right"):
+                work[start:] = work[start:] @ work[start:]
+            out[order] = work
+        # the series is at most e^theta_18 in norm: only squaring can overflow
+        _finite(out)
+    return out.reshape(t.shape + (n, n))

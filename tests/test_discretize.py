@@ -199,9 +199,9 @@ def test_discretization_takes_four_exponentials_and_no_solve(monkeypatch):
     calls = []
     expm = chimera2d.discretize.expm
 
-    def recorded_expm(m, t=1.0):
+    def recorded_expm(m, t=1.0, stacked=False):
         calls.append(np.shape(t))
-        return expm(m, t)
+        return expm(m, t, stacked)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("np.linalg.solve called")

@@ -254,6 +254,23 @@ def test_shared_chain_matches_sequential(n):
         assert diff < 1e-12, f"chain of {count}: {diff:.3e}"
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_stacked_chain_is_each_chain_alone(n):
+    # rows of several blocks and a partial one, each parameter set of a
+    # stack with its own Abar1 on one chain of the stacked transitions
+    t_count = 3 * _block_length(n) + 5
+    rng = np.random.default_rng(40 + n)
+    dps = [_random_dp(rng, n) for _ in range(4)]
+    stack = DiscreteSSM2D(**{f: np.stack([vars(dp)[f] for dp in dps]) for f in vars(dps[0])})
+    x = rng.standard_normal((3, t_count, 2))
+    y, _ = sweep_shared(stack, x, _SharedChain(stack.Abar1, t_count))
+    g = rng.standard_normal((4, 2, n, t_count))
+    solved = _SharedChain(stack.Abar1, t_count)(g.copy())
+    for b, dp in enumerate(dps):
+        assert np.array_equal(y[b], scan_forward(dp, x)), b
+        assert np.array_equal(solved[b], _SharedChain(dp.Abar1, t_count)(g[b].copy())), b
+
+
 def test_shared_rows_longer_than_a_block_match_materialized_grid():
     rng = np.random.default_rng(12)
     v_count, t_count = 3, 150
