@@ -25,7 +25,7 @@ import numpy as np
 
 from .ar import simulate_sar
 from .metrics import compute_metrics
-from .model import ChimeraModel, ModelConfig, fit
+from .model import ChimeraModel, ModelConfig, check_integer, fit
 from . import invariants
 
 
@@ -61,20 +61,18 @@ class RunConfig:
     noise_std: float = 0.0
 
     def __post_init__(self):
-        positive = {
-            "state_dim": self.state_dim,
-            "season_hint": self.season_hint,
-            "lr": self.lr,
-            "horizon": self.horizon,
-            "variates": self.variates,
-            "length": self.length,
-            "season": self.season,
-        }
-        for name, value in positive.items():
+        for name, least in (("layers", 0), ("state_dim", 1), ("steps", 0), ("seed", 0),
+                            ("horizon", 1), ("variates", 1), ("length", 1), ("season", 1)):
+            try:
+                check_integer(name, getattr(self, name), least)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+        for name in ("season_hint", "lr"):
+            value = getattr(self, name)
             if not 0 < value < math.inf:  # a NaN fails every comparison
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
-        for name, value in (("layers", self.layers), ("steps", self.steps),
-                            ("tol", self.tol), ("noise_std", self.noise_std)):
+        for name in ("tol", "noise_std"):
+            value = getattr(self, name)
             if not 0 <= value < math.inf:
                 raise ConfigError(f"{name} must be nonnegative and finite, got {value}")
 

@@ -23,11 +23,18 @@ as one stack and runs them in at most two stacked sweeps and one
 readout. Each variant's loss is the one a fresh forward of it gives,
 bit for bit (`fd_gradient`, which reruns the whole model per
 evaluation, is the oracle).
+
+A model keeps each constant block's discretization, the decoder's too,
+until one of the parameters it comes from changes (`_block_dp`). So a
+served model, whose parameters do not change between calls, discretizes
+each block once, and every output still equals a fresh model's bit for
+bit.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -39,6 +46,15 @@ from .selective import (
     DT_INIT, SelectiveProjections, inv_softplus, project_cell_params, project_grid_params, softplus,
 )
 from .structured import companion_from_coeffs, diagonal_matrix
+
+
+def check_integer(name: str, value, least: int) -> None:
+    """Raises ValueError naming the field unless value is an integer (a
+    bool is not one) of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass
@@ -56,14 +72,15 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, value, least in (("layers", self.layers, 0),
-                                   ("state_dim", self.state_dim, 1),
-                                   ("channels", self.channels, 1)):
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
+        for name, least in (("layers", 0), ("state_dim", 1), ("channels", 1), ("seed", 0)):
+            check_integer(name, getattr(self, name), least)
         if not 0.0 < self.season_hint < np.inf:  # a NaN fails every comparison
             raise ValueError(f"season_hint must be positive and finite, got {self.season_hint}")
 
+
+# the parameters of a constant block's continuous set, which its
+# discretization depends on
+CONT_PARAM_NAMES = ("a1", "a2", "a3", "a4", "dt1_raw", "dt2_raw", "b1", "b2", "c1", "c2")
 
 PROJ_PARAM_NAMES = (
     "W_B1", "W_B2", "W_C1", "W_C2", "b_B1", "b_B2", "b_C1", "b_C2",
@@ -94,6 +111,8 @@ class ChimeraModel:
     config: ModelConfig
     params: dict[str, np.ndarray] = field(default_factory=dict)
     loss_history: list[float] = field(default_factory=list)
+    # prefix -> (the CONT_PARAM_NAMES values, their discretization)
+    _dp_memo: dict[str, tuple[list[np.ndarray], DiscreteSSM2D]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # construction / serialization
@@ -195,30 +214,39 @@ class ChimeraModel:
     # forward pieces
 
     def _a_set(self, prefix: str):
-        p = self.params
-        return (
-            companion_from_coeffs(p[f"{prefix}.a1"]),
-            companion_from_coeffs(p[f"{prefix}.a2"]),
-            diagonal_matrix(p[f"{prefix}.a3"]),
-            diagonal_matrix(p[f"{prefix}.a4"]),
-        )
+        a1, a2, a3, a4 = (self.params[f"{prefix}.{name}"] for name in CONT_PARAM_NAMES[:4])
+        return companion_from_coeffs(a1), companion_from_coeffs(a2), diagonal_matrix(a3), diagonal_matrix(a4)
 
     def _block_cont(self, prefix: str) -> ContinuousSSM2D:
         """The block's continuous set, stacked if its parameters are."""
-        p = self.params
         a1, a2, a3, a4 = self._a_set(prefix)
+        dt1_raw, dt2_raw, b1, b2, c1, c2 = (self.params[f"{prefix}.{name}"] for name in CONT_PARAM_NAMES[4:])
         # softplus underflows to 0.0 for very negative raws; keep the step
         # size strictly positive so the model stays valid mid-fit
-        dt1, dt2 = (np.maximum(softplus(p[f"{prefix}.{name}"]), DT_FLOOR) for name in ("dt1_raw", "dt2_raw"))
+        dt1, dt2 = (np.maximum(softplus(raw), DT_FLOOR) for raw in (dt1_raw, dt2_raw))
         return ContinuousSSM2D(
-            A1=a1, A2=a2, A3=a3, A4=a4,
-            B1=p[f"{prefix}.b1"], B2=p[f"{prefix}.b2"],
-            C1=p[f"{prefix}.c1"], C2=p[f"{prefix}.c2"],
+            A1=a1, A2=a2, A3=a3, A4=a4, B1=b1, B2=b2, C1=c1, C2=c2,
             dt1=dt1, dt2=dt2, stacked=dt1.ndim > 0,
         )
 
     def _block_dp(self, prefix: str) -> DiscreteSSM2D:
-        return discretize_all(self._block_cont(prefix))
+        """The block's discretization. A constant set is kept, read-only,
+        with a copy of the `CONT_PARAM_NAMES` values it came from, and
+        returned again while `np.array_equal` finds each of them unchanged
+        in shape and values, so an in-place update of any one discretizes
+        afresh. A stacked set of variants is never kept. Every copy,
+        checkpoint load and `_StackedVariants` starts with nothing kept."""
+        if self.params[f"{prefix}.dt1_raw"].ndim:
+            return discretize_all(self._block_cont(prefix))
+        values = [self.params[f"{prefix}.{name}"] for name in CONT_PARAM_NAMES]
+        kept = self._dp_memo.get(prefix)
+        if kept is not None and all(map(np.array_equal, kept[0], values)):
+            return kept[1]
+        dp = discretize_all(self._block_cont(prefix))
+        for a in vars(dp).values():
+            a.flags.writeable = False
+        self._dp_memo[prefix] = ([v.copy() for v in values], dp)
+        return dp
 
     def _block_proj(self, prefix: str) -> SelectiveProjections:
         p = self.params

@@ -64,15 +64,20 @@ gated on the sequential oracle by the test suite:
 Either way `scan_forward` returns y as (V, T, d) and the hidden grids as
 (V, T, N, d); the shared sweep's are transposed views of its grid.
 
-`closed_loop_decode` consumes the context with one `scan_forward` pass
-and then generates one column per step. Within a column h1 is pointwise
-in v given the previous column, and h2 is the 1D chain over variates
+`closed_loop_decode` solves the context's grid (input terms and row
+solve, no readout), keeps its last column, and then generates one column
+per step. The fed-back input is u = D1 h1 + D2 h2 of the column before,
+so a column's h1 and its h2 input terms are one product G h with the
+(2N, 2N) matrix G = [[Abar1 Abar2], [0 0]] + [Bbar1; Bbar2] [D1 D2],
+formed once per call. Within the column h2 is then the 1D chain over
+variates
 
     h2[v] = Abar4 h2[v-1] + (Abar3 h1[v-1] + Bbar2 u[v]),
 
 a chain with the shared transition Abar4. The column is held as
-(d, N, V), variates last, so one solver, built once per call, serves
-every step.
+(d, 2N, V), variates last, so one solver, built once per call, serves
+every step. The H columns go into one buffer, which one [C1 C2] product
+reads out after the last step.
 """
 
 from __future__ import annotations
@@ -354,7 +359,10 @@ def closed_loop_decode(
 ) -> np.ndarray:
     """Autoregressive rollout: after consuming the context, D1/D2 read the
     hidden pair to predict the next input column, which is fed back; the
-    emitted outputs for the `horizon` generated columns are returned."""
+    emitted outputs for the `horizon` generated columns are returned as
+    (V, horizon, d). Each step is one product with the fused column map G
+    (see the module docstring), the Abar3 cross term and the variate
+    chain; one readout after the last step gives every output."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     require_constant(dp, "closed_loop_decode")
@@ -365,18 +373,22 @@ def closed_loop_decode(
     if horizon == 0:
         return np.zeros((v_count, 0, d))
 
-    _, (h1, h2) = scan_forward(dp, x_ctx, return_hidden=True)
     n = dp.n
-    # the last context column, h1 over h2 with variates innermost, (d, 2N, V)
-    h = np.concatenate((h1[:, -1], h2[:, -1]), axis=-2).T
+    bbar = np.concatenate((dp.Bbar1, dp.Bbar2))
+    # the context's solved (V, d, 2N, T) grid, of which only the last column
+    # is read
+    hidden = solve_rows(input_terms(bbar, x_ctx), dp.Abar2, dp.Abar3, dp.Abar4, _SharedChain(dp.Abar1, x_ctx.shape[1]))
+    # g h is a column's h1 and its h2 input terms, the fed-back input
+    # included: [[Abar1 Abar2], [0 0]] h + [Bbar1; Bbar2] [D1 D2] h
+    g = np.outer(bbar, np.concatenate((d1, d2)))
+    g[:n] += np.concatenate((dp.Abar1, dp.Abar2), axis=-1)
     variate_chain = _SharedChain(dp.Abar4, v_count)
-    readin, c = np.concatenate((d1, d2)), np.concatenate((dp.C1, dp.C2))
-    abar12 = np.concatenate((dp.Abar1, dp.Abar2), axis=-1)
-    out = np.empty((v_count, horizon, d))
+    # the generated columns, h1 over h2 with variates innermost
+    columns = np.empty((horizon, d, 2 * n, v_count))
+    h = hidden[..., -1].transpose(1, 2, 0)
     for step in range(horizon):
-        u = (readin @ h)[:, None, :]
-        h = np.concatenate((dp.Bbar1[:, None] * u + abar12 @ h, dp.Bbar2[:, None] * u), axis=1)
+        h = np.matmul(g, h, out=columns[step])
         h[:, n:, 1:] += dp.Abar3 @ h[:, :n, :-1]
         variate_chain(h[:, n:])
-        out[:, step] = (c @ h).T
-    return out
+    # readout takes the (H, d, 2N, V) columns as rows of V steps: (H, V, d)
+    return readout(np.concatenate((dp.C1, dp.C2)), columns).swapaxes(0, 1)

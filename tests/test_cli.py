@@ -38,6 +38,26 @@ def test_non_finite_values_exit_2_naming_the_field(tmp_path, capsys, field, valu
     assert capsys.readouterr().err.startswith(f"error: config: {field} must be")
 
 
+@pytest.mark.parametrize("command, field, value", [
+    ("forecast", "horizon", 2.5), ("fit", "steps", 1.5), ("fit", "state_dim", 2.0),
+    ("fit", "seed", -1), ("fit", "layers", True),
+])
+def test_bad_integer_field_exits_2_naming_it(tmp_path, capsys, command, field, value):
+    out = str(tmp_path)
+    good = {"variates": 2, "length": 16, "layers": 1, "state_dim": 2, "steps": 1, "horizon": 2,
+            "data": str(tmp_path / "series.csv")}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(good))
+    assert cmd_dispatch(["generate", "--config", str(cfg), "--out", out]) == 0
+    assert cmd_dispatch(["fit", "--config", str(cfg), "--out", out]) == 0
+    cfg.write_text(json.dumps({**good, field: value}))
+    extra = ["--checkpoint", str(tmp_path / "checkpoint.json")] if command == "forecast" else []
+    capsys.readouterr()
+    assert cmd_dispatch([command, "--config", str(cfg), "--out", out] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: {field} must be") and err.rstrip().endswith(f"got {value!r}")
+
+
 def test_config_json_file_roundtrip(tmp_path):
     path = tmp_path / "run.json"
     cfg = RunConfig(steps=3, seed=9)

@@ -22,6 +22,10 @@ def tiny_model(seed=0, **kw):
     ("layers", -1, "layers must be >= 0, got -1"),
     ("state_dim", 0, "state_dim must be >= 1, got 0"),
     ("channels", 0, "channels must be >= 1, got 0"),
+    ("layers", 1.5, "layers must be an integer, got 1.5"),
+    ("state_dim", True, "state_dim must be an integer, got True"),
+    ("channels", 2.0, "channels must be an integer, got 2.0"),
+    ("seed", -1, "seed must be >= 0, got -1"),
 ])
 def test_invalid_dimension_named(field, value, message):
     with pytest.raises(ValueError, match=message):
@@ -303,6 +307,49 @@ def _count_scans(monkeypatch):
     # every constant-parameter sweep solves its rows once, whether it
     # comes from scan_forward or from a stacked pass
     return _count_calls(monkeypatch, chimera2d.scan, "solve_rows")
+
+
+def test_forward_discretizes_a_block_again_only_when_its_parameters_move(monkeypatch):
+    m = tiny_model(seed=28)
+    x = np.random.default_rng(28).standard_normal((2, 6, 1))
+    expms = _count_calls(monkeypatch, chimera2d.discretize, "expm")
+    first = m.forward(x)
+    # 4 blocks of 4 exponentials
+    assert len(expms) == 16
+    expms.clear()
+    assert np.array_equal(m.forward(x), first)
+    assert len(expms) == 0
+    # an in-place step, as fit's update makes, on one block's parameter
+    m.params["layer0.seasonal.b.c2"][0] += 1e-3
+    moved = m.forward(x)
+    assert len(expms) == 4
+    assert np.array_equal(moved, m.copy().forward(x))
+
+
+def test_kept_discretization_is_read_only():
+    m = tiny_model(seed=29)
+    dp = m._block_dp("decoder")
+    assert m._block_dp("decoder") is dp
+    for name, a in vars(dp).items():
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+    # the kept values are a copy: the parameter itself stays writable
+    m.params["decoder.a1"][0] += 0.0
+
+
+def test_copies_and_stacked_variants_start_with_no_kept_discretization(monkeypatch):
+    m = tiny_model(seed=30)
+    x = np.random.default_rng(30).standard_normal((2, 6, 1))
+    m.forward(x)
+    m.decode(x, 2)
+    assert set(m._dp_memo) == set(m._ssm_blocks()) | {"decoder"}
+    assert m.copy()._dp_memo == {}
+    assert ChimeraModel.from_checkpoint(m.to_checkpoint())._dp_memo == {}
+    # the variants' base pass discretizes each of the 4 blocks afresh
+    expms = _count_calls(monkeypatch, chimera2d.discretize, "expm")
+    work = chimera2d.model._StackedVariants(m, x)
+    assert len(expms) == 16
+    assert set(work._dp_memo) == set(m._ssm_blocks())
 
 
 @pytest.mark.parametrize("cfg", [

@@ -334,3 +334,23 @@ def test_only_per_cell_transitions_reach_the_tree_scan(monkeypatch):
     # 4 rows, each a tree of log2(64) + 1 levels over per-step transitions
     assert len(seen) == 4 * 7
     assert seen[0] == (64, 2, 2)
+
+
+def test_decode_reads_out_only_the_generated_columns(monkeypatch):
+    # the context pass solves its grid and reads out no y; one readout
+    # covers the H generated columns
+    grids = []
+    original = chimera2d.scan.readout
+
+    def recorded(c, hidden):
+        grids.append(hidden.shape)
+        return original(c, hidden)
+
+    monkeypatch.setattr(chimera2d.scan, "readout", recorded)
+    rng = np.random.default_rng(12)
+    dp = _random_dp(rng, 2)
+    v_count, t_ctx, d, horizon = 3, 11, 2, 5
+    out = closed_loop_decode(dp, rng.standard_normal(2), rng.standard_normal(2), rng.standard_normal((v_count, t_ctx, d)), horizon)
+    assert out.shape == (v_count, horizon, d)
+    # (columns, d, 2N, variates)
+    assert grids == [(horizon, d, 4, v_count)]
