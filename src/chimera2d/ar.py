@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import DiscreteSSM2D
-from .recurrence import forward_recurrence
+from .recurrence import check_integer, forward_recurrence
 
 
 def simulate_sar(
@@ -36,10 +36,8 @@ def simulate_sar(
     eta = np.asarray(eta, dtype=float)
     init = np.asarray(init, dtype=float)
     p, q = phi.size, eta.size
-    if s < 1:
-        raise ValueError("seasonal stride must be >= 1")
-    if t_count < 1:
-        raise ValueError("series length must be >= 1")
+    check_integer("s", s, 1)
+    check_integer("t_count", t_count, 1)
     need = max(p, q * s)
     if init.size < need:
         raise ValueError(f"init history must supply at least {need} values")
@@ -90,8 +88,7 @@ def sar_to_ssm(phi, eta, s: int) -> SARRealization:
     eta = np.asarray(eta, dtype=float)
     if phi.size + eta.size == 0:
         raise ValueError("at least one coefficient set must be nonempty")
-    if s < 1:
-        raise ValueError("seasonal stride must be >= 1")
+    check_integer("s", s, 1)
     trend = _shift_head(phi) if phi.size else None
     seasonal = _shift_head(eta) if eta.size else None
     return SARRealization(trend=trend, seasonal=seasonal, s=s)

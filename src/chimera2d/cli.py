@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +24,8 @@ import numpy as np
 
 from .ar import simulate_sar
 from .metrics import compute_metrics
-from .model import ChimeraModel, ModelConfig, check_integer, fit
+from .model import ChimeraModel, ModelConfig, fit
+from .recurrence import check_integer, check_real
 from . import invariants
 
 
@@ -61,26 +61,28 @@ class RunConfig:
     noise_std: float = 0.0
 
     def __post_init__(self):
-        for name, least in (("layers", 0), ("state_dim", 1), ("steps", 0), ("seed", 0),
-                            ("horizon", 1), ("variates", 1), ("length", 1), ("season", 1)):
-            try:
+        try:
+            if not isinstance(self.data, str):
+                raise ValueError(f"data must be a path string, got {self.data!r}")
+            # the model fields are checked where the model takes them
+            self.model_config()
+            for name, least in (("steps", 0), ("horizon", 1), ("variates", 1), ("length", 1), ("season", 1)):
                 check_integer(name, getattr(self, name), least)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-        for name in ("season_hint", "lr"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:  # a NaN fails every comparison
-                raise ConfigError(f"{name} must be positive and finite, got {value}")
-        for name in ("tol", "noise_std"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ConfigError(f"{name} must be nonnegative and finite, got {value}")
+            check_real("lr", self.lr, "positive")
+            for name in ("tol", "noise_std"):
+                check_real(name, getattr(self, name), "nonnegative")
+            for name in ("phi", "eta"):
+                coeffs = getattr(self, name)
+                if not isinstance(coeffs, (list, tuple)):
+                    raise ValueError(f"{name} must be a list of numbers, got {coeffs!r}")
+                for i, value in enumerate(coeffs):
+                    check_real(f"{name}[{i}]", value)
+                object.__setattr__(self, name, tuple(coeffs))  # frozen: set once, here
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def to_dict(self) -> dict:
-        blob = dataclasses.asdict(self)
-        for name in ("phi", "eta"):
-            blob[name] = list(blob[name])
-        return blob
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(blob: dict) -> "RunConfig":
@@ -88,14 +90,7 @@ class RunConfig:
         unknown = sorted(set(blob) - known)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        blob = dict(blob)
-        for name in ("phi", "eta"):
-            if name in blob:
-                blob[name] = tuple(blob[name])
-        try:
-            return RunConfig(**blob)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return RunConfig(**blob)
 
     @staticmethod
     def load(path: str | None, seed_override: int | None = None) -> "RunConfig":

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .recurrence import check_integer
+
 
 def _series(a) -> np.ndarray:
     """`a` with time on axis 1; a 1-D array becomes one series, (1, T)."""
@@ -33,8 +35,7 @@ def smape(pred: np.ndarray, truth: np.ndarray) -> float:
 def _naive_scale(insample: np.ndarray, season: int) -> np.ndarray:
     """Per-series mean absolute error of the in-sample seasonal-naive
     forecast: the MASE denominator."""
-    if season < 1:
-        raise ValueError("season must be >= 1")
+    check_integer("season", season, 1)
     insample = _series(insample)
     if insample.shape[1] <= season:
         raise ValueError("in-sample series too short for the seasonal naive scale")

@@ -14,6 +14,11 @@ readout. Training is plain gradient descent with central-difference
 gradients over the flat parameter store; the same store is what the
 JSON checkpoint format serializes.
 
+Every SSM block stores `CONT_PARAM_NAMES`. A selective trend or seasonal
+block adds the six `PROJ_WEIGHT_NAMES`, in Mamba's form (Gu & Dao, arXiv
+2312.00752): its continuous set's b1..c2 and step raws are their biases,
+so with zero weights it is its constant block. The decoder is constant.
+
 `fit` evaluates the differences one group of parameters at a time (one
 SSM block's, or one weight matrix), with the group's 2 x (coordinates)
 perturbed copies stacked on a leading variant axis: the blocks before
@@ -34,27 +39,15 @@ bit.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .discretize import DT_FLOOR, ContinuousSSM2D, DiscreteSSM2D, discretize_all
-from .recurrence import as_series, transition_probe
+from .recurrence import as_series, check_integer, check_real, transition_probe
 from .scan import _SharedChain, closed_loop_decode, readout, scan_forward, sweep_shared
-from .selective import (
-    DT_INIT, SelectiveProjections, inv_softplus, project_cell_params, project_grid_params, softplus,
-)
+from .selective import DT_INIT, SelectiveProjections, inv_softplus, project_grid_params, softplus
 from .structured import companion_from_coeffs, diagonal_matrix
-
-
-def check_integer(name: str, value, least: int) -> None:
-    """Raises ValueError naming the field unless value is an integer (a
-    bool is not one) of at least `least`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass
@@ -74,18 +67,17 @@ class ModelConfig:
     def __post_init__(self):
         for name, least in (("layers", 0), ("state_dim", 1), ("channels", 1), ("seed", 0)):
             check_integer(name, getattr(self, name), least)
-        if not 0.0 < self.season_hint < np.inf:  # a NaN fails every comparison
-            raise ValueError(f"season_hint must be positive and finite, got {self.season_hint}")
+        for name in ("selective", "bidirectional"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        check_real("season_hint", self.season_hint, "positive")
 
 
-# the parameters of a constant block's continuous set, which its
-# discretization depends on
+# every SSM block's parameters: its continuous set
 CONT_PARAM_NAMES = ("a1", "a2", "a3", "a4", "dt1_raw", "dt2_raw", "b1", "b2", "c1", "c2")
 
-PROJ_PARAM_NAMES = (
-    "W_B1", "W_B2", "W_C1", "W_C2", "b_B1", "b_B2", "b_C1", "b_C2",
-    "w_d1", "w_d2", "b_d1", "b_d2",
-)
+# a selective block's projection weights: B1 = W_B1 x + b1, ..., dt1 = softplus(w_d1 . x + dt1_raw)
+PROJ_WEIGHT_NAMES = ("W_B1", "W_B2", "W_C1", "W_C2", "w_d1", "w_d2")
 
 
 def _swish(z):
@@ -123,7 +115,7 @@ class ChimeraModel:
         n, d = config.state_dim, config.channels
         p: dict[str, np.ndarray] = {}
 
-        def ssm_block(prefix: str, dt_time: float):
+        def ssm_block(prefix: str, dt_time: float, selective: bool = config.selective):
             # mildly contractive transition structure; B/C near unit scale
             p[f"{prefix}.a1"] = rng.uniform(-0.4, -0.05, n)
             p[f"{prefix}.a2"] = rng.uniform(-0.4, -0.05, n)
@@ -131,20 +123,14 @@ class ChimeraModel:
             p[f"{prefix}.a4"] = rng.uniform(-1.0, -0.1, n)
             p[f"{prefix}.dt1_raw"] = np.array(inv_softplus(dt_time))
             p[f"{prefix}.dt2_raw"] = np.array(inv_softplus(DT_INIT))
-            if config.selective:
+            if selective:
                 lim = 1.0 / np.sqrt(d)
-                for name in ("W_B1", "W_B2", "W_C1", "W_C2"):
-                    p[f"{prefix}.{name}"] = rng.uniform(-lim, lim, (n, d))
-                for name in ("b_B1", "b_B2", "b_C1", "b_C2"):
-                    p[f"{prefix}.{name}"] = rng.uniform(-lim, lim, n)
-                for name in ("w_d1", "w_d2"):
-                    p[f"{prefix}.{name}"] = rng.uniform(-lim, lim, d)
-                p[f"{prefix}.b_d1"] = np.array(inv_softplus(dt_time))
-                p[f"{prefix}.b_d2"] = np.array(inv_softplus(DT_INIT))
+                for names, shape in ((PROJ_WEIGHT_NAMES[:4], (n, d)), (CONT_PARAM_NAMES[6:], n), (PROJ_WEIGHT_NAMES[4:], d)):
+                    for name in names:
+                        p[f"{prefix}.{name}"] = rng.uniform(-lim, lim, shape)
             else:
-                scale = 1.0 / np.sqrt(n)
-                for name in ("b1", "b2", "c1", "c2"):
-                    p[f"{prefix}.{name}"] = rng.normal(0.0, scale, n)
+                for name in CONT_PARAM_NAMES[6:]:
+                    p[f"{prefix}.{name}"] = rng.normal(0.0, 1.0 / np.sqrt(n), n)
 
         dirs = ("f", "b") if config.bidirectional else ("f",)
         for layer in range(config.layers):
@@ -158,13 +144,8 @@ class ChimeraModel:
         p["gate.w_val"] = rng.uniform(-lim, lim, (d, d))
         p["gate.w_out"] = rng.uniform(-lim, lim, (d, d))
         p["head.w"] = np.eye(d) + rng.normal(0.0, 0.02, (d, d))
-        ssm_block("decoder", DT_INIT)
-        if config.selective:
-            # the decoder is driven through closed_loop_decode, which is
-            # data-independent; give it plain B/C parameters as well
-            scale = 1.0 / np.sqrt(n)
-            for name in ("b1", "b2", "c1", "c2"):
-                p[f"decoder.{name}"] = rng.normal(0.0, scale, n)
+        # closed_loop_decode is data-independent: a constant decoder block
+        ssm_block("decoder", DT_INIT, selective=False)
         p["decoder.d1"] = rng.normal(0.0, 1.0 / np.sqrt(n), n)
         p["decoder.d2"] = rng.normal(0.0, 1.0 / np.sqrt(n), n)
         return ChimeraModel(config=config, params=p)
@@ -197,8 +178,9 @@ class ChimeraModel:
             for k in sorted(expected.keys() & params.keys())
             if params[k].shape != expected[k]
         ]
+        problems += [f"{k} has non-finite values" for k in sorted(params) if not np.isfinite(params[k]).all()]
         if problems:
-            raise ValueError(f"checkpoint parameters do not match its config: {'; '.join(problems)}")
+            raise ValueError(f"invalid checkpoint parameters: {'; '.join(problems)}")
         return ChimeraModel(config=config, params=params)
 
     def save(self, path):
@@ -249,11 +231,15 @@ class ChimeraModel:
         return dp
 
     def _block_proj(self, prefix: str) -> SelectiveProjections:
-        p = self.params
-        kw = {name: p[f"{prefix}.{name}"] for name in PROJ_PARAM_NAMES}
-        kw["b_d1"] = float(kw["b_d1"])
-        kw["b_d2"] = float(kw["b_d2"])
-        return SelectiveProjections(**kw)
+        """The selective block's projections: its six `PROJ_WEIGHT_NAMES`
+        weights, with its continuous set's b1..c2 and step raws as their
+        biases, so zero weights project every input to that set."""
+        p = {name: self.params[f"{prefix}.{name}"] for name in CONT_PARAM_NAMES[4:] + PROJ_WEIGHT_NAMES}
+        return SelectiveProjections(
+            **{name: p[name] for name in PROJ_WEIGHT_NAMES},
+            b_B1=p["b1"], b_B2=p["b2"], b_C1=p["c1"], b_C2=p["c2"],
+            b_d1=float(p["dt1_raw"]), b_d2=float(p["dt2_raw"]),
+        )
 
     def _ssm_blocks(self) -> list[str]:
         """The trend and seasonal block prefixes, in the order `forward`
@@ -267,16 +253,11 @@ class ChimeraModel:
     def _first_unstable_block(self) -> str:
         """Names the first SSM block, in forward order, whose joint
         transition has spectral radius >= 1 (or cannot be formed), with
-        that radius. A selective block is probed at its bias step sizes,
-        the projections of a zero input."""
+        that radius. A selective block is probed at its continuous set,
+        which its projections give a zero input."""
         for prefix in self._ssm_blocks():
             try:
-                if self.config.selective:
-                    zero = np.zeros(self.config.channels)
-                    dp = project_cell_params(self._block_proj(prefix), zero, self._a_set(prefix))
-                else:
-                    dp = self._block_dp(prefix)
-                rho = transition_probe(dp)["rho_joint"]
+                rho = transition_probe(self._block_dp(prefix))["rho_joint"]
             except (ValueError, np.linalg.LinAlgError) as exc:
                 return f"block {prefix} has no finite transition ({exc})"
             if not rho < 1.0:
@@ -566,8 +547,7 @@ def fit(
     finite and > 0, x has the model's channel count and x and y have one
     shape; aborts with FloatingPointError if the loss diverges.
     """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    check_integer("steps", steps, 0)
     if not 0.0 < lr < np.inf:  # a NaN fails every comparison
         raise ValueError(f"lr must be finite and > 0, got {lr}")
     x, y = data

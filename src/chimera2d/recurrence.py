@@ -19,9 +19,31 @@ parameters enter the same update indexed at [v, t].
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .discretize import DiscreteSSM2D
+
+
+def check_integer(name: str, value, least: int) -> None:
+    """Raises ValueError naming the field unless value is an integer (a
+    bool is not one) of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def check_real(name: str, value, sign: str = "") -> None:
+    """Raises ValueError naming the field unless value is a finite real
+    number (a bool is not one), and with `sign` "positive" or
+    "nonnegative" one of that sign."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    signed = value > 0 if sign == "positive" else value >= 0 if sign == "nonnegative" else True
+    if not (signed and -np.inf < value < np.inf):  # a NaN fails every comparison
+        raise ValueError(f"{name} must be {sign + ' and ' if sign else ''}finite, got {value}")
 
 
 def as_series(x, stacked: bool = False) -> np.ndarray:

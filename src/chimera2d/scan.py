@@ -87,7 +87,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import DiscreteSSM2D
-from .recurrence import as_series, require_constant
+from .recurrence import as_series, check_integer, require_constant
 from .structured import powers
 
 
@@ -363,12 +363,14 @@ def closed_loop_decode(
     (V, horizon, d). Each step is one product with the fused column map G
     (see the module docstring), the Abar3 cross term and the variate
     chain; one readout after the last step gives every output."""
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    check_integer("horizon", horizon, 0)
     require_constant(dp, "closed_loop_decode")
     x_ctx = as_series(x_ctx)
     d1 = np.asarray(d1, dtype=float)
     d2 = np.asarray(d2, dtype=float)
+    for name, row in (("d1", d1), ("d2", d2)):
+        if row.shape != (dp.n,):
+            raise ValueError(f"{name} must have length N={dp.n}, got shape {row.shape}")
     v_count, _, d = x_ctx.shape
     if horizon == 0:
         return np.zeros((v_count, 0, d))

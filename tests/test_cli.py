@@ -58,6 +58,33 @@ def test_bad_integer_field_exits_2_naming_it(tmp_path, capsys, command, field, v
     assert err.startswith(f"error: config: {field} must be") and err.rstrip().endswith(f"got {value!r}")
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("bidirectional", "false", "bidirectional must be true or false, got 'false'"),
+    ("selective", "yes", "selective must be true or false, got 'yes'"),
+    ("lr", True, "lr must be a number, got True"),
+    ("lr", "big", "lr must be a number, got 'big'"),
+    ("season_hint", "2", "season_hint must be a number, got '2'"),
+    ("tol", None, "tol must be a number, got None"),
+    ("noise_std", False, "noise_std must be a number, got False"),
+    ("data", 5, "data must be a path string, got 5"),
+    ("data", 0, "data must be a path string, got 0"),
+    ("data", ["x.csv"], "data must be a path string, got ['x.csv']"),
+    ("phi", "ab", "phi must be a list of numbers, got 'ab'"),
+    ("phi", [0.5, "a"], "phi[1] must be a number, got 'a'"),
+    ("eta", [float("nan")], "eta[0] must be finite, got nan"),
+])
+def test_field_of_the_wrong_type_exits_2_naming_it(tmp_path, capsys, field, value, message):
+    out = str(tmp_path)
+    good = {"variates": 2, "length": 16, "layers": 1, "state_dim": 2, "steps": 1, "data": str(tmp_path / "series.csv")}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(good))
+    assert cmd_dispatch(["generate", "--config", str(cfg), "--out", out]) == 0
+    cfg.write_text(json.dumps({**good, field: value}))
+    capsys.readouterr()
+    assert cmd_dispatch(["fit", "--config", str(cfg), "--out", out]) == 2
+    assert capsys.readouterr().err.rstrip() == f"error: config: {message}"
+
+
 def test_config_json_file_roundtrip(tmp_path):
     path = tmp_path / "run.json"
     cfg = RunConfig(steps=3, seed=9)
@@ -178,6 +205,36 @@ def test_eval_scores_each_variate(tmp_path):
         assert cmd_dispatch(args + ["--insample", str(tmp_path / "insample.csv"), "--season", season]) == 2
 
 
+@pytest.mark.parametrize("command, config, csv, message", [
+    ("fit", "{not json", "", "config is not valid JSON"),
+    ("fit", "[1]", "", "config must be a JSON object"),
+    ("fit", "{}", "", "fit requires a 'data' path in the config"),
+    ("forecast", "{}", "", "forecast requires a 'data' path in the config"),
+    ("fit", None, None, "series file not found: {data}"),
+    ("fit", None, "", "empty series file: {data}"),
+    ("fit", None, "t\n0\n", "no variate columns in {data}"),
+    ("fit", None, "t,var_0\n0,1.0,2.0\n", "ragged CSV row in {data}: 0,1.0,2.0"),
+    ("fit", None, "t,var_0\n0,1.0\n", "training series needs at least 2 time steps"),
+    ("eval", None, "t,var_0\n0,1.0\n1,2.0\n", "prediction shape (1, 2) != truth shape (1, 3)"),
+])
+def test_bad_input_exits_2_naming_it(tmp_path, capsys, command, config, csv, message):
+    data, truth = tmp_path / "series.csv", tmp_path / "truth.csv"
+    if csv is not None:
+        data.write_text(csv)
+    with open(truth, "w", encoding="utf-8") as fh:
+        write_series_csv(fh, np.ones((1, 3)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": str(data), "steps": 1}) if config is None else config)
+    args = {
+        "fit": ["fit", "--config", str(cfg)],
+        "forecast": ["forecast", "--config", str(cfg), "--checkpoint", str(tmp_path / "ckpt.json")],
+        "eval": ["eval", "--pred", str(data), "--truth", str(truth), "--insample", str(truth)],
+    }[command]
+    assert cmd_dispatch(args + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"error: config: {message.format(data=data)}")
+
+
 def test_bad_config_exits_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"no_such_key": 1}))
@@ -188,7 +245,10 @@ def test_missing_config_file_exits_2(tmp_path):
     assert cmd_dispatch(["generate", "--config", str(tmp_path / "nope.json")]) == 2
 
 
-@pytest.mark.parametrize("case", ["missing", "not_json", "unknown_key", "missing_param", "misshapen_param"])
+@pytest.mark.parametrize("case", [
+    "missing", "not_json", "unknown_key", "missing_param", "misshapen_param", "non_bool_config",
+    "nan_param", "infinite_param",
+])
 def test_bad_checkpoint_exits_2_naming_it(tmp_path, capsys, case):
     from chimera2d import ChimeraModel, ModelConfig
 
@@ -212,13 +272,61 @@ def test_bad_checkpoint_exits_2_naming_it(tmp_path, capsys, case):
         blob = ChimeraModel.init_random(ModelConfig(layers=1, state_dim=2, channels=1)).to_checkpoint()
         blob["params"]["layer0.trend.f.a1"] = [-0.1]
         ckpt.write_text(json.dumps(blob))
+    elif case == "non_bool_config":
+        blob = ChimeraModel.init_random(ModelConfig(layers=0, state_dim=1, channels=1)).to_checkpoint()
+        blob["config"]["bidirectional"] = "false"
+        ckpt.write_text(json.dumps(blob))
+    elif case in ("nan_param", "infinite_param"):
+        # json writes and reads NaN and Infinity; decode never reads c1
+        blob = ChimeraModel.init_random(ModelConfig(layers=1, state_dim=2, channels=1)).to_checkpoint()
+        blob["params"]["layer0.trend.f.c1"][0] = np.nan
+        if case == "infinite_param":
+            blob["params"]["decoder.a1"][1] = np.inf
+        ckpt.write_text(json.dumps(blob))
     args = ["forecast", "--config", str(cfg), "--out", str(tmp_path), "--checkpoint", str(ckpt)]
     assert cmd_dispatch(args) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: config:") and str(ckpt) in err
-    named = {"unknown_key": "gate_dim", "missing_param": "head.w", "misshapen_param": "layer0.trend.f.a1"}
+    named = {
+        "unknown_key": "gate_dim", "missing_param": "head.w", "misshapen_param": "layer0.trend.f.a1",
+        "non_bool_config": "bidirectional must be true or false, got 'false'",
+        "nan_param": "layer0.trend.f.c1 has non-finite values",
+        "infinite_param": "decoder.a1 has non-finite values; layer0.trend.f.c1 has non-finite values",
+    }
     if case in named:
         assert named[case] in err
+
+
+def test_selective_checkpoint_in_the_old_layout_is_refused_by_name(tmp_path, capsys):
+    # before every SSM block shared one layout, a selective block kept its
+    # projection biases under names of their own, next to the unread
+    # dt1_raw and dt2_raw, and the decoder all twelve projection parameters
+    from chimera2d import ChimeraModel, ModelConfig
+
+    blob = ChimeraModel.init_random(ModelConfig(layers=1, state_dim=2, channels=1, selective=True)).to_checkpoint()
+    params = blob["params"]
+    renamed = {"b1": "b_B1", "b2": "b_B2", "c1": "b_C1", "c2": "b_C2"}
+    for prefix in ("layer0.trend.f", "layer0.trend.b", "layer0.seasonal.f", "layer0.seasonal.b"):
+        for new, old in renamed.items():
+            params[f"{prefix}.{old}"] = params.pop(f"{prefix}.{new}")
+        params[f"{prefix}.b_d1"], params[f"{prefix}.b_d2"] = params[f"{prefix}.dt1_raw"], params[f"{prefix}.dt2_raw"]
+    for name in ("W_B1", "W_B2", "W_C1", "W_C2", "b_B1", "b_B2", "b_C1", "b_C2", "w_d1", "w_d2", "b_d1", "b_d2"):
+        params[f"decoder.{name}"] = params[f"layer0.trend.f.{name}"]
+    with pytest.raises(ValueError) as info:
+        ChimeraModel.from_checkpoint(blob)
+    for name in ("missing layer0.trend.f.b1", "missing layer0.seasonal.b.c2", "unexpected layer0.trend.f.b_B1",
+                 "unexpected layer0.seasonal.b.b_d2", "unexpected decoder.W_B1", "unexpected decoder.b_d2"):
+        assert name in str(info.value)
+    data = tmp_path / "series.csv"
+    with open(data, "w", encoding="utf-8") as fh:
+        write_series_csv(fh, np.zeros((2, 6)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": str(data)}))
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(blob))
+    assert cmd_dispatch(["forecast", "--config", str(cfg), "--out", str(tmp_path), "--checkpoint", str(ckpt)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"error: config: cannot load checkpoint {ckpt}") and "missing layer0.trend.f.b1" in err
 
 
 def test_forecast_rejects_checkpoint_with_several_channels(tmp_path, capsys):

@@ -1,0 +1,73 @@
+"""Every library entry point rejects a bad argument by name: one case per
+error path, each asserting the message."""
+
+import numpy as np
+import pytest
+
+from chimera2d import (
+    ChimeraModel, ContinuousSSM2D, ModelConfig, ScanElement, bidirectional_forward, closed_loop_decode,
+    companion_from_coeffs, compute_metrics, diagonal_matrix, expm, fit, impulse_kernels, op_star,
+    sar_to_ssm, simulate_sar, zoh_pair,
+)
+from chimera2d.invariants import _random_dp
+from chimera2d.selective import inv_softplus
+
+RNG = np.random.default_rng(40)
+DP2, DP3 = _random_dp(RNG, 2), _random_dp(RNG, 3)
+X = RNG.standard_normal((2, 6, 1))
+MODEL = ChimeraModel.init_random(ModelConfig(layers=0, state_dim=2, channels=1, seed=40))
+EYE, ZERO = np.eye(2), np.zeros((2, 1))
+
+
+def _cont(**changed):
+    a = np.array([-0.1, -0.2])
+    kw = dict(A1=a, A2=a, A3=a, A4=a, B1=a, B2=a, C1=a, C2=a, dt1=0.1, dt2=0.1)
+    return ContinuousSSM2D(**{**kw, **changed})
+
+
+def _scores(insample, season=1):
+    return compute_metrics(np.ones((1, 2)), np.ones((1, 2)), insample, season=season)
+
+
+CASES = {
+    "fit_steps_fraction": (lambda: fit(MODEL, (X, X), steps=1.5, lr=1e-3), "steps must be an integer, got 1.5"),
+    "fit_steps_bool": (lambda: fit(MODEL, (X, X), steps=True, lr=1e-3), "steps must be an integer, got True"),
+    "fit_steps_negative": (lambda: fit(MODEL, (X, X), steps=-1, lr=1e-3), "steps must be >= 0, got -1"),
+    "decode_horizon_fraction": (lambda: MODEL.decode(X, 2.5), "horizon must be an integer, got 2.5"),
+    "decode_horizon_bool": (lambda: MODEL.decode(X, True), "horizon must be an integer, got True"),
+    "decode_horizon_negative": (lambda: MODEL.decode(X, -1), "horizon must be >= 0, got -1"),
+    "decode_d1_length": (lambda: closed_loop_decode(DP2, np.ones(3), np.ones(2), X, 2),
+                         r"d1 must have length N=2, got shape \(3,\)"),
+    "decode_d2_length": (lambda: closed_loop_decode(DP2, np.ones(2), np.ones((2, 2)), X, 2),
+                         r"d2 must have length N=2, got shape \(2, 2\)"),
+    "sar_stride_fraction": (lambda: simulate_sar([0.5], [], 1.5, [0.0], 0.0, 4), "s must be an integer, got 1.5"),
+    "sar_stride_bool": (lambda: simulate_sar([0.5], [], True, [0.0], 0.0, 4), "s must be an integer, got True"),
+    "sar_stride_zero": (lambda: simulate_sar([0.5], [], 0, [0.0], 0.0, 4), "s must be >= 1, got 0"),
+    "sar_length_fraction": (lambda: simulate_sar([0.5], [], 1, [0.0], 0.0, 2.5), "t_count must be an integer, got 2.5"),
+    "sar_length_zero": (lambda: simulate_sar([0.5], [], 1, [0.0], 0.0, 0), "t_count must be >= 1, got 0"),
+    "sar_to_ssm_stride": (lambda: sar_to_ssm([0.5], [], 0), "s must be >= 1, got 0"),
+    "metrics_season_fraction": (lambda: _scores(np.arange(6.0)[None], season=1.5), "season must be an integer, got 1.5"),
+    "metrics_short_insample": (lambda: _scores(np.arange(2.0)[None], season=2),
+                               "in-sample series too short for the seasonal naive scale"),
+    "cont_b_length": (lambda: _cont(B2=np.zeros(3)), "B and C vectors must have length N"),
+    "zoh_non_finite_b": (lambda: zoh_pair(np.array([-0.1]), np.array([np.nan]), 0.1), "non-finite input matrix"),
+    "companion_empty": (lambda: companion_from_coeffs([]), "companion coefficients must be nonempty vectors"),
+    "diagonal_scalar": (lambda: diagonal_matrix(1.0), "diagonal must be a nonempty vector"),
+    "expm_stack_lead": (lambda: expm(np.zeros((2, 2, 2)), np.ones(3), stacked=True),
+                        r"generators of shape \(2, 2, 2\) do not lead with the step sizes' shape \(3,\)"),
+    "expm_non_finite_diagonal": (lambda: expm(np.array([np.inf, -1.0])), "non-finite entries"),
+    "scan_element_square": (lambda: ScanElement(EYE, np.eye(3), ZERO, EYE, EYE, ZERO), "p2 must be 2x2"),
+    "scan_element_input": (lambda: ScanElement(EYE, EYE, ZERO, EYE, EYE, np.zeros((3, 1))), "p6 must be 2x1"),
+    "op_star_mismatch": (lambda: op_star(ScanElement.identity(2), ScanElement.identity(3)),
+                         "shape mismatch between scan elements"),
+    "impulse_extent": (lambda: impulse_kernels(DP2, 0, 3), "kernel extents must be positive"),
+    "bidirectional_n": (lambda: bidirectional_forward(DP2, DP3, X), "forward and backward modules must share N"),
+    "inv_softplus_zero": (lambda: inv_softplus(0.0), "softplus output must be positive"),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_bad_argument_is_named(name):
+    call, message = CASES[name]
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -8,7 +8,7 @@ import chimera2d.model
 import chimera2d.scan
 from chimera2d import ChimeraModel, ModelConfig, fd_gradient, fit, simulate_sar, transition_probe
 from chimera2d.invariants import _assert_fd_stacked_exact
-from chimera2d.model import mse_loss, stacked_fd_gradient
+from chimera2d.model import CONT_PARAM_NAMES, PROJ_WEIGHT_NAMES, mse_loss, stacked_fd_gradient
 from chimera2d.scan import _block_length
 from chimera2d.selective import inv_softplus
 
@@ -26,6 +26,10 @@ def tiny_model(seed=0, **kw):
     ("state_dim", True, "state_dim must be an integer, got True"),
     ("channels", 2.0, "channels must be an integer, got 2.0"),
     ("seed", -1, "seed must be >= 0, got -1"),
+    ("selective", "yes", "selective must be true or false, got 'yes'"),
+    ("bidirectional", 0, "bidirectional must be true or false, got 0"),
+    ("season_hint", "2", "season_hint must be a number, got '2'"),
+    ("season_hint", True, "season_hint must be a number, got True"),
 ])
 def test_invalid_dimension_named(field, value, message):
     with pytest.raises(ValueError, match=message):
@@ -127,6 +131,50 @@ def test_checkpoint_parameters_checked_against_config(edit, message):
         ChimeraModel.from_checkpoint(blob)
 
 
+def test_every_block_stores_one_layout():
+    for selective in (False, True):
+        m = tiny_model(seed=31, selective=selective)
+        for prefix in m._ssm_blocks() + ["decoder"]:
+            names = {name.rpartition(".")[2] for name in m.params if name.rpartition(".")[0] == prefix}
+            if prefix == "decoder":
+                assert names == set(CONT_PARAM_NAMES) | {"d1", "d2"}
+            else:
+                assert names == set(CONT_PARAM_NAMES) | (set(PROJ_WEIGHT_NAMES) if selective else set())
+    # the benchmark's selective shape: 4 blocks of 10 + 6, and 21 others
+    cfg = ModelConfig(layers=1, state_dim=2, channels=4, selective=True)
+    assert len(ChimeraModel.init_random(cfg).params) == 81
+
+
+@pytest.mark.parametrize("selective", [False, True])
+def test_every_stored_parameter_is_read(selective):
+    m = ChimeraModel.init_random(ModelConfig(layers=1, state_dim=2, channels=2, selective=selective, seed=32))
+    x = 0.5 * np.random.default_rng(32).standard_normal((2, 5, 2))
+    y, forecast = m.forward(x), m.decode(x, 3)
+    for name in m.params:
+        moved = m.copy()
+        moved.params[name] = moved.params[name] + 0.05
+        if name.startswith("decoder."):
+            assert not np.array_equal(moved.decode(x, 3), forecast), name
+        else:
+            assert not np.array_equal(moved.forward(x), y), name
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_selective_block_with_zero_weights_is_its_constant_block(layers):
+    cfg = ModelConfig(layers=layers, state_dim=2, channels=2, selective=True, seed=33)
+    selective = ChimeraModel.init_random(cfg)
+    for name, value in selective.params.items():
+        if name.rpartition(".")[2] in PROJ_WEIGHT_NAMES:
+            value[...] = 0.0
+    kept = {name: value for name, value in selective.params.items() if name.rpartition(".")[2] not in PROJ_WEIGHT_NAMES}
+    blob = {"config": {**selective.to_checkpoint()["config"], "selective": False}, "params": kept}
+    constant = ChimeraModel.from_checkpoint(blob)
+    x = np.random.default_rng(33).standard_normal((3, 7, 2))
+    y = constant.forward(x)
+    assert np.max(np.abs(selective.forward(x) - y)) <= 1e-10 * np.max(np.abs(y))
+    assert np.array_equal(selective.decode(x, 4), constant.decode(x, 4))
+
+
 def test_selective_model_forward_runs():
     m = tiny_model(seed=7, selective=True)
     x = np.random.default_rng(7).standard_normal((2, 5, 1))
@@ -206,7 +254,7 @@ def test_fit_divergence_reported():
 def test_fit_divergence_names_the_first_unstable_block(selective):
     m = tiny_model(seed=14, selective=selective)
     p = m.params
-    steps = ("dt1_raw", "dt2_raw", "b_d1", "b_d2") if selective else ("dt1_raw", "dt2_raw")
+    steps = ("dt1_raw", "dt2_raw")
     # long steps make the stable transitions contract: every joint
     # transition radius < 1 ...
     for prefix in m._ssm_blocks():
