@@ -140,7 +140,11 @@ def zoh_pair(a, b, dt, stacked: bool = False) -> tuple[np.ndarray, np.ndarray]:
     for A (N, N) or its (N,) diagonal, B of shape (..., N) and dt of a
     batch shape (...); Abar has dt's. With `stacked`, a holds one A per
     step size, dt's shape leading."""
-    dt = _checked_step("dt", dt)
+    return _zoh(a, b, _checked_step("dt", dt), stacked)
+
+
+def _zoh(a, b, dt: np.ndarray, stacked: bool) -> tuple[np.ndarray, np.ndarray]:
+    """`zoh_pair` on a float array dt of step sizes already checked."""
     a = np.asarray(a, dtype=float)
     b = _checked_input(b, a.shape[-1])
     if a.ndim == (dt.ndim if stacked else 0) + 1:
@@ -160,9 +164,10 @@ def discretize_all(p: ContinuousSSM2D) -> DiscreteSSM2D:
     """Discretize the full parameter set (time step for A1/A2, variate
     step for A3/A4; B1 rides the (A1, dt1) pair, B2 the (A4, dt2) pair).
     Each field has the batch shape of its inputs (Abar its step's); an
-    item of a stacked set is bit for bit its own set's discretization."""
-    abar1, bbar1 = zoh_pair(p.A1, p.B1, p.dt1, p.stacked)
-    abar4, bbar2 = zoh_pair(p.A4, p.B2, p.dt2, p.stacked)
+    item of a stacked set is bit for bit its own set's discretization.
+    The step sizes are not checked again: the set checked them when made."""
+    abar1, bbar1 = _zoh(p.A1, p.B1, np.asarray(p.dt1, dtype=float), p.stacked)
+    abar4, bbar2 = _zoh(p.A4, p.B2, np.asarray(p.dt2, dtype=float), p.stacked)
     return DiscreteSSM2D(
         Abar1=abar1, Abar2=expm(p.A2, p.dt1, p.stacked), Abar3=expm(p.A3, p.dt2, p.stacked), Abar4=abar4,
         Bbar1=bbar1, Bbar2=bbar2,

@@ -514,20 +514,24 @@ def _check_model_fd_stacked_exact():
 
 @invariant("model.dp_memo_exact")
 def _check_model_dp_memo_exact():
-    # a model keeps each constant block's discretization while its
-    # parameters are unchanged; moving any one coordinate in place, as
-    # fit's update does, must give the outputs of a fresh copy, bit for bit
+    # a model keeps each constant block's discretization and chain solvers
+    # while its parameters are unchanged; moving any one coordinate in
+    # place, as fit's update does, must give the outputs of a fresh copy,
+    # bit for bit, at either of two context shapes
     rng = np.random.default_rng(75)
     model = ChimeraModel.init_random(ModelConfig(layers=1, state_dim=2, channels=1, seed=18))
-    x = rng.standard_normal((2, 6, 1))
+    contexts = (rng.standard_normal((2, 6, 1)), rng.standard_normal((3, 9, 1)))
     prefixes = tuple(f"{prefix}." for prefix in model._ssm_blocks()) + ("decoder.",)
-    model.forward(x)
-    model.decode(x, 3)
+    model.forward(contexts[0])
+    model.decode(contexts[0], 3)
     for name in [n for n in model.params if n.startswith(prefixes)]:
         model.params[name].reshape(-1)[-1] += 1e-3
-        fresh = model.copy()
-        assert np.array_equal(model.forward(x), fresh.forward(x)), f"forward after moving {name} is not a fresh copy's"
-        assert np.array_equal(model.decode(x, 3), fresh.decode(x, 3)), f"decode after moving {name} is not a fresh copy's"
+        # first at the shape used last, then at the other one
+        for x in contexts:
+            shape = f"after moving {name}, at {x.shape[:2]}"
+            assert np.array_equal(model.forward(x), model.copy().forward(x)), f"forward {shape} is not a fresh copy's"
+            assert np.array_equal(model.decode(x, 3), model.copy().decode(x, 3)), f"decode {shape} is not a fresh copy's"
+        contexts = contexts[::-1]
 
 
 # ----------------------------------------------------------------------

@@ -62,8 +62,8 @@ def seasonal_naive_forecast(insample: np.ndarray, horizon: int, season: int = 1)
     """Repeat each series' last observed seasonal cycle over the horizon."""
     insample = np.asarray(insample, dtype=float)
     axis = 0 if insample.ndim == 1 else 1
-    if season < 1:
-        raise ValueError(f"season {season} is not >= 1")
+    check_integer("season", season, 1)
+    check_integer("horizon", horizon, 0)
     if insample.shape[axis] < season:
         raise ValueError(f"in-sample series of length {insample.shape[axis]} is shorter than one season of {season}")
     tail = np.take(insample, np.arange(-season, 0), axis=axis)

@@ -30,10 +30,13 @@ bit for bit (`fd_gradient`, which reruns the whole model per
 evaluation, is the oracle).
 
 A model keeps each constant block's discretization, the decoder's too,
-until one of the parameters it comes from changes (`_block_dp`). So a
-served model, whose parameters do not change between calls, discretizes
-each block once, and every output still equals a fresh model's bit for
-bit.
+until one of the parameters it comes from changes (`_block_dp`), and
+with it the block's chain solvers (`scan.KeptSSM2D`): Abar1's over rows
+of T steps, and the decoder's Abar4's over V variates, one per
+transition, for the last length used. So a served model, whose
+parameters do not change between calls, discretizes each block once and
+builds its solvers once per context shape, and every output still
+equals a fresh model's bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import numpy as np
 
 from .discretize import DT_FLOOR, ContinuousSSM2D, DiscreteSSM2D, discretize_all
 from .recurrence import as_series, check_integer, check_real, transition_probe
-from .scan import _SharedChain, closed_loop_decode, readout, scan_forward, sweep_shared
+from .scan import KeptSSM2D, _SharedChain, closed_loop_decode, readout, scan_forward, sweep_shared
 from .selective import DT_INIT, SelectiveProjections, inv_softplus, project_grid_params, softplus
 from .structured import companion_from_coeffs, diagonal_matrix
 
@@ -103,8 +106,8 @@ class ChimeraModel:
     config: ModelConfig
     params: dict[str, np.ndarray] = field(default_factory=dict)
     loss_history: list[float] = field(default_factory=list)
-    # prefix -> (the CONT_PARAM_NAMES values, their discretization)
-    _dp_memo: dict[str, tuple[list[np.ndarray], DiscreteSSM2D]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # prefix -> (the key of its CONT_PARAM_NAMES values, their discretization)
+    _dp_memo: dict[str, tuple[tuple, KeptSSM2D]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # construction / serialization
@@ -212,23 +215,20 @@ class ChimeraModel:
         )
 
     def _block_dp(self, prefix: str) -> DiscreteSSM2D:
-        """The block's discretization. A constant set is kept, read-only,
-        with a copy of the `CONT_PARAM_NAMES` values it came from, and
-        returned again while `np.array_equal` finds each of them unchanged
-        in shape and values, so an in-place update of any one discretizes
-        afresh. A stacked set of variants is never kept. Every copy,
+        """The block's discretization. A constant set is kept as a
+        read-only `KeptSSM2D`, which keeps its chain solvers too, and
+        returned again while the (shape, bytes) of each of the
+        `CONT_PARAM_NAMES` values it came from is unchanged, so an
+        in-place update of any one discretizes afresh and drops the
+        solvers. A stacked set of variants is never kept. Every copy,
         checkpoint load and `_StackedVariants` starts with nothing kept."""
         if self.params[f"{prefix}.dt1_raw"].ndim:
             return discretize_all(self._block_cont(prefix))
-        values = [self.params[f"{prefix}.{name}"] for name in CONT_PARAM_NAMES]
+        key = tuple((v.shape, v.tobytes()) for v in (self.params[f"{prefix}.{name}"] for name in CONT_PARAM_NAMES))
         kept = self._dp_memo.get(prefix)
-        if kept is not None and all(map(np.array_equal, kept[0], values)):
-            return kept[1]
-        dp = discretize_all(self._block_cont(prefix))
-        for a in vars(dp).values():
-            a.flags.writeable = False
-        self._dp_memo[prefix] = ([v.copy() for v in values], dp)
-        return dp
+        if kept is None or kept[0] != key:
+            kept = self._dp_memo[prefix] = (key, KeptSSM2D(**vars(discretize_all(self._block_cont(prefix)))))
+        return kept[1]
 
     def _block_proj(self, prefix: str) -> SelectiveProjections:
         """The selective block's projections: its six `PROJ_WEIGHT_NAMES`
@@ -439,7 +439,7 @@ class _StackedVariants(ChimeraModel):
             return _BasePass(x, super()._ssm_pass(prefix, x))
         x = as_series(x)
         dp = self._block_dp(prefix)
-        chain = _SharedChain(dp.Abar1, x.shape[-2])
+        chain = dp.chain("Abar1", x.shape[-2])
         y, hidden = sweep_shared(dp, x, chain)
         return _BasePass(x, y, dp, chain, hidden)
 
@@ -543,13 +543,12 @@ def fit(
     """Plain gradient descent on the MSE between model(x) and y.
 
     Returns an updated copy; the per-step losses are recorded on its
-    `loss_history`. Raises ValueError, before any pass, unless lr is
-    finite and > 0, x has the model's channel count and x and y have one
-    shape; aborts with FloatingPointError if the loss diverges.
+    `loss_history`. Raises ValueError, before any pass, unless lr is a
+    positive finite number, x has the model's channel count and x and y
+    have one shape; aborts with FloatingPointError if the loss diverges.
     """
     check_integer("steps", steps, 0)
-    if not 0.0 < lr < np.inf:  # a NaN fails every comparison
-        raise ValueError(f"lr must be finite and > 0, got {lr}")
+    check_real("lr", lr, "positive")
     x, y = data
     x = model._series(x)
     y = as_series(y)

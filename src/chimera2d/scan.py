@@ -75,9 +75,15 @@ variates
     h2[v] = Abar4 h2[v-1] + (Abar3 h1[v-1] + Bbar2 u[v]),
 
 a chain with the shared transition Abar4. The column is held as
-(d, 2N, V), variates last, so one solver, built once per call, serves
-every step. The H columns go into one buffer, which one [C1 C2] product
-reads out after the last step.
+(d, 2N, V), variates last, so one solver serves every step. The H
+columns go into one buffer, which one [C1 C2] product reads out after
+the last step.
+
+A chain solver depends only on its transition and its length. Each call
+builds its own, unless its parameter set is a `KeptSSM2D`, which keeps
+the solvers of its Abar1 and Abar4 chains: then each is built once per
+parameter set and length, when the caller keeps the set (a served model
+does, `chimera2d.model`), with the same result bit for bit.
 """
 
 from __future__ import annotations
@@ -204,6 +210,7 @@ class _SharedChain:
     block, and one matmul with the operator solves all blocks."""
 
     def __init__(self, a: np.ndarray, length: int):
+        self.length = length
         *stack, n, _ = a.shape
         k = self.k = min(_block_length(n), length)
         pows = powers(a, k)
@@ -248,6 +255,38 @@ class _SharedChain:
         if padded is not g:
             g[...] = padded[..., :m]
         return g
+
+
+class KeptSSM2D(DiscreteSSM2D):
+    """A constant parameter set, made read-only, that keeps the solvers
+    of its Abar1 and Abar4 chains: at most one per transition, for the
+    length last asked, so a set kept across calls builds each once per
+    length. Its fields are a `DiscreteSSM2D`'s, and `vars` gives only
+    those."""
+
+    __slots__ = ("chains",)
+
+    def __post_init__(self):
+        super().__post_init__()
+        for a in vars(self).values():
+            a.flags.writeable = False
+        self.chains: dict[str, _SharedChain] = {}
+
+    def chain(self, transition: str, length: int) -> _SharedChain:
+        """The solver of the chain of `transition` ("Abar1" or "Abar4")
+        over `length` steps; one kept for another length is replaced."""
+        chain = self.chains.get(transition)
+        if chain is None or chain.length != length:
+            chain = self.chains[transition] = _SharedChain(getattr(self, transition), length)
+        return chain
+
+
+def _chain(dp: DiscreteSSM2D, transition: str, length: int) -> _SharedChain:
+    """The solver of dp's `transition` chain over `length` steps: the one
+    a `KeptSSM2D` keeps, else a new one."""
+    if isinstance(dp, KeptSSM2D):
+        return dp.chain(transition, length)
+    return _SharedChain(getattr(dp, transition), length)
 
 
 def input_terms(bbar: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -340,7 +379,7 @@ def scan_forward(dp: DiscreteSSM2D, x, return_hidden: bool = False):
     constant = dp.Abar1.ndim == 2
     x = as_series(x, stacked=constant)
     if constant:
-        y, hidden = sweep_shared(dp, x, _SharedChain(dp.Abar1, x.shape[-2]))
+        y, hidden = sweep_shared(dp, x, _chain(dp, "Abar1", x.shape[-2]))
         # (V, T, N, d) views of the grid's two halves
         h1, h2 = hidden[..., : dp.n, :].swapaxes(-1, -3), hidden[..., dp.n :, :].swapaxes(-1, -3)
     else:
@@ -371,7 +410,7 @@ def closed_loop_decode(
     for name, row in (("d1", d1), ("d2", d2)):
         if row.shape != (dp.n,):
             raise ValueError(f"{name} must have length N={dp.n}, got shape {row.shape}")
-    v_count, _, d = x_ctx.shape
+    v_count, t_count, d = x_ctx.shape
     if horizon == 0:
         return np.zeros((v_count, 0, d))
 
@@ -379,12 +418,12 @@ def closed_loop_decode(
     bbar = np.concatenate((dp.Bbar1, dp.Bbar2))
     # the context's solved (V, d, 2N, T) grid, of which only the last column
     # is read
-    hidden = solve_rows(input_terms(bbar, x_ctx), dp.Abar2, dp.Abar3, dp.Abar4, _SharedChain(dp.Abar1, x_ctx.shape[1]))
+    hidden = solve_rows(input_terms(bbar, x_ctx), dp.Abar2, dp.Abar3, dp.Abar4, _chain(dp, "Abar1", t_count))
     # g h is a column's h1 and its h2 input terms, the fed-back input
     # included: [[Abar1 Abar2], [0 0]] h + [Bbar1; Bbar2] [D1 D2] h
     g = np.outer(bbar, np.concatenate((d1, d2)))
     g[:n] += np.concatenate((dp.Abar1, dp.Abar2), axis=-1)
-    variate_chain = _SharedChain(dp.Abar4, v_count)
+    variate_chain = _chain(dp, "Abar4", v_count)
     # the generated columns, h1 over h2 with variates innermost
     columns = np.empty((horizon, d, 2 * n, v_count))
     h = hidden[..., -1].transpose(1, 2, 0)

@@ -71,14 +71,24 @@ def test_seasonal_naive_forecast_repeats_last_period():
 
 
 @pytest.mark.parametrize("insample, season, match", [
-    (np.arange(5.0), 0, "season 0 is not >= 1"),
-    (np.arange(5.0), -2, "season -2 is not >= 1"),
+    (np.arange(5.0), 0, "season must be >= 1, got 0"),
+    (np.arange(5.0), -2, "season must be >= 1, got -2"),
     (np.arange(5.0), 7, "length 5 is shorter than one season of 7"),
     (np.ones((2, 5, 3)), 6, "length 5 is shorter than one season of 6"),
+    (np.arange(5.0), 1.5, "season must be an integer, got 1.5"),
 ])
 def test_seasonal_naive_forecast_rejects_a_bad_season(insample, season, match):
     with pytest.raises(ValueError, match=match):
         seasonal_naive_forecast(insample, 3, season)
+
+
+@pytest.mark.parametrize("horizon, match", [
+    (-1, "horizon must be >= 0, got -1"),
+    (2.5, "horizon must be an integer, got 2.5"),
+])
+def test_seasonal_naive_forecast_rejects_a_bad_horizon(horizon, match):
+    with pytest.raises(ValueError, match=match):
+        seasonal_naive_forecast(np.arange(5.0), horizon, 2)
 
 
 def test_owa_is_one_for_naive_forecast():

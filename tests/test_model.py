@@ -305,8 +305,15 @@ def test_fit_names_the_first_unstable_block_when_a_variant_fails(monkeypatch):
 @pytest.mark.parametrize("lr", [np.nan, np.inf, 0.0, -1e-3])
 def test_fit_rejects_a_bad_learning_rate(lr):
     x = np.random.default_rng(24).standard_normal((2, 6, 1))
-    with pytest.raises(ValueError, match=f"lr must be finite and > 0, got {lr}"):
+    with pytest.raises(ValueError, match=f"lr must be positive and finite, got {lr}"):
         fit(tiny_model(seed=24), (x, x), steps=1, lr=lr)
+
+
+def test_fit_rejects_a_boolean_learning_rate():
+    # True would otherwise train at lr = 1
+    x = np.random.default_rng(24).standard_normal((2, 6, 1))
+    with pytest.raises(ValueError, match="lr must be a number, got True"):
+        fit(tiny_model(seed=24), (x, x), steps=1, lr=True)
 
 
 def test_fit_names_mismatched_input_and_target_shapes():
@@ -398,6 +405,54 @@ def test_copies_and_stacked_variants_start_with_no_kept_discretization(monkeypat
     work = chimera2d.model._StackedVariants(m, x)
     assert len(expms) == 16
     assert set(work._dp_memo) == set(m._ssm_blocks())
+
+
+def test_served_model_builds_its_chain_solvers_once(monkeypatch):
+    m = tiny_model(seed=31)
+    x = np.random.default_rng(31).standard_normal((3, 6, 1))
+    chains = _count_calls(monkeypatch, chimera2d.scan, "_SharedChain")
+    first = m.forward(x), m.decode(x, 4)
+    assert len(chains) > 0
+    chains.clear()
+    again = m.forward(x), m.decode(x, 4)
+    assert len(chains) == 0
+    for out, ref in zip(again, first):
+        assert np.array_equal(out, ref)
+
+
+def _kept_chains(m):
+    return {prefix: dp.chains for prefix, (_, dp) in m._dp_memo.items()}
+
+
+def test_each_block_keeps_one_chain_solver_per_transition():
+    m = tiny_model(seed=32)
+    rng = np.random.default_rng(32)
+    for shape in ((2, 6, 1), (3, 9, 1)):
+        x = rng.standard_normal(shape)
+        assert np.array_equal(m.forward(x), m.copy().forward(x))
+        assert np.array_equal(m.decode(x, 2), m.copy().decode(x, 2))
+    chains = _kept_chains(m)
+    assert set(chains) == set(m._ssm_blocks()) | {"decoder"}
+    for prefix, kept in chains.items():
+        lengths = {name: chain.length for name, chain in kept.items()}
+        # the last context's T steps along rows, and its V variates
+        assert lengths == ({"Abar1": 9, "Abar4": 3} if prefix == "decoder" else {"Abar1": 9}), prefix
+
+
+def test_an_in_place_move_rebuilds_the_chain_solver():
+    m = tiny_model(seed=33)
+    x = np.random.default_rng(33).standard_normal((2, 6, 1))
+    m.forward(x)
+    m.decode(x, 3)
+    before = {prefix: kept["Abar1"] for prefix, kept in _kept_chains(m).items()}
+    m.params["layer0.trend.f.a1"][0] += 1e-3
+    m.params["decoder.dt1_raw"] += 1e-3
+    fresh = m.copy()
+    assert np.array_equal(m.forward(x), fresh.forward(x))
+    assert np.array_equal(m.decode(x, 3), fresh.decode(x, 3))
+    for prefix, kept in _kept_chains(m).items():
+        rebuilt = kept["Abar1"] is not before[prefix]
+        assert rebuilt == (prefix in ("layer0.trend.f", "decoder")), prefix
 
 
 @pytest.mark.parametrize("cfg", [
