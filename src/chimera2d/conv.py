@@ -13,14 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 from .discretize import DiscreteSSM2D
-from .recurrence import as_series, require_constant
+from .recurrence import as_series, check_integer, require_constant
 from .scan import scan_forward
 
 
 def impulse_kernels(dp: DiscreteSSM2D, v_count: int, t_count: int) -> tuple[np.ndarray, np.ndarray]:
     """Hidden-state impulse responses per offset, shapes (V, T, N)."""
-    if v_count < 1 or t_count < 1:
-        raise ValueError("kernel extents must be positive")
+    check_integer("v_count", v_count, 1)
+    check_integer("t_count", t_count, 1)
     require_constant(dp, "impulse_kernels")
     impulse = np.zeros((v_count, t_count, 1))
     impulse[0, 0, 0] = 1.0

@@ -135,16 +135,16 @@ def _checked_input(b, n: int) -> np.ndarray:
     return b
 
 
-def zoh_pair(a, b, dt, stacked: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def zoh_pair(a, b, dt) -> tuple[np.ndarray, np.ndarray]:
     """Discretize one (A, B) pair: returns (exp(dt*A), ZOH input matrix)
     for A (N, N) or its (N,) diagonal, B of shape (..., N) and dt of a
-    batch shape (...); Abar has dt's. With `stacked`, a holds one A per
-    step size, dt's shape leading."""
-    return _zoh(a, b, _checked_step("dt", dt), stacked)
+    batch shape (...); Abar has dt's."""
+    return _zoh(a, b, _checked_step("dt", dt), False)
 
 
 def _zoh(a, b, dt: np.ndarray, stacked: bool) -> tuple[np.ndarray, np.ndarray]:
-    """`zoh_pair` on a float array dt of step sizes already checked."""
+    """`zoh_pair` on a float array dt of step sizes already checked. With
+    `stacked`, a holds one A per step size, dt's shape leading."""
     a = np.asarray(a, dtype=float)
     b = _checked_input(b, a.shape[-1])
     if a.ndim == (dt.ndim if stacked else 0) + 1:

@@ -412,19 +412,19 @@ def _check_selective_zero_weight_degeneration():
     a_set = _random_a_set(rng, n)
     proj = replace(
         SelectiveProjections.zeros(n, d),
-        b_B1=rng.standard_normal(n),
-        b_B2=rng.standard_normal(n),
-        b_C1=rng.standard_normal(n),
-        b_C2=rng.standard_normal(n),
-        b_d1=0.3,
-        b_d2=-0.2,
+        b1=rng.standard_normal(n),
+        b2=rng.standard_normal(n),
+        c1=rng.standard_normal(n),
+        c2=rng.standard_normal(n),
+        dt1_raw=0.3,
+        dt2_raw=-0.2,
     )
     x = rng.standard_normal((4, 6, d))
     y_sel = scan_forward(project_grid_params(proj, x, a_set), x)
     dp = discretize_all(
         ContinuousSSM2D(
             A1=a_set[0], A2=a_set[1], A3=a_set[2], A4=a_set[3],
-            B1=proj.b_B1, B2=proj.b_B2, C1=proj.b_C1, C2=proj.b_C2,
+            B1=proj.b1, B2=proj.b2, C1=proj.c1, C2=proj.c2,
             dt1=float(softplus(0.3)), dt2=float(softplus(-0.2)),
         )
     )

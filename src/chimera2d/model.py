@@ -16,8 +16,9 @@ JSON checkpoint format serializes.
 
 Every SSM block stores `CONT_PARAM_NAMES`. A selective trend or seasonal
 block adds the six `PROJ_WEIGHT_NAMES`, in Mamba's form (Gu & Dao, arXiv
-2312.00752): its continuous set's b1..c2 and step raws are their biases,
-so with zero weights it is its constant block. The decoder is constant.
+2312.00752): its parameters are the `SelectiveProjections` fields, whose
+biases are its continuous set's b1..c2 and step raws, so with zero
+weights it is its constant block. The decoder is constant.
 
 `fit` evaluates the differences one group of parameters at a time (one
 SSM block's, or one weight matrix), with the group's 2 x (coordinates)
@@ -25,9 +26,9 @@ perturbed copies stacked on a leading variant axis: the blocks before
 the group run once per gradient, and every later pass runs once on the
 (B, V, T, d) stack. A perturbed constant block discretizes its variants
 as one stack and runs them in at most two stacked sweeps and one
-readout. Each variant's loss is the one a fresh forward of it gives,
-bit for bit (`fd_gradient`, which reruns the whole model per
-evaluation, is the oracle).
+readout, by the fields each moves. Each variant's loss is the one a
+fresh forward of it gives, bit for bit (`fd_gradient`, which reruns the
+whole model per evaluation, is the oracle).
 
 A model keeps each constant block's discretization, the decoder's too,
 until one of the parameters it comes from changes (`_block_dp`), and
@@ -42,14 +43,15 @@ equals a fresh model's bit for bit.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .discretize import DT_FLOOR, ContinuousSSM2D, DiscreteSSM2D, discretize_all
+from .discretize import ContinuousSSM2D, DiscreteSSM2D, discretize_all
 from .recurrence import as_series, check_integer, check_real, transition_probe
 from .scan import KeptSSM2D, _SharedChain, closed_loop_decode, readout, scan_forward, sweep_shared
-from .selective import DT_INIT, SelectiveProjections, inv_softplus, project_grid_params, softplus
+from .selective import DT_INIT, SelectiveProjections, continuous_set, inv_softplus, project_grid_params
 from .structured import companion_from_coeffs, diagonal_matrix
 
 
@@ -79,8 +81,8 @@ class ModelConfig:
 # every SSM block's parameters: its continuous set
 CONT_PARAM_NAMES = ("a1", "a2", "a3", "a4", "dt1_raw", "dt2_raw", "b1", "b2", "c1", "c2")
 
-# a selective block's projection weights: B1 = W_B1 x + b1, ..., dt1 = softplus(w_d1 . x + dt1_raw)
-PROJ_WEIGHT_NAMES = ("W_B1", "W_B2", "W_C1", "W_C2", "w_d1", "w_d2")
+# a selective block's projection weights, its other SelectiveProjections fields
+PROJ_WEIGHT_NAMES = tuple(f.name for f in fields(SelectiveProjections) if f.name not in CONT_PARAM_NAMES)
 
 
 def _swish(z):
@@ -204,15 +206,8 @@ class ChimeraModel:
 
     def _block_cont(self, prefix: str) -> ContinuousSSM2D:
         """The block's continuous set, stacked if its parameters are."""
-        a1, a2, a3, a4 = self._a_set(prefix)
-        dt1_raw, dt2_raw, b1, b2, c1, c2 = (self.params[f"{prefix}.{name}"] for name in CONT_PARAM_NAMES[4:])
-        # softplus underflows to 0.0 for very negative raws; keep the step
-        # size strictly positive so the model stays valid mid-fit
-        dt1, dt2 = (np.maximum(softplus(raw), DT_FLOOR) for raw in (dt1_raw, dt2_raw))
-        return ContinuousSSM2D(
-            A1=a1, A2=a2, A3=a3, A4=a4, B1=b1, B2=b2, C1=c1, C2=c2,
-            dt1=dt1, dt2=dt2, stacked=dt1.ndim > 0,
-        )
+        raws = [self.params[f"{prefix}.{name}"] for name in CONT_PARAM_NAMES[4:]]
+        return continuous_set(self._a_set(prefix), *raws, stacked=raws[0].ndim > 0)
 
     def _block_dp(self, prefix: str) -> DiscreteSSM2D:
         """The block's discretization. A constant set is kept as a
@@ -231,15 +226,10 @@ class ChimeraModel:
         return kept[1]
 
     def _block_proj(self, prefix: str) -> SelectiveProjections:
-        """The selective block's projections: its six `PROJ_WEIGHT_NAMES`
-        weights, with its continuous set's b1..c2 and step raws as their
-        biases, so zero weights project every input to that set."""
-        p = {name: self.params[f"{prefix}.{name}"] for name in CONT_PARAM_NAMES[4:] + PROJ_WEIGHT_NAMES}
-        return SelectiveProjections(
-            **{name: p[name] for name in PROJ_WEIGHT_NAMES},
-            b_B1=p["b1"], b_B2=p["b2"], b_C1=p["c1"], b_C2=p["c2"],
-            b_d1=float(p["dt1_raw"]), b_d2=float(p["dt2_raw"]),
-        )
+        """The selective block's projections, each field its value of that
+        name: the six `PROJ_WEIGHT_NAMES` weights and, as their biases, its
+        continuous set's b1..c2 and step raws."""
+        return SelectiveProjections(**{f.name: self.params[f"{prefix}.{f.name}"] for f in fields(SelectiveProjections)})
 
     def _ssm_blocks(self) -> list[str]:
         """The trend and seasonal block prefixes, in the order `forward`
@@ -387,13 +377,10 @@ def _variant_stack(base: np.ndarray, name: str, values: list[tuple[str, int, flo
 @dataclass
 class _BasePass:
     """A block pass that no variant reaches: its input and output, and for
-    a constant block its discretization, its Abar1 row chain and its
-    solved (V, d, 2N, T) grid."""
+    a constant block its solved (V, d, 2N, T) grid."""
 
     x: np.ndarray
     y: np.ndarray
-    dp: DiscreteSSM2D | None = None
-    chain: _SharedChain | None = None
     hidden: np.ndarray | None = None
 
 
@@ -405,13 +392,12 @@ class _StackedVariants(ChimeraModel):
 
     Every block pass that no variant reaches is the base pass, run once
     when the object is built; that forward is `y`, the unperturbed
-    model's output. A constant block's base pass keeps its
-    discretization, its Abar1 row chain and its solved grid. The
-    block's own variants are one stacked discretization, with each
-    parameter a (B, ...) stack, and three stacked passes
-    (`_variant_passes`). A selective block runs each of its variants
-    alone. Each block after the group runs once on the stack, a
-    constant one with its base discretization and row chain. A
+    model's output. A constant block's base pass keeps its solved grid,
+    and the model its discretization and Abar1 row chain. The block's own
+    variants are one stacked discretization, with each parameter a
+    (B, ...) stack, and up to three stacked passes (`_variant_passes`).
+    A selective block runs each of its variants alone. Each block after
+    the group runs once on the stack, through the model's own pass. A
     perturbed weight matrix is a (B, 1, d, d) stack in `params`."""
 
     def __init__(self, model: ChimeraModel, x: np.ndarray):
@@ -427,42 +413,42 @@ class _StackedVariants(ChimeraModel):
         if prefix not in self.base:
             # no variant reached x: the base pass
             self.base[prefix] = self._base_pass(prefix, x)
-        base = self.base[prefix]
-        if x.ndim == 3:
-            return base.y
-        if self.config.selective:
-            return super()._ssm_pass(prefix, x)
-        return sweep_shared(base.dp, as_series(x, stacked=True), base.chain)[0]
+        return self.base[prefix].y if x.ndim == 3 else super()._ssm_pass(prefix, x)
 
     def _base_pass(self, prefix: str, x: np.ndarray) -> _BasePass:
         if self.config.selective:
             return _BasePass(x, super()._ssm_pass(prefix, x))
         x = as_series(x)
         dp = self._block_dp(prefix)
-        chain = dp.chain("Abar1", x.shape[-2])
-        y, hidden = sweep_shared(dp, x, chain)
-        return _BasePass(x, y, dp, chain, hidden)
+        y, hidden = sweep_shared(dp, x, dp.chain("Abar1", x.shape[-2]))
+        return _BasePass(x, y, hidden)
 
     def _variant_passes(self, prefix: str, values: list[tuple[str, int, float]]) -> np.ndarray:
         """The constant block's pass for each variant, (B, V, T, d), from
-        one discretization of its parameters as (B, ...) stacks. The C
-        variants are one readout of the base grid; those that keep Abar1
-        are one sweep on the base row chain, and those of A1 and dt1 one
-        sweep on a chain of their own stack of Abar1."""
-        p, base = self.params, self.base[prefix]
+        one discretization of its parameters as (B, ...) stacks, routed by
+        the fields in which it differs, bit for bit, from the block's kept
+        one. The variants that move only C1 and C2 are one readout of the
+        base grid; the others that keep Abar1 are one sweep on the kept
+        row chain, and those that move it one sweep on a chain of their
+        own stack of Abar1."""
+        p, base, kept = self.params, self.base[prefix], self._block_dp(prefix)
         own = {name: p[name] for name in p if name.rpartition(".")[0] == prefix}
         p.update({name: _variant_stack(value, name, values) for name, value in own.items()})
         dp = self._block_dp(prefix)
         p.update(own)
-        kinds = np.array([name.rpartition(".")[2] for name, _, _ in values])
-        reads, rechained = np.isin(kinds, ("c1", "c2")), np.isin(kinds, ("a1", "dt1_raw"))
+        # moved[f][b]: field f of variant b differs from the kept one in some bit
+        bits = {f: (v.view(np.uint64) != getattr(kept, f).view(np.uint64)) for f, v in vars(dp).items()}
+        moved = {f: b.reshape(len(values), -1).any(axis=1) for f, b in bits.items()}
+        reads = ~np.any([moved[f] for f in moved if f not in ("C1", "C2")], axis=0)
+        rechained = moved["Abar1"]
         out = np.empty((len(values),) + base.y.shape)
         if reads.any():
             out[reads] = readout(np.concatenate((dp.C1[reads], dp.C2[reads]), axis=-1), base.hidden)
-        for group, chain in ((~(reads | rechained), base.chain), (rechained, None)):
+        t_count = base.x.shape[-2]
+        for group, chain in ((~(reads | rechained), kept.chain("Abar1", t_count)), (rechained, None)):
             if group.any():
                 part = DiscreteSSM2D(**{f: v[group] for f, v in vars(dp).items()})
-                out[group] = sweep_shared(part, base.x, chain or _SharedChain(part.Abar1, base.x.shape[-2]))[0]
+                out[group] = sweep_shared(part, base.x, chain or _SharedChain(part.Abar1, t_count))[0]
         return out
 
     def outputs(self, group: str, values: list[tuple[str, int, float]]) -> np.ndarray:
@@ -543,12 +529,16 @@ def fit(
     """Plain gradient descent on the MSE between model(x) and y.
 
     Returns an updated copy; the per-step losses are recorded on its
-    `loss_history`. Raises ValueError, before any pass, unless lr is a
-    positive finite number, x has the model's channel count and x and y
-    have one shape; aborts with FloatingPointError if the loss diverges.
+    `loss_history`; a step whose loss is below `tol` ends the descent
+    (np.inf stops after the first loss). Raises ValueError, before any
+    pass, unless lr is a positive finite number, tol None or a
+    nonnegative number, x has the model's channel count and x and y have
+    one shape; aborts with FloatingPointError if the loss diverges.
     """
     check_integer("steps", steps, 0)
     check_real("lr", lr, "positive")
+    if tol is not None and (isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0):
+        raise ValueError(f"tol must be a nonnegative number or None, got {tol!r}")
     x, y = data
     x = model._series(x)
     y = as_series(y)

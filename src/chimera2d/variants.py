@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .discretize import DiscreteSSM2D
-from .recurrence import as_series, forward_recurrence
+from .recurrence import as_series, check_integer, forward_recurrence
 
 MAX_NAIVE_CELLS = 64
 
@@ -48,6 +48,8 @@ def materialize_matrices(
 
         y[v, t] = (m_time[v] @ x[v, :])[t] + (m_var[t] @ x[:, t])[v]
     """
+    check_integer("v_count", v_count, 1)
+    check_integer("t_count", t_count, 1)
     if v_count * t_count > MAX_NAIVE_CELLS:
         raise ValueError(f"naive materialization is limited to {MAX_NAIVE_CELLS} cells")
     cf = cells_f.on_grid(v_count, t_count)

@@ -306,9 +306,9 @@ def test_criterion_10_degeneration():
     )
     proj = replace(
         SelectiveProjections.zeros(n, d),
-        b_B1=rng.standard_normal(n), b_B2=rng.standard_normal(n),
-        b_C1=rng.standard_normal(n), b_C2=rng.standard_normal(n),
-        b_d1=0.25, b_d2=-0.1,
+        b1=rng.standard_normal(n), b2=rng.standard_normal(n),
+        c1=rng.standard_normal(n), c2=rng.standard_normal(n),
+        dt1_raw=0.25, dt2_raw=-0.1,
     )
     from chimera2d import project_grid_params
     from chimera2d.selective import softplus
@@ -318,7 +318,7 @@ def test_criterion_10_degeneration():
     dp = discretize_all(
         ContinuousSSM2D(
             A1=a_set[0], A2=a_set[1], A3=a_set[2], A4=a_set[3],
-            B1=proj.b_B1, B2=proj.b_B2, C1=proj.b_C1, C2=proj.b_C2,
+            B1=proj.b1, B2=proj.b2, C1=proj.c1, C2=proj.c2,
             dt1=float(softplus(0.25)), dt2=float(softplus(-0.1)),
         )
     )

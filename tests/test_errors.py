@@ -6,8 +6,8 @@ import pytest
 
 from chimera2d import (
     ChimeraModel, ContinuousSSM2D, ModelConfig, ScanElement, bidirectional_forward, closed_loop_decode,
-    companion_from_coeffs, compute_metrics, diagonal_matrix, expm, fit, impulse_kernels, op_star,
-    sar_to_ssm, simulate_sar, zoh_pair,
+    companion_from_coeffs, compute_metrics, diagonal_matrix, expm, fit, impulse_kernels, materialize_matrices,
+    op_star, sar_to_ssm, simulate_sar, zoh_pair,
 )
 from chimera2d.invariants import _random_dp
 from chimera2d.selective import inv_softplus
@@ -33,6 +33,14 @@ CASES = {
     "fit_steps_fraction": (lambda: fit(MODEL, (X, X), steps=1.5, lr=1e-3), "steps must be an integer, got 1.5"),
     "fit_steps_bool": (lambda: fit(MODEL, (X, X), steps=True, lr=1e-3), "steps must be an integer, got True"),
     "fit_steps_negative": (lambda: fit(MODEL, (X, X), steps=-1, lr=1e-3), "steps must be >= 0, got -1"),
+    "fit_tol_nan": (lambda: fit(MODEL, (X, X), steps=1, lr=1e-3, tol=float("nan")),
+                    "tol must be a nonnegative number or None, got nan"),
+    "fit_tol_negative": (lambda: fit(MODEL, (X, X), steps=1, lr=1e-3, tol=-1.0),
+                         "tol must be a nonnegative number or None, got -1.0"),
+    "fit_tol_bool": (lambda: fit(MODEL, (X, X), steps=1, lr=1e-3, tol=True),
+                     "tol must be a nonnegative number or None, got True"),
+    "fit_tol_string": (lambda: fit(MODEL, (X, X), steps=1, lr=1e-3, tol="a"),
+                       "tol must be a nonnegative number or None, got 'a'"),
     "decode_horizon_fraction": (lambda: MODEL.decode(X, 2.5), "horizon must be an integer, got 2.5"),
     "decode_horizon_bool": (lambda: MODEL.decode(X, True), "horizon must be an integer, got True"),
     "decode_horizon_negative": (lambda: MODEL.decode(X, -1), "horizon must be >= 0, got -1"),
@@ -60,7 +68,15 @@ CASES = {
     "scan_element_input": (lambda: ScanElement(EYE, EYE, ZERO, EYE, EYE, np.zeros((3, 1))), "p6 must be 2x1"),
     "op_star_mismatch": (lambda: op_star(ScanElement.identity(2), ScanElement.identity(3)),
                          "shape mismatch between scan elements"),
-    "impulse_extent": (lambda: impulse_kernels(DP2, 0, 3), "kernel extents must be positive"),
+    "impulse_extent": (lambda: impulse_kernels(DP2, 0, 3), "v_count must be >= 1, got 0"),
+    "impulse_extent_fraction": (lambda: impulse_kernels(DP2, 2.5, 3), "v_count must be an integer, got 2.5"),
+    "impulse_extent_bool": (lambda: impulse_kernels(DP2, True, 3), "v_count must be an integer, got True"),
+    "impulse_time_extent": (lambda: impulse_kernels(DP2, 2, 0), "t_count must be >= 1, got 0"),
+    "materialize_extent": (lambda: materialize_matrices(DP2, DP2, 0, 3), "v_count must be >= 1, got 0"),
+    "materialize_extent_fraction": (lambda: materialize_matrices(DP2, DP2, 2.5, 3),
+                                    "v_count must be an integer, got 2.5"),
+    "materialize_extent_bool": (lambda: materialize_matrices(DP2, DP2, True, 3), "v_count must be an integer, got True"),
+    "materialize_time_extent": (lambda: materialize_matrices(DP2, DP2, 2, 1.5), "t_count must be an integer, got 1.5"),
     "bidirectional_n": (lambda: bidirectional_forward(DP2, DP3, X), "forward and backward modules must share N"),
     "inv_softplus_zero": (lambda: inv_softplus(0.0), "softplus output must be positive"),
 }

@@ -1,5 +1,7 @@
 """Tests for the layered trend/seasonal model and its training helpers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from chimera2d import ChimeraModel, ModelConfig, fd_gradient, fit, simulate_sar,
 from chimera2d.invariants import _assert_fd_stacked_exact
 from chimera2d.model import CONT_PARAM_NAMES, PROJ_WEIGHT_NAMES, mse_loss, stacked_fd_gradient
 from chimera2d.scan import _block_length
-from chimera2d.selective import inv_softplus
+from chimera2d.selective import SelectiveProjections, inv_softplus
 
 
 def tiny_model(seed=0, **kw):
@@ -143,6 +145,20 @@ def test_every_block_stores_one_layout():
     # the benchmark's selective shape: 4 blocks of 10 + 6, and 21 others
     cfg = ModelConfig(layers=1, state_dim=2, channels=4, selective=True)
     assert len(ChimeraModel.init_random(cfg).params) == 81
+
+
+def test_a_selective_block_stores_its_continuous_set_and_the_projection_fields():
+    proj_fields = [f.name for f in dataclasses.fields(SelectiveProjections)]
+    assert PROJ_WEIGHT_NAMES == tuple(name for name in proj_fields if name not in CONT_PARAM_NAMES)
+    # the projections' biases are the continuous set's B/C vectors and step raws
+    assert set(proj_fields) - set(PROJ_WEIGHT_NAMES) == set(CONT_PARAM_NAMES[4:])
+    m = tiny_model(seed=34, selective=True)
+    for prefix in m._ssm_blocks():
+        names = {name.rpartition(".")[2] for name in m.params if name.rpartition(".")[0] == prefix}
+        assert names == set(CONT_PARAM_NAMES) | set(proj_fields)
+        proj = m._block_proj(prefix)
+        for name in proj_fields:
+            assert getattr(proj, name) is m.params[f"{prefix}.{name}"], name
 
 
 @pytest.mark.parametrize("selective", [False, True])
@@ -514,6 +530,31 @@ def test_fd_gradient_scans_only_reached_blocks(monkeypatch):
     assert len(calls) == 8 + 8 * 2 + 28
     # 4 per base pass, and 4 per block for all of its 36 variants stacked
     assert len(expms) == 8 * 4 + 8 * 4
+
+
+def test_fd_variants_are_routed_by_what_their_discretization_moves(monkeypatch):
+    # at N = 2 a constant block has 36 variants: the 6 of a1 and dt1_raw
+    # move Abar1 and get a chain of their own, the 8 of c1 and c2 move only
+    # C1 or C2 and are one readout of the base grid, and the other 22 sweep
+    # on the base row chain, which the base pass built
+    m = ChimeraModel.init_random(ModelConfig(layers=1, state_dim=2, channels=1, seed=36))
+    x, y = 0.3 * np.random.default_rng(36).standard_normal((2, 3, 8, 1))
+    chained, read = [], []
+    new_chain, read_grid = chimera2d.model._SharedChain, chimera2d.model.readout
+
+    def counted_chain(a, length):
+        chained.append(len(a))
+        return new_chain(a, length)
+
+    def counted_readout(c, hidden):
+        read.append(len(c))
+        return read_grid(c, hidden)
+
+    monkeypatch.setattr(chimera2d.model, "_SharedChain", counted_chain)
+    monkeypatch.setattr(chimera2d.model, "readout", counted_readout)
+    stacked_fd_gradient(m, x, y, [n for n in m.params if not n.startswith("decoder.")])
+    assert chained == [6] * len(m._ssm_blocks())
+    assert read == [8] * len(m._ssm_blocks())
 
 
 def test_fit_step_takes_its_loss_from_the_gradient_base_pass(monkeypatch):

@@ -76,8 +76,8 @@ def test_functional_determinism():
 
 def test_init_dt_bias():
     proj = SelectiveProjections.init_random(2, 2, seed=3)
-    assert abs(softplus(proj.b_d1) - 0.1) < 1e-12
-    assert abs(softplus(proj.b_d2) - 0.1) < 1e-12
+    assert abs(softplus(proj.dt1_raw) - 0.1) < 1e-12
+    assert abs(softplus(proj.dt2_raw) - 0.1) < 1e-12
 
 
 def test_nonfinite_input_rejected():
@@ -118,10 +118,10 @@ def test_grid_matches_cells_at_the_step_floor():
     # floor on part of the grid and stays above it elsewhere
     proj = replace(
         SelectiveProjections.init_random(n, d, seed=7),
-        w_d1=np.array([40.0, 0.0]), b_d1=-40.0, w_d2=np.array([0.0, 40.0]), b_d2=-40.0,
+        w_d1=np.array([40.0, 0.0]), dt1_raw=-40.0, w_d2=np.array([0.0, 40.0]), dt2_raw=-40.0,
     )
     x = rng.uniform(-1.0, 1.0, (4, 6, d))
-    steps = softplus(x @ proj.w_d1 + proj.b_d1)
+    steps = softplus(x @ proj.w_d1 + proj.dt1_raw)
     assert np.any(steps < DT_FLOOR) and np.any(steps > DT_FLOOR)
     _assert_grid_matches_cells(proj, x, stable_a_set(rng, n))
 
@@ -147,6 +147,6 @@ def test_grid_rejects_step_that_overflows_transition():
     n, d = 2, 2
     a_set = (companion_from_coeffs([-4.0, -4.0]),) + stable_a_set(rng, n)[1:]
     # softplus(1e308) = 1e308, and 1e308 * -4 overflows
-    proj = replace(SelectiveProjections.zeros(n, d), b_d1=1e308)
+    proj = replace(SelectiveProjections.zeros(n, d), dt1_raw=1e308)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite entries"):
         project_grid_params(proj, rng.standard_normal((2, 3, d)), a_set)
