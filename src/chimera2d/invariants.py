@@ -29,7 +29,8 @@ from .structured import (
 from .discretize import ContinuousSSM2D, DiscreteSSM2D, zoh_pair, discretize_all
 from .recurrence import forward_recurrence, bidirectional_forward
 from .scan import (
-    ScanElement, _SharedChain, _block_length, _scan_affine, closed_loop_decode, inclusive_scan, op_star, scan_forward,
+    ScanElement, _LONG_BLOCK, _SharedChain, _block_length, _scan_affine, closed_loop_decode, inclusive_scan, op_star,
+    scan_forward,
 )
 from .conv import impulse_kernels, conv_apply
 from .selective import SelectiveProjections, softplus, project_grid_params
@@ -322,9 +323,10 @@ def _check_scan_oracle_equivalence():
 @invariant("scan.shared_matches_grid")
 def _check_scan_shared_matches_grid():
     rng = np.random.default_rng(44)
-    block = _block_length(3)
-    for v_count, t_count in [(1, 1), (3, 7), (5, 8), (2, 2 * block + 3)]:
-        dp = _random_dp(rng, 3)
+    # rows of one block and, at N = 2, of several 32-step blocks
+    for n, v_count, t_count in [(3, 1, 1), (3, 3, 7), (3, 5, 8), (3, 2, 2 * _block_length(3) + 3),
+                                (2, 2, 2 * _block_length(2) + 3)]:
+        dp = _random_dp(rng, n)
         x = rng.standard_normal((v_count, t_count, 2))
         # the same parameters copied onto every cell
         grid = DiscreteSSM2D(
@@ -335,19 +337,24 @@ def _check_scan_shared_matches_grid():
         y_ref, _ = forward_recurrence(dp, x)
         for name, a, b in [("y", y, y_grid), ("h1", h1, h1_grid), ("h2", h2, h2_grid)]:
             diff = np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(b)))
-            assert diff < 1e-13, f"{v_count}x{t_count}: shared vs per-cell {name} diff {diff:.3e}"
+            assert diff < 1e-13, f"N={n} {v_count}x{t_count}: shared vs per-cell {name} diff {diff:.3e}"
         diff = np.max(np.abs(y - y_ref))
-        assert diff < 1e-10, f"{v_count}x{t_count}: shared vs recurrence diff {diff:.3e}"
+        assert diff < 1e-10, f"N={n} {v_count}x{t_count}: shared vs recurrence diff {diff:.3e}"
     # the blocked solver against the tree scan on the transition tiled,
-    # inside one block, at its edges and across block-end carries
-    a = _contraction(rng, 3)
-    solve = _SharedChain(a, block * block + 1)
-    for m in (2, block - 1, block, block + 1, 3 * block + 5, block * block + 1):
-        g = rng.standard_normal((2, 3, m))
-        # the tree scan takes the chained axis first
-        blocked, tiled = solve(g.copy()), _scan_affine(np.tile(a, (m, 1, 1)), g.transpose(2, 1, 0)).transpose(2, 1, 0)
-        diff = np.max(np.abs(blocked - tiled)) / (1.0 + np.max(np.abs(tiled)))
-        assert diff < 1e-13, f"chain of {m}: blocked vs tree diff {diff:.3e}"
+    # inside one block, at its edges, across block-end carries and across
+    # two levels of them
+    for n in (3, 2):
+        block = _block_length(n)
+        longest = block * min(block, _LONG_BLOCK) + 1
+        a = _contraction(rng, n)
+        solve = _SharedChain(a, longest)
+        for m in (2, block - 1, block, block + 1, 3 * block + 5, longest):
+            g = rng.standard_normal((2, n, m))
+            # the tree scan takes the chained axis first
+            blocked = solve(g.copy())
+            tiled = _scan_affine(np.tile(a, (m, 1, 1)), g.transpose(2, 1, 0)).transpose(2, 1, 0)
+            diff = np.max(np.abs(blocked - tiled)) / (1.0 + np.max(np.abs(tiled)))
+            assert diff < 1e-13, f"N={n} chain of {m}: blocked vs tree diff {diff:.3e}"
 
 
 # ----------------------------------------------------------------------

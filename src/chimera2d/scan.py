@@ -44,8 +44,14 @@ gated on the sequential oracle by the test suite:
   and every row's time chain goes through one `_SharedChain`: blocks of
   K steps, each one matmul with a block-Toeplitz operator of the powers
   of Abar1, the chunked schedule of the state-space duality in Mamba-2
-  (Dao & Gu 2024, "Transformers are SSMs"). The readout (`readout`) is
-  one [C1 C2] product with the grid per channel slab. A stack of
+  (Dao & Gu 2024, "Transformers are SSMs"). The block length trades the
+  within-block product (quadratic in K) against the recurrence between
+  blocks: a chain of up to `_block_length(N)` steps (64 at N <= 2, 28 at
+  N = 3, 16 at N = 4, 8 from N = 8 on) is one block, and a longer one is
+  cut into blocks of min(that, 32) steps, which at N = 2 takes a row of
+  1,024 steps, 4 channels, from about 61 to 49 us (`_block_length` has
+  the timings). The readout (`readout`) is one [C1 C2] product with the
+  grid per channel slab. A stack of
   series, x of shape (..., V, T, d), keeps its leading axes outside
   every product, so numpy makes the same BLAS call per series as for
   one series alone and each result is bit-identical to its own call
@@ -178,13 +184,39 @@ def _scan_affine(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
+# the block length of a chain longer than one block: no more than this
+_LONG_BLOCK = 32
+
+
 def _block_length(n: int) -> int:
-    """Steps per block of `_SharedChain` at state size N. The block
-    operator spends K N^2 multiply-adds per step and channel, so K falls
-    as 256 / N^2; it is capped at 64 (longer blocks were slower on long
-    chains at N = 1) and kept >= 8, because a chain of several blocks
-    moves its state and step axes apart and back, which short blocks
-    make slow (at N = 8, K = 8 beat K = 4 on every timed shape)."""
+    """The longest chain `_SharedChain` solves as one block at state size
+    N. The block operator spends K N^2 multiply-adds per step and
+    channel, so K falls as 256 / N^2; it is capped at 64 (longer blocks
+    were slower on long chains at N = 1) and kept >= 8, because a chain
+    of several blocks moves its state and step axes apart and back,
+    which short blocks make slow (at N = 8, K = 8 beat K = 4 on every
+    timed shape).
+
+    A chain of up to this many steps is one block, K = its length; a
+    longer one is cut into blocks of min(this, 32) steps. So K depends
+    on N and the chain's length only, never on how many series or
+    parameter sets share the chain, and a stacked chain rounds as each
+    chain alone does. Only N <= 2 meets the 32-step cap. The operator
+    spends 2 N^2 K flops per step, half of them on its zero triangle,
+    so past one block halving K saves more than the carries it adds
+    cost, while a chain of one block is fastest as one product.
+    Microseconds per row chain of 4 channels at N = 2, best of 15, range
+    of 3 runs (2 cores, numpy 2.4):
+
+        K                 64      32      16       8
+        64 steps         6-8   15-24   14-20   14-20
+        1,024 steps    61-73      49   44-45      61
+
+    K = 16 solves a lone long row a little faster, but on the whole
+    forward of a V8 x T1024, d = 4 model (two layers, N = 2) the
+    32-step cap took 7.1 ms, against 7.5 ms for 16 and 8.9 ms for 64
+    (median of 6 rounds of 30 calls each, in one process).
+    """
     return min(64, max(8, 256 // (n * n)))
 
 
@@ -196,9 +228,10 @@ class _SharedChain:
     stack of transitions solves g of shape (B, c, N, m), item b as A[b]
     alone would, bit for bit.
 
-    With block length K, a block's K steps of one leading index are a
-    row of N K entries ordered (state, step), and h inside the block is
-    that row of the block's own inputs times the block-Toeplitz operator
+    With block length K (set from N and `length`, see `_block_length`),
+    a block's K steps of one leading index are a row of N K entries
+    ordered (state, step), and h inside the block is that row of the
+    block's own inputs times the block-Toeplitz operator
     whose entry ((i, s), (j, t)) is A^(t-s)[j, i] for t >= s, plus
     A^(t+1) times the state carried in from the previous block. A chain
     of K steps is one matmul over every leading index. A longer one is
@@ -212,7 +245,8 @@ class _SharedChain:
     def __init__(self, a: np.ndarray, length: int):
         self.length = length
         *stack, n, _ = a.shape
-        k = self.k = min(_block_length(n), length)
+        block = _block_length(n)
+        k = self.k = length if length <= block else min(block, _LONG_BLOCK)
         pows = powers(a, k)
         # block (i, j) of the operator is the upper-triangular Toeplitz
         # matrix of A^0[j, i] .. A^(K-1)[j, i]: a window of one strip
@@ -240,6 +274,8 @@ class _SharedChain:
         """Solves the chain in place: g holds the inputs and is
         overwritten with the states, and returned."""
         *lead, n, m = g.shape
+        if m > self.length:
+            raise ValueError(f"a chain solver built for {self.length} steps got a chain of {m} steps")
         k = self.k
         blocks = -(-m // k)
         padded = g if m == blocks * k else np.concatenate((g, np.zeros((*lead, n, blocks * k - m))), axis=-1)

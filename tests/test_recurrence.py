@@ -144,8 +144,10 @@ def test_decode_one_step_matches_manual_extension():
 
 K2, K3 = _block_length(2), _block_length(3)
 
-# V = K + 1 and 2K + 3 put the variate chain on two and three chain blocks
-# of K = _block_length(N) steps
+# V = K + 1 and 2K + 3, with K = _block_length(N), make the variate chain
+# longer than one block: two and three blocks of K = 28 steps at N = 3, and
+# three and five blocks of 32 steps at N = 2 (a chain longer than one block
+# is cut into blocks of at most 32 steps)
 DECODE_CASES = {
     "1-1": (1, 3, 1), "1-4": (1, 3, 4), "7-1": (7, 3, 1), "7-4": (7, 3, 4),
     "1-29": (1, 3, K3 + 1), "7-29": (7, 3, K3 + 1), "1-59": (1, 3, 2 * K3 + 3),
@@ -196,8 +198,14 @@ def test_decode_matches_step_by_step_oracle(t_ctx, n, v_count):
     _assert_decode_matches_oracle(*_decode_case(t_ctx, n, v_count), 5)
 
 
+# t_ctx 2 K2 + 3 and 200 at N = 2 put the context's row chains on five and
+# seven blocks of 32 steps
+LONG_CONTEXT_CASES = {"7-59": (7, 3, 2 * K3 + 3), "131-3-n2": (2 * K2 + 3, 2, 3), "200-4-n2": (200, 2, 4)}
+
+
 @pytest.mark.parametrize(
-    "t_ctx, n, v_count", [*DECODE_CASES.values(), (7, 3, 2 * K3 + 3)], ids=[*DECODE_CASES, "7-59"]
+    "t_ctx, n, v_count", [*DECODE_CASES.values(), *LONG_CONTEXT_CASES.values()],
+    ids=[*DECODE_CASES, *LONG_CONTEXT_CASES],
 )
 def test_decode_matches_extended_precision_oracle(t_ctx, n, v_count):
     dp, d1, d2, x = _decode_case(t_ctx, n, v_count)

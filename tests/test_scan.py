@@ -10,7 +10,7 @@ from chimera2d import (
     DiscreteSSM2D, ScanElement, closed_loop_decode, op_star, inclusive_scan, scan_forward, forward_recurrence,
 )
 from chimera2d.invariants import _element_diff, _random_dp, _random_element
-from chimera2d.scan import _SharedChain, _block_length, _scan_affine, readout, sweep_shared
+from chimera2d.scan import _LONG_BLOCK, _SharedChain, _block_length, _scan_affine, readout, sweep_shared
 
 
 def test_identity_is_two_sided():
@@ -230,45 +230,89 @@ def test_shared_parameters_match_materialized_grid(seed, v_count, t_count, d, n)
     assert rel_diff(y_grid, y_ref) < 1e-10
 
 
+# (N, chain length) -> block length K: a chain of up to _block_length(N)
+# steps is one block; a longer one is cut into blocks of 32 steps at N <= 2
+# and of _block_length(N) steps from N = 3 on
+BLOCK_LENGTHS = {
+    (1, 1): 1, (1, 63): 63, (1, 64): 64, (1, 65): 32, (1, 1024): 32, (1, 5000): 32,
+    (2, 33): 33, (2, 64): 64, (2, 65): 32, (2, 131): 32, (2, 1024): 32, (2, 5000): 32,
+    (3, 28): 28, (3, 29): 28, (3, 59): 28, (3, 1024): 28,
+    (4, 16): 16, (4, 17): 16, (4, 1024): 16,
+    (8, 7): 7, (8, 8): 8, (8, 9): 8, (8, 1024): 8,
+}
+
+
+@pytest.mark.parametrize("n, length", BLOCK_LENGTHS, ids=[f"{n}-{m}" for n, m in BLOCK_LENGTHS])
+def test_block_length_depends_on_state_size_and_chain_length(n, length):
+    a = 0.5 * np.eye(n)
+    chain = _SharedChain(a, length)
+    assert chain.k == BLOCK_LENGTHS[n, length]
+    # a stack of transitions blocks its chain as one transition does
+    assert _SharedChain(np.stack([a] * 3), length).k == chain.k
+    # the block-end carries follow the same rule, one level down
+    if chain.carries is not None:
+        assert chain.carries.k == _SharedChain(a, chain.carries.length).k
+
+
+def _chain_lengths(n):
+    """Chain lengths around one block (K = _block_length(N)) and the 32-step
+    cap, several blocks with a partial one, and the shortest length whose
+    block-end carries need two levels."""
+    block = _block_length(n)
+    two_levels = block * min(block, _LONG_BLOCK) + 1
+    return sorted({block - 1, block, block + 1, _LONG_BLOCK, _LONG_BLOCK + 1, 3 * block + 5, two_levels})
+
+
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_shared_chain_matches_sequential(n):
-    # chains inside one block, at its edges, and across one and two
-    # levels of block-end carries
-    k = _block_length(n)
     rng = np.random.default_rng(n)
     a = 0.9 * rng.standard_normal((n, n))
     a /= max(1.0, float(np.max(np.abs(np.linalg.eigvals(a))))) / 0.95
-    longest = k * k + 1
-    solve = _SharedChain(a, longest)
-    for count in sorted({1, k - 1, k, k + 1, k * k, longest, 2 * k + 5}):
+    lengths = [1, *_chain_lengths(n)]
+    solve = _SharedChain(a, lengths[-1])
+    assert solve.carries.carries is not None
+    for count in lengths:
         # the chained axis last, behind two leading axes; g is a view
         # into a larger array, as a row of the scan's hidden grid is, and
         # the solver overwrites it
-        g = rng.standard_normal((3, 2, 2 * n, count))[:, :, :n]
+        rows = rng.standard_normal((3, 2, 2 * n, count))
+        g = rows[:, :, :n]
         expected = np.empty_like(g)
         expected[..., 0] = g[..., 0]
         for i in range(1, count):
             expected[..., i : i + 1] = a @ expected[..., i - 1 : i] + g[..., i : i + 1]
-        solve(g)
-        diff = float(np.max(np.abs(g - expected)) / np.max(np.abs(expected)))
-        assert diff < 1e-12, f"chain of {count}: {diff:.3e}"
+        # the solver built for this length, and the one for the longest
+        for chain in (_SharedChain(a, count), solve):
+            g = rows.copy()[:, :, :n]
+            chain(g)
+            diff = float(np.max(np.abs(g - expected)) / np.max(np.abs(expected)))
+            assert diff < 1e-12, f"chain of {count} on a solver of {chain.length}: {diff:.3e}"
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_stacked_chain_is_each_chain_alone(n):
-    # rows of several blocks and a partial one, each parameter set of a
-    # stack with its own Abar1 on one chain of the stacked transitions
-    t_count = 3 * _block_length(n) + 5
+    # rows inside one block, at its edges and the 32-step cap, of several
+    # blocks and a partial one, and with two levels of carries: each
+    # parameter set of a stack with its own Abar1 on one chain of the
+    # stacked transitions
     rng = np.random.default_rng(40 + n)
     dps = [_random_dp(rng, n) for _ in range(4)]
     stack = DiscreteSSM2D(**{f: np.stack([vars(dp)[f] for dp in dps]) for f in vars(dps[0])})
-    x = rng.standard_normal((3, t_count, 2))
-    y, _ = sweep_shared(stack, x, _SharedChain(stack.Abar1, t_count))
-    g = rng.standard_normal((4, 2, n, t_count))
-    solved = _SharedChain(stack.Abar1, t_count)(g.copy())
-    for b, dp in enumerate(dps):
-        assert np.array_equal(y[b], scan_forward(dp, x)), b
-        assert np.array_equal(solved[b], _SharedChain(dp.Abar1, t_count)(g[b].copy())), b
+    for t_count in _chain_lengths(n):
+        x = rng.standard_normal((3, t_count, 2))
+        y, _ = sweep_shared(stack, x, _SharedChain(stack.Abar1, t_count))
+        g = rng.standard_normal((4, 2, n, t_count))
+        solved = _SharedChain(stack.Abar1, t_count)(g.copy())
+        for b, dp in enumerate(dps):
+            assert np.array_equal(y[b], scan_forward(dp, x)), f"T={t_count} set {b}"
+            assert np.array_equal(solved[b], _SharedChain(dp.Abar1, t_count)(g[b].copy())), f"T={t_count} set {b}"
+
+
+@pytest.mark.parametrize("length, steps", [(10, 100), (100, 5000), (65, 66)])
+def test_chain_rejects_a_chain_longer_than_it_was_built_for(length, steps):
+    solve = _SharedChain(0.5 * np.eye(2), length)
+    with pytest.raises(ValueError, match=f"built for {length} steps got a chain of {steps} steps"):
+        solve(np.zeros((1, 2, steps)))
 
 
 def test_shared_rows_longer_than_a_block_match_materialized_grid():
