@@ -18,12 +18,17 @@ Abar1/Abar2 use the time step, Abar3/Abar4 the variate step.
 B, C and the step sizes may carry any leading batch shape (one entry per
 grid cell on the selective path). The augmented matrix holds A, not B,
 so one `expm` call serves a whole grid; a cell costs a row of a matmul,
-log2(dt ||A||_1) squarings (2N x 2N) and the product Phi(dt) B.
+log2(dt ||A||_1) squarings (2N x 2N) and the product Phi(dt) B. A
+stacked continuous set holds one set per item of a leading axis (B,),
+its As included, and discretizes each item as its own set, bit for bit.
 
 A discrete parameter set is either constant, every field of batch shape
-(), or per-cell, every field of one batch shape ((V, T) on a grid);
-nothing in between (`scan.sweep_shared` also takes a (B,) stack of
-constant sets), which a stacked continuous set discretizes into.
+(), or per-cell, every field of one batch shape; nothing in between.
+The batch shapes are (V, T) for a per-cell set on a grid, (B, V, T) for
+a stack of them (a bidirectional selective layer's pair, see
+`chimera2d.model`), and (B,) for a stack of constant sets
+(`scan.sweep_shared`); a stacked continuous set discretizes into the
+last two.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structured import expm
+from .structured import at_steps, expm
 
 # smallest step size: softplus underflows to 0.0 for very negative
 # preactivations, and the step must stay strictly positive
@@ -51,8 +56,9 @@ class ContinuousSSM2D:
     """Continuous-time parameter set, before discretization. Each A is
     (N, N) or the (N,) diagonal, B/C have shape (..., N) and dt1/dt2 the
     batch shape (...): () for one cell, (V, T) for a selective grid. A
-    `stacked` set is one set per item of the steps' shape (B,), which
-    leads every field: A (B, N, N) or (B, N), B and C (B, N)."""
+    `stacked` set is one set per item of the steps' first axis (B,),
+    which leads every field: A (B, N, N) or (B, N), B and C (B, ..., N)
+    for steps of shape (B, ...)."""
 
     A1: np.ndarray
     A2: np.ndarray
@@ -69,7 +75,7 @@ class ContinuousSSM2D:
     def __post_init__(self):
         _checked_step("dt1", self.dt1)
         _checked_step("dt2", self.dt2)
-        lead = np.shape(self.dt1) if self.stacked else ()
+        lead = np.shape(self.dt1)[:1] if self.stacked else ()
         n = np.shape(self.A1)[-1:]  # (N,)
         for name in ("A1", "A2", "A3", "A4"):
             shape = np.shape(getattr(self, name))
@@ -86,7 +92,8 @@ class DiscreteSSM2D:
     """Discrete parameter set driving the 2D recurrence. Abar* have shape
     (..., N, N) and Bbar*/C* shape (..., N), with one batch shape (...)
     for every field: () for constant parameters and (V, T) for per-cell
-    (selective) ones, or (B,) for a stack of constant ones."""
+    (selective) ones, or (B,) for a stack of constant ones and
+    (B, V, T) for a stack of per-cell ones."""
 
     Abar1: np.ndarray
     Abar2: np.ndarray
@@ -144,13 +151,14 @@ def zoh_pair(a, b, dt) -> tuple[np.ndarray, np.ndarray]:
 
 def _zoh(a, b, dt: np.ndarray, stacked: bool) -> tuple[np.ndarray, np.ndarray]:
     """`zoh_pair` on a float array dt of step sizes already checked. With
-    `stacked`, a holds one A per step size, dt's shape leading."""
+    `stacked`, a holds one A per item of dt's first axis (`expm`'s rule)."""
     a = np.asarray(a, dtype=float)
     b = _checked_input(b, a.shape[-1])
-    if a.ndim == (dt.ndim if stacked else 0) + 1:
-        diag = dt[..., None] * a
+    if a.ndim == len(dt.shape[:1] if stacked else ()) + 1:
+        a_at = at_steps(a, dt, stacked)
+        diag = dt[..., None] * a_at
         # expm1(dt*a) / a elementwise, and its limit dt where dt*a == 0
-        phi = np.where(diag == 0.0, dt[..., None], np.expm1(diag) / np.where(diag == 0.0, 1.0, a))
+        phi = np.where(diag == 0.0, dt[..., None], np.expm1(diag) / np.where(diag == 0.0, 1.0, a_at))
         return expm(a, dt, stacked), phi * b
     n = a.shape[-1]
     aug = np.zeros(a.shape[:-2] + (2 * n, 2 * n))

@@ -125,14 +125,26 @@ def _check_expm_doubling():
 
 @invariant("structured.expm_stack_exact")
 def _check_expm_stack_exact():
-    # fit exponentiates a block's variants in one stacked call: each item
-    # must be its own call, bit for bit. Steps from 1e-6 to 30 span degrees
-    # 3 to 18 and up to 6 squarings; the diagonal stack is square
+    # fit exponentiates a block's variants in one stacked call, and a
+    # bidirectional selective layer a pair's two (V, T) grids of steps: each
+    # item must be its own call, bit for bit. Steps from 1e-6 to 30 span
+    # degrees 3 to 18 and up to 6 squarings; the diagonal stack is square
     rng = np.random.default_rng(15)
     for gens in (0.5 * rng.standard_normal((9, 3, 3)), rng.uniform(-1, 0.5, (3, 3))):
         steps = np.geomspace(1e-6, 30.0, len(gens))
         for b, item in enumerate(expm(gens, steps, stacked=True)):
             assert np.array_equal(item, expm(gens[b], steps[b])), f"{gens.shape} stack: item {b} is not its own call"
+    # a (2, V, T) stack whose items differ in degree and squarings: item 0
+    # is the cyclic shift of 3 states at steps just under theta_10, taking
+    # degree 10 and no squaring; its entries two places off the diagonal
+    # start at x^2 / 2 and the first omitted term (x^11 / 11!) lands there,
+    # so item 1's degree 18 (steps up to 300, up to 9 squarings) moves them
+    steps = np.stack((rng.uniform(0.11, 0.135, (3, 4)), np.geomspace(1e-4, 300.0, 12).reshape(3, 4)))
+    shift = companion_from_coeffs([1.0, 0.0, 0.0])
+    for gens in (np.stack((shift, 0.5 * rng.standard_normal((3, 3)))), rng.uniform(-1, 0.5, (2, 3))):
+        stack = expm(gens, steps, stacked=True)
+        for b in range(2):
+            assert np.array_equal(stack[b], expm(gens[b], steps[b])), f"{gens.shape} grid stack: item {b} is not its own call"
     # an item that overflows fails the stack, as it fails alone
     gens = companion_from_coeffs([[-0.3, -0.2], [1.0, 0.5]])
     for args in ((gens[1], 800.0), (gens, np.array([1.0, 800.0]), True)):

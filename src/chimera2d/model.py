@@ -18,7 +18,12 @@ Every SSM block stores `CONT_PARAM_NAMES`. A selective trend or seasonal
 block adds the six `PROJ_WEIGHT_NAMES`, in Mamba's form (Gu & Dao, arXiv
 2312.00752): its parameters are the `SelectiveProjections` fields, whose
 biases are its continuous set's b1..c2 and step raws, so with zero
-weights it is its constant block. The decoder is constant.
+weights it is its constant block. The decoder is constant. A
+bidirectional selective layer runs each pair of blocks as one stack of
+two (one projection, discretization and per-cell sweep for both, the
+backward block on the series reversed over variates), and a single
+selective block is a stack of one; each equals its pass alone, bit for
+bit.
 
 `fit` evaluates the differences one group of parameters at a time (one
 SSM block's, or one weight matrix), with the group's 2 x (coordinates)
@@ -81,8 +86,10 @@ class ModelConfig:
 # every SSM block's parameters: its continuous set
 CONT_PARAM_NAMES = ("a1", "a2", "a3", "a4", "dt1_raw", "dt2_raw", "b1", "b2", "c1", "c2")
 
-# a selective block's projection weights, its other SelectiveProjections fields
-PROJ_WEIGHT_NAMES = tuple(f.name for f in fields(SelectiveProjections) if f.name not in CONT_PARAM_NAMES)
+# a selective block's parameters by the names of its SelectiveProjections
+# fields, and its projection weights, the fields that are not its continuous set's
+PROJ_FIELDS = tuple(f.name for f in fields(SelectiveProjections))
+PROJ_WEIGHT_NAMES = tuple(name for name in PROJ_FIELDS if name not in CONT_PARAM_NAMES)
 
 
 def _swish(z):
@@ -91,6 +98,12 @@ def _swish(z):
 
 # Every intermediate of the forward may carry a leading variant axis,
 # (B, V, T, d), and every weight matrix a leading (B, 1) pair of axes.
+
+
+def _transitions(a1, a2, a3, a4) -> tuple[np.ndarray, ...]:
+    """A block's (A1, A2, A3, A4) from its a1..a4, or from stacks of them:
+    two companions and two diagonals."""
+    return companion_from_coeffs(a1), companion_from_coeffs(a2), diagonal_matrix(a3), diagonal_matrix(a4)
 
 
 def _flip(x: np.ndarray) -> np.ndarray:
@@ -200,14 +213,10 @@ class ChimeraModel:
     # ------------------------------------------------------------------
     # forward pieces
 
-    def _a_set(self, prefix: str):
-        a1, a2, a3, a4 = (self.params[f"{prefix}.{name}"] for name in CONT_PARAM_NAMES[:4])
-        return companion_from_coeffs(a1), companion_from_coeffs(a2), diagonal_matrix(a3), diagonal_matrix(a4)
-
     def _block_cont(self, prefix: str) -> ContinuousSSM2D:
         """The block's continuous set, stacked if its parameters are."""
-        raws = [self.params[f"{prefix}.{name}"] for name in CONT_PARAM_NAMES[4:]]
-        return continuous_set(self._a_set(prefix), *raws, stacked=raws[0].ndim > 0)
+        values = [self.params[f"{prefix}.{name}"] for name in CONT_PARAM_NAMES]
+        return continuous_set(_transitions(*values[:4]), *values[4:], stacked=values[4].ndim > 0)
 
     def _block_dp(self, prefix: str) -> DiscreteSSM2D:
         """The block's discretization. A constant set is kept as a
@@ -229,7 +238,7 @@ class ChimeraModel:
         """The selective block's projections, each field its value of that
         name: the six `PROJ_WEIGHT_NAMES` weights and, as their biases, its
         continuous set's b1..c2 and step raws."""
-        return SelectiveProjections(**{f.name: self.params[f"{prefix}.{f.name}"] for f in fields(SelectiveProjections)})
+        return SelectiveProjections(**{name: self.params[f"{prefix}.{name}"] for name in PROJ_FIELDS})
 
     def _ssm_blocks(self) -> list[str]:
         """The trend and seasonal block prefixes, in the order `forward`
@@ -256,19 +265,41 @@ class ChimeraModel:
 
     def _ssm_pass(self, prefix: str, x: np.ndarray) -> np.ndarray:
         """One block pass on x, (V, T, d) or a stack (B, V, T, d). A
-        constant block scans a stack in one call; a selective block's
-        parameters depend on its input, so it projects and scans each
-        series of a stack in turn."""
+        constant block scans a stack in one call; a selective block is a
+        stack of one (`_selective_pass`)."""
         if not self.config.selective:
             return scan_forward(self._block_dp(prefix), x)
-        proj, a_set = self._block_proj(prefix), self._a_set(prefix)
+        return self._selective_pass((prefix,), x[..., None, :, :, :])[..., 0, :, :, :]
+
+    def _selective_pass(self, prefixes: tuple[str, ...], xs: np.ndarray) -> np.ndarray:
+        """The K selective blocks `prefixes` as one stack, block k on
+        xs[..., k, :, :, :]: xs is (K, V, T, d), or (B, K, V, T, d) for a
+        stack of series. Their parameters depend on their input, so a
+        series is one stacked projection, discretization and per-cell
+        sweep, and a stack of series runs one series at a time. Item k is
+        block k's pass alone, bit for bit."""
+        def stack(name):
+            return np.array([self.params[f"{prefix}.{name}"] for prefix in prefixes])
+
+        proj = SelectiveProjections(**{name: stack(name) for name in PROJ_FIELDS})
+        a_set = _transitions(*map(stack, CONT_PARAM_NAMES[:4]))
 
         def scan(series):
             return scan_forward(project_grid_params(proj, series, a_set), series)
 
-        return scan(x) if x.ndim == 3 else np.stack([scan(series) for series in x])
+        return scan(xs) if xs.ndim == 4 else np.stack([scan(series) for series in xs])
 
     def _directional_pass(self, prefix: str, x: np.ndarray) -> np.ndarray:
+        """The forward block `prefix`.f on x, plus with `bidirectional` the
+        backward block .b on x reversed over variates. A selective pair
+        runs as one stack of two."""
+        if self.config.selective and self.config.bidirectional:
+            ys = self._selective_pass((f"{prefix}.f", f"{prefix}.b"), np.stack((x, _flip(x)), axis=-4))
+            return ys[..., 0, :, :, :] + _flip(ys[..., 1, :, :, :])
+        return self._block_passes(prefix, x)
+
+    def _block_passes(self, prefix: str, x: np.ndarray) -> np.ndarray:
+        """`_directional_pass` one block at a time, through `_ssm_pass`."""
         y = self._ssm_pass(f"{prefix}.f", x)
         if self.config.bidirectional:
             y = y + _flip(self._ssm_pass(f"{prefix}.b", _flip(x)))
@@ -396,9 +427,12 @@ class _StackedVariants(ChimeraModel):
     and the model its discretization and Abar1 row chain. The block's own
     variants are one stacked discretization, with each parameter a
     (B, ...) stack, and up to three stacked passes (`_variant_passes`).
-    A selective block runs each of its variants alone. Each block after
-    the group runs once on the stack, through the model's own pass. A
-    perturbed weight matrix is a (B, 1, d, d) stack in `params`."""
+    It meets every block alone through `_ssm_pass`, a selective pair's
+    too, and a selective block runs each of its variants alone, as a
+    stack of one, which is bit for bit its item of the pair's stack in
+    a fresh forward. Each block after the group runs once on the stack,
+    through the model's own pass. A perturbed weight matrix is a
+    (B, 1, d, d) stack in `params`."""
 
     def __init__(self, model: ChimeraModel, x: np.ndarray):
         super().__init__(model.config, {k: v.copy() for k, v in model.params.items()})
@@ -406,6 +440,10 @@ class _StackedVariants(ChimeraModel):
         self.base: dict[str, _BasePass] = {}
         self.own: tuple[str, np.ndarray] | None = None  # perturbed block, its outputs
         self.y = self.forward(x)
+
+    def _directional_pass(self, prefix, x):
+        # each block alone, so that `_ssm_pass` meets it
+        return self._block_passes(prefix, x)
 
     def _ssm_pass(self, prefix, x):
         if self.own is not None and prefix == self.own[0]:

@@ -61,11 +61,14 @@ gated on the sequential oracle by the test suite:
   chain, of a shared Abar1 or of their stacked ones, and for a stack of
   readout rows on one solved grid; `fit`'s finite differences use all.
 - Per-cell parameters (the selective path, every field of batch shape
-  (V, T)): `_sweep_cells` keeps the oracle's (V, T, N, d) layout, state
-  innermost. Each field enters a row as its (T, ...) slice, and each
-  row's chain is one work-efficient tree scan over its per-step
-  transitions (Blelloch 1990, "Prefix sums and their applications"),
-  `_scan_affine`.
+  (V, T), or (B, V, T) for a stack of sets on x of shape (B, V, T, d)):
+  `_sweep_cells` keeps the oracle's (V, T, N, d) layout, state
+  innermost, behind the stack axis. Each field enters a row as its
+  (T, ...) slice, with the stack inside it, and each row's chain is one
+  work-efficient tree scan over its per-step transitions (Blelloch
+  1990, "Prefix sums and their applications"), `_scan_affine`. The
+  stack stays outside every product, so item b is its own set's sweep
+  bit for bit; a bidirectional selective layer sweeps its pair this way.
 
 Either way `scan_forward` returns y as (V, T, d) and the hidden grids as
 (V, T, N, d); the shared sweep's are transposed views of its grid.
@@ -382,20 +385,34 @@ def sweep_shared(dp: DiscreteSSM2D, x: np.ndarray, row_chain: _SharedChain):
 def _sweep_cells(dp: DiscreteSSM2D, x: np.ndarray):
     """The row sweep for per-cell parameters on x's grid, with the state
     axes innermost: each row's time chain is one `_scan_affine` tree scan
-    over its per-step transitions."""
-    v_count, t_count, _ = x.shape
-    p = dp.on_grid(v_count, t_count)  # raises unless dp is on x's grid
+    over its per-step transitions. A stack of per-cell sets, batch shape
+    (B, V, T), sweeps a stack of series, x of shape (B, V, T, d), with
+    the stack axis outside every product, so item b is its own set's
+    sweep of x[b], bit for bit."""
+    batch = dp.Abar1.shape[:-2]
+    if len(batch) == 3 and batch != x.shape[:-1]:
+        raise ValueError(f"a stack of per-cell parameters of batch shape {batch} does not match x of shape {x.shape}")
+    p = dp if len(batch) == 3 else dp.on_grid(*x.shape[-3:-1])  # raises unless dp is on x's grid
     # input terms for the whole grid; the row sweep completes them in place
-    h1 = p.Bbar1[..., None] * x[:, :, None, :]
-    h2 = p.Bbar2[..., None] * x[:, :, None, :]
-    for v in range(v_count):
+    h1 = p.Bbar1[..., None] * x[..., None, :]
+    h2 = p.Bbar2[..., None] * x[..., None, :]
+
+    # views with variates first, then time (the tree scan's axis), then
+    # the stack: every field has the stack axes k, then (V, T) and two more
+    k = len(batch) - 2
+    rows = (k, k + 1, *range(k), k + 2, k + 3)
+    h1_rows, h2_rows = h1.transpose(rows), h2.transpose(rows)
+    abar2, abar3, abar4 = (a.transpose(rows) for a in (p.Abar2, p.Abar3, p.Abar4))
+    # the tree scan takes each row's transitions contiguous
+    abar1 = np.ascontiguousarray(p.Abar1.transpose(rows))
+    for v in range(len(h1_rows)):
         if v > 0:
             # cross-variate state: pointwise in t given the previous row
-            h2[v] += p.Abar3[v] @ h1[v - 1] + p.Abar4[v] @ h2[v - 1]
+            h2_rows[v] += abar3[v] @ h1_rows[v - 1] + abar4[v] @ h2_rows[v - 1]
         # cross-time state: one inclusive scan along the row
-        g = h1[v]
-        g[1:] += p.Abar2[v, 1:] @ h2[v, :-1]
-        h1[v] = _scan_affine(np.ascontiguousarray(p.Abar1[v]), g)
+        g = h1_rows[v]
+        g[1:] += abar2[v, 1:] @ h2_rows[v, :-1]
+        h1_rows[v] = _scan_affine(abar1[v], g)
     # the readout is one dot product per cell with no matrix to share;
     # at small N and d einsum's inner loop runs it about twice as fast as
     # matmul, which makes one BLAS call per cell
@@ -410,11 +427,14 @@ def scan_forward(dp: DiscreteSSM2D, x, return_hidden: bool = False):
     grid. Returns y of shape (V, T, d), and with
     `return_hidden` also the hidden grids (h1, h2), each (V, T, N, d).
     Constant parameters also take a stack of series, x of shape
-    (..., V, T, d), and give each one the result it gets alone, bit for
-    bit; the outputs then carry the same leading axes."""
-    constant = dp.Abar1.ndim == 2
-    x = as_series(x, stacked=constant)
-    if constant:
+    (..., V, T, d), and a stack of per-cell sets (batch shape (B, V, T))
+    takes one series per set, x of shape (B, V, T, d); each series gets
+    the result it gets alone, bit for bit, and the outputs carry the
+    same leading axes."""
+    batch = dp.Abar1.shape[:-2]
+    # only a (V, T) per-cell set takes a single series alone
+    x = as_series(x, stacked=len(batch) != 2)
+    if not batch:
         y, hidden = sweep_shared(dp, x, _chain(dp, "Abar1", x.shape[-2]))
         # (V, T, N, d) views of the grid's two halves
         h1, h2 = hidden[..., : dp.n, :].swapaxes(-1, -3), hidden[..., dp.n :, :].swapaxes(-1, -3)

@@ -12,6 +12,10 @@ matrices depend on the input only through the step sizes (as in Mamba,
 Gu & Dao, arXiv 2312.00752), and one `structured.expm` call per shared
 matrix serves the whole grid. Every field of the result takes the batch
 shape of the inputs, (V, T) on a grid: a per-cell parameter set.
+A stack of K blocks on K grids, x of shape (K, V, T, d), takes one
+projection and one `expm` call per transition for the whole stack, each
+block's matrix at its own grid of steps, and gives a (K, V, T) set;
+a bidirectional selective layer runs each pair so (`chimera2d.model`).
 """
 
 from __future__ import annotations
@@ -98,13 +102,35 @@ def project_cell_params(
 ) -> DiscreteSSM2D:
     """Discrete parameters for cell inputs x of shape (..., d): one cell
     for x of length d, and the leading shape of x as the batch shape
-    otherwise."""
+    otherwise. A stack of K blocks, each field of `proj` and each
+    transition with a leading axis (K,), takes x of shape (K, ..., d),
+    with at least one cell axis, and gives item k what block k alone
+    gives x[k], bit for bit."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input")
+    stacked = np.ndim(proj.dt1_raw) > 0
+    if stacked and (x.ndim < 3 or len(x) != len(proj.dt1_raw)):
+        k = len(proj.dt1_raw)
+        raise ValueError(f"a stack of {k} projections takes x of shape ({k}, ..., d) with a cell axis, got {x.shape}")
+
+    def items(value, cell_axes: int):
+        # a stack's value, its first axis meeting x's and `cell_axes` unit
+        # axes before its own
+        value = np.asarray(value, dtype=float)
+        return value.reshape(value.shape[:1] + (1,) * cell_axes + value.shape[1:]) if stacked else value
+
+    # x @ w^T + bias, one (cells, d) @ (d, k) product per row of cells
+    def affine(w, bias):
+        return x @ items(np.swapaxes(w, -1, -2), x.ndim - 3) + items(bias, x.ndim - 2)
+
+    def step_raw(w, raw):
+        return (x @ items(np.expand_dims(w, -1), x.ndim - 3))[..., 0] + items(raw, x.ndim - 2)
+
     return discretize_all(continuous_set(
-        a_set, x @ proj.w_d1 + proj.dt1_raw, x @ proj.w_d2 + proj.dt2_raw,
-        x @ proj.W_B1.T + proj.b1, x @ proj.W_B2.T + proj.b2, x @ proj.W_C1.T + proj.c1, x @ proj.W_C2.T + proj.c2,
+        a_set, step_raw(proj.w_d1, proj.dt1_raw), step_raw(proj.w_d2, proj.dt2_raw),
+        affine(proj.W_B1, proj.b1), affine(proj.W_B2, proj.b2), affine(proj.W_C1, proj.c1), affine(proj.W_C2, proj.c2),
+        stacked=stacked,
     ))
 
 
@@ -115,5 +141,7 @@ def project_grid_params(
 ) -> DiscreteSSM2D:
     """Per-cell parameters (batch shape (V, T)) for a whole (V, T, d)
     grid, for the scan path: one projection and one batched
-    discretization over all cells."""
-    return project_cell_params(proj, as_series(x), a_set)
+    discretization over all cells. A stack of K blocks (see
+    `project_cell_params`) takes K grids, x of shape (K, V, T, d), and
+    gives batch shape (K, V, T)."""
+    return project_cell_params(proj, as_series(x, stacked=np.ndim(proj.dt1_raw) > 0), a_set)

@@ -56,7 +56,6 @@ _THETAS = [(2.0**-53 * factorial(m + 1) / 2) ** (1 / m) for m in range(1, _DEGRE
 _THETA_TOP = _THETAS[-1]
 _TINY = np.finfo(float).tiny
 _INV_FACTORIALS = np.array([1.0 / factorial(k) for k in range(_DEGREE + 1)])
-_EXPONENTS = np.arange(1.0, _DEGREE + 1)
 # searchsorted on these gives the degree: the least m with |x| <= theta_m
 _DEGREE_BOUNDS = np.array([-1.0] + _THETAS[:-1])
 
@@ -81,32 +80,44 @@ def _finite(e: np.ndarray) -> np.ndarray:
 
 
 def _runs(keys: np.ndarray) -> list[tuple[int, np.ndarray | slice]]:
-    """(key, indices of its items) per distinct key, keys ascending."""
+    """(key, its items) per distinct key, keys ascending: the items'
+    indices, or their slice when they are consecutive."""
     if len(keys) == 1 or (keys == keys[0]).all():
         return [(int(keys[0]), slice(None))]
-    return [(int(key), np.flatnonzero(keys == key)) for key in np.unique(keys)]
+    runs = []
+    for key in sorted(set(keys.tolist())):
+        idx = np.flatnonzero(keys == key)
+        runs.append((key, slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx))
+    return runs
+
+
+def at_steps(a: np.ndarray, t: np.ndarray, stacked: bool) -> np.ndarray:
+    """Generators a as they broadcast against the step sizes t: with
+    `stacked`, a's first axis meets t's, so item b meets the steps t[b]."""
+    return a.reshape(a.shape[:1] + (1,) * (t.ndim - 1) + a.shape[1:]) if stacked else a
 
 
 def expm(a, t=1.0, stacked: bool = False) -> np.ndarray:
-    """exp(t * A), of shape t.shape + (N, N), for A an (N, N) array or
-    the (N,) entries of a diagonal one; with `stacked`, a holds one such
-    generator per step size, t.shape + (N, N) or t.shape + (N,).
+    """exp(t * A), of shape t.shape + (N, N), for generators that lead the
+    steps' shape: an (N, N) array A, or the (N,) entries of a diagonal
+    one, serves every step; with `stacked`, a holds one such generator
+    per item of t's first axis, (B, N, N) or (B, N), and item b runs at
+    the steps t[b], whatever their shape.
 
     Diagonal is elementwise exp. Otherwise each t A is halved s times
     (its own s) to x Z, Z = A / ||A||_1 and |x| <= theta_18, summed as
-    a Taylor series in Z^k / k! and squared back s times. One generator
-    per step (stacked, or a scalar t) takes its own degree m, x^k and
-    (1, m) @ (m, N^2) product: an item of a stack is its own call, bit
-    for bit. One generator at an array of steps shares its terms in one
-    (results, m) @ (m, N^2) matmul at the largest degree. Raises
-    ValueError if t * A has a non-finite entry or exp(t * A) overflows.
+    a Taylor series in Z^k / k! and squared back s times. Each generator
+    takes the degree m of its largest step, and its steps share its
+    terms in one (steps, m) @ (m, N^2) matmul, so an item of a stack is
+    its own call, bit for bit. Raises ValueError if t * A has a
+    non-finite entry or exp(t * A) overflows.
     """
     a, t = np.asarray(a, dtype=float), np.asarray(t, dtype=float)
-    lead = t.shape if stacked else ()
+    lead = t.shape[:1] if stacked else ()
     if a.shape[: len(lead)] != lead or a.ndim - len(lead) not in (1, 2):
         raise ValueError(f"generators of shape {a.shape} do not lead with the step sizes' shape {lead}")
     if a.ndim == len(lead) + 1:
-        z = t[..., None] * a
+        z = t[..., None] * at_steps(a, t, stacked)
         if not np.isfinite(z).all():
             raise ValueError("non-finite entries")
         out = np.zeros(z.shape + z.shape[-1:])
@@ -114,11 +125,11 @@ def expm(a, t=1.0, stacked: bool = False) -> np.ndarray:
         out[..., idx, idx] = _finite(np.exp(z))
         return out
     n = a.shape[-1]
-    z = a.reshape(-1, n, n)  # the generators, one unless stacked
+    z = a.reshape(-1, n, n)  # the generators
     # ||A||_1, at least the smallest normal float (so A = 0 has Z = 0)
     norm = np.abs(z).sum(axis=-2).max(axis=-1, initial=_TINY)
     z = z / norm[:, None, None]
-    x = t.reshape(-1) * norm
+    x = t.reshape(len(z), -1) * norm[:, None]  # one row of steps per generator
     size = np.abs(x)
     largest = size.max()
     if not largest < np.inf:  # a NaN fails every comparison
@@ -129,26 +140,22 @@ def expm(a, t=1.0, stacked: bool = False) -> np.ndarray:
         frac, e = np.frexp(np.maximum(size, _THETA_TOP) / _THETA_TOP)
         s = e - (frac == 0.5)
         x, size, squarings = np.ldexp(x, -s), np.ldexp(size, -s), int(s.max())
-    shared = len(z) < len(x)
-    if shared:
-        top = int(_DEGREE_BOUNDS.searchsorted(size.max()))
-    else:
-        # the items of each degree, in increasing degree
-        runs = _runs(_DEGREE_BOUNDS.searchsorted(size))
-        top = runs[-1][0]
+    # the generators of each degree, in increasing degree
+    runs = _runs(_DEGREE_BOUNDS.searchsorted(size.max(axis=1)))
+    top = runs[-1][0]
     # the series terms Z^k / k!, (generators, m, N^2)
     terms = powers(z, top).swapaxes(0, 1).reshape(len(z), top, n * n)
     terms *= _INV_FACTORIALS[1 : top + 1, None]
-    if shared:
-        # x^k by doubling: a float ** table is slower
-        out = powers(x, top, np.multiply).T @ terms[0]
-    else:
-        out = np.empty((len(x), n * n))
-        for m, idx in runs:
-            out[idx] = (x[idx, None, None] ** _EXPONENTS[:m] @ terms[idx, :m])[:, 0]
-    out[:, :: n + 1] += 1.0  # the k = 0 term, on each flattened diagonal
+    # x^k by doubling (a float ** table is slower), (generators, m, steps):
+    # a generator's (steps, m) block has its own call's strides
+    x_powers = np.ascontiguousarray(powers(x, top, np.multiply).swapaxes(0, 1))
+    out = np.empty(x.shape + (n * n,))
+    for m, idx in runs:
+        out[idx] = x_powers[idx, :m].swapaxes(1, 2) @ terms[idx, :m]
+    out[..., :: n + 1] += 1.0  # the k = 0 term, on each flattened diagonal
     out = out.reshape(-1, n, n)
     if squarings:
+        s = s.reshape(-1)
         if s.min() == squarings:
             for _ in range(squarings):
                 out = out @ out

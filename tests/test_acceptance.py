@@ -277,10 +277,17 @@ def test_criterion_09_scan_scaling():
             times.append(time.perf_counter() - t0)
         return min(times)
 
-    scan_times = {}
-    for t_count in (1024, 2048, 4096):
-        x = rng.standard_normal((v_count, t_count, d))
-        scan_times[t_count] = best_of(lambda: scan_forward(dp, x))
+    # rounds of all three sizes, each size's best over the rounds: a drift of
+    # the host's speed meets every size alike, not one size's turn
+    xs = {t_count: rng.standard_normal((v_count, t_count, d)) for t_count in (1024, 2048, 4096)}
+    scan_times = {t_count: np.inf for t_count in xs}
+    for x in xs.values():
+        scan_forward(dp, x)  # warm-up outside the timed region
+    for _ in range(7):
+        for t_count, x in xs.items():
+            t0 = time.perf_counter()
+            scan_forward(dp, x)
+            scan_times[t_count] = min(scan_times[t_count], time.perf_counter() - t0)
     r1 = scan_times[2048] / scan_times[1024]
     r2 = scan_times[4096] / scan_times[2048]
     x = rng.standard_normal((v_count, 4096, d))

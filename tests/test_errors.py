@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from chimera2d import (
-    ChimeraModel, ContinuousSSM2D, ModelConfig, ScanElement, bidirectional_forward, closed_loop_decode,
+    ChimeraModel, ContinuousSSM2D, DiscreteSSM2D, ModelConfig, ScanElement, bidirectional_forward, closed_loop_decode,
     companion_from_coeffs, compute_metrics, diagonal_matrix, expm, fit, impulse_kernels, materialize_matrices,
-    op_star, sar_to_ssm, simulate_sar, zoh_pair,
+    op_star, sar_to_ssm, scan_forward, simulate_sar, zoh_pair,
 )
 from chimera2d.invariants import _random_dp
 from chimera2d.selective import inv_softplus
@@ -17,6 +17,8 @@ DP2, DP3 = _random_dp(RNG, 2), _random_dp(RNG, 3)
 X = RNG.standard_normal((2, 6, 1))
 MODEL = ChimeraModel.init_random(ModelConfig(layers=0, state_dim=2, channels=1, seed=40))
 EYE, ZERO = np.eye(2), np.zeros((2, 1))
+# a stack of two per-cell sets on X's (2, 6) grid
+CELLS2 = DiscreteSSM2D(**{k: np.broadcast_to(a, (2, 2, 6) + a.shape) for k, a in vars(DP2).items()})
 
 
 def _cont(**changed):
@@ -64,6 +66,8 @@ CASES = {
     "expm_stack_lead": (lambda: expm(np.zeros((2, 2, 2)), np.ones(3), stacked=True),
                         r"generators of shape \(2, 2, 2\) do not lead with the step sizes' shape \(3,\)"),
     "expm_non_finite_diagonal": (lambda: expm(np.array([np.inf, -1.0])), "non-finite entries"),
+    "scan_stack_lead": (lambda: scan_forward(CELLS2, np.ones((3, 2, 6, 1))),
+                        r"per-cell parameters of batch shape \(2, 2, 6\) does not match x of shape \(3, 2, 6, 1\)"),
     "scan_element_square": (lambda: ScanElement(EYE, np.eye(3), ZERO, EYE, EYE, ZERO), "p2 must be 2x2"),
     "scan_element_input": (lambda: ScanElement(EYE, EYE, ZERO, EYE, EYE, np.zeros((3, 1))), "p6 must be 2x1"),
     "op_star_mismatch": (lambda: op_star(ScanElement.identity(2), ScanElement.identity(3)),

@@ -161,6 +161,39 @@ def test_a_selective_block_stores_its_continuous_set_and_the_projection_fields()
             assert getattr(proj, name) is m.params[f"{prefix}.{name}"], name
 
 
+def test_a_selective_pair_is_one_stack_equal_to_its_blocks_alone(monkeypatch):
+    # a bidirectional selective layer projects, discretizes and sweeps each
+    # trend and seasonal pair as one stack; the forward must equal, byte for
+    # byte, the sum of its blocks' passes alone. The backward seasonal
+    # block's raised time step makes it square, which puts its Taylor degree
+    # at 14 or more, while its forward twin (steps near season_hint) takes
+    # degree 13 or less and no squaring
+    m = ChimeraModel.init_random(ModelConfig(layers=1, state_dim=2, channels=2, selective=True, season_hint=0.05, seed=35))
+    m.params["layer0.seasonal.b.dt1_raw"] = np.array(inv_softplus(30.0))
+    x = 0.1 * np.random.default_rng(35).standard_normal((4, 12, 2))
+    calls = []
+    expm = chimera2d.discretize.expm
+
+    def recorded(a, t, stacked=False):
+        calls.append((np.asarray(a), np.asarray(t)))
+        return expm(a, t, stacked)
+
+    monkeypatch.setattr(chimera2d.discretize, "expm", recorded)
+    y = m.forward(x)
+    monkeypatch.undo()
+    # two pairs, four exponentials each, every one a stack of two grids
+    assert len(calls) == 8 and all(t.shape == (2, 4, 12) for _, t in calls)
+    a, t = calls[4]  # the seasonal pair's Van Loan matrices at its time steps
+    largest = t.reshape(2, -1).max(axis=1) * np.abs(a).sum(axis=-2).max(axis=-1)
+    assert largest[0] < 0.5 and largest[1] > 1.2, largest
+
+    class BlockByBlock(ChimeraModel):
+        def _directional_pass(self, prefix, x):
+            return self._block_passes(prefix, x)
+
+    assert y.tobytes() == BlockByBlock(m.config, m.params).forward(x).tobytes()
+
+
 @pytest.mark.parametrize("selective", [False, True])
 def test_every_stored_parameter_is_read(selective):
     m = ChimeraModel.init_random(ModelConfig(layers=1, state_dim=2, channels=2, selective=selective, seed=32))

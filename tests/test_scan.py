@@ -1,5 +1,7 @@
 """Tests for the associative operator and the row scan."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,6 +187,46 @@ def test_stacked_parameter_sets_match_separate_scans_bit_for_bit(n):
         y = readout(c, grid)
         for b, dp in enumerate(readouts):
             assert np.array_equal(y[b], scan_forward(dp, x)), f"T={t_count} readout {b}"
+
+
+FIELDS = ("Abar1", "Abar2", "Abar3", "Abar4", "Bbar1", "Bbar2", "C1", "C2")
+
+
+def _random_cells(rng, n, v_count, t_count):
+    """A per-cell parameter set with a draw of its own in every cell."""
+    def cells(*shape):
+        return rng.standard_normal((v_count, t_count) + shape)
+
+    return DiscreteSSM2D(**{name: 0.4 / n * cells(n, n) if name.startswith("Abar") else cells(n) for name in FIELDS})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_per_cell_sets_match_separate_sweeps_bit_for_bit(n):
+    # a bidirectional selective layer sweeps its pair as one (2, V, T) stack
+    # of per-cell sets, the backward item on the series reversed over
+    # variates, which it passed alone as the view x[..., ::-1, :, :]
+    rng = np.random.default_rng(70 + n)
+    for v_count, t_count, d in ((1, 1, 1), (4, 9, 2), (3, 64, 4)):
+        sets = [_random_cells(rng, n, v_count, t_count) for _ in range(2)]
+        stack = DiscreteSSM2D(**{name: np.stack([vars(dp)[name] for dp in sets]) for name in FIELDS})
+        x = rng.standard_normal((v_count, t_count, d))
+        pair = np.stack((x, x))[..., ::-1, :, :]
+        for series, xs in (((x, x[..., ::-1, :, :]), np.stack((x, x[..., ::-1, :, :]))), ((pair[0], pair[1]), pair)):
+            y, (h1, h2) = scan_forward(stack, xs, return_hidden=True)
+            assert y.shape == (2, v_count, t_count, d) and h1.shape == h2.shape == (2, v_count, t_count, n, d)
+            for b, dp in enumerate(sets):
+                y_b, (h1_b, h2_b) = scan_forward(dp, series[b], return_hidden=True)
+                for got, want in ((y[b], y_b), (h1[b], h1_b), (h2[b], h2_b)):
+                    assert np.array_equal(got, want), f"{v_count}x{t_count} d={d}: item {b}"
+
+
+def test_a_stack_of_per_cell_sets_needs_one_series_per_set():
+    rng = np.random.default_rng(42)
+    sets = [_random_cells(rng, 2, 3, 4) for _ in range(2)]
+    stack = DiscreteSSM2D(**{name: np.stack([vars(dp)[name] for dp in sets]) for name in FIELDS})
+    for x in (rng.standard_normal((3, 4, 1)), rng.standard_normal((3, 3, 4, 1)), rng.standard_normal((2, 3, 5, 1))):
+        with pytest.raises(ValueError, match=r"batch shape \(2, 3, 4\) does not match x of shape " + re.escape(str(x.shape))):
+            scan_forward(stack, x)
 
 
 def test_stacked_series_need_constant_parameters():
