@@ -145,6 +145,11 @@ def _check_expm_stack_exact():
         stack = expm(gens, steps, stacked=True)
         for b in range(2):
             assert np.array_equal(stack[b], expm(gens[b], steps[b])), f"{gens.shape} grid stack: item {b} is not its own call"
+    # a stack whose every step takes the same 3 squarings: ||t A||_1 in [5, 8]
+    gens = 0.5 * rng.standard_normal((4, 3, 3))
+    steps = rng.uniform(5.0, 8.0, (4, 2, 3)) / np.abs(gens).sum(axis=-2).max(axis=-1)[:, None, None]
+    for b, item in enumerate(expm(gens, steps, stacked=True)):
+        assert np.array_equal(item, expm(gens[b], steps[b])), f"equal squarings: item {b} is not its own call"
     # an item that overflows fails the stack, as it fails alone
     gens = companion_from_coeffs([[-0.3, -0.2], [1.0, 0.5]])
     for args in ((gens[1], 800.0), (gens, np.array([1.0, 800.0]), True)):

@@ -234,12 +234,6 @@ class ChimeraModel:
             kept = self._dp_memo[prefix] = (key, KeptSSM2D(**vars(discretize_all(self._block_cont(prefix)))))
         return kept[1]
 
-    def _block_proj(self, prefix: str) -> SelectiveProjections:
-        """The selective block's projections, each field its value of that
-        name: the six `PROJ_WEIGHT_NAMES` weights and, as their biases, its
-        continuous set's b1..c2 and step raws."""
-        return SelectiveProjections(**{name: self.params[f"{prefix}.{name}"] for name in PROJ_FIELDS})
-
     def _ssm_blocks(self) -> list[str]:
         """The trend and seasonal block prefixes, in the order `forward`
         runs them."""

@@ -66,9 +66,10 @@ gated on the sequential oracle by the test suite:
   innermost, behind the stack axis. Each field enters a row as its
   (T, ...) slice, with the stack inside it, and each row's chain is one
   work-efficient tree scan over its per-step transitions (Blelloch
-  1990, "Prefix sums and their applications"), `_scan_affine`. The
-  stack stays outside every product, so item b is its own set's sweep
-  bit for bit; a bidirectional selective layer sweeps its pair this way.
+  1990, "Prefix sums and their applications"), `_scan_affine`, which
+  solves the row in place, one tree level per loop pass. The stack
+  stays outside every product, so item b is its own set's sweep bit for
+  bit; a bidirectional selective layer sweeps its pair this way.
 
 Either way `scan_forward` returns y as (V, T, d) and the hidden grids as
 (V, T, N, d); the shared sweep's are transposed views of its grid.
@@ -162,29 +163,24 @@ def inclusive_scan(elems: list[ScanElement]) -> list[ScanElement]:
 
 def _scan_affine(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Inclusive scan of the affine chain h[i] = a[i] h[i-1] + g[i] with
-    one transition per step, a of shape (m, N, N), returning h, via pairs
-    (a, g) composed as (a2 a1, a2 g1 + g2), by recursive pairing: combine
-    adjacent pairs, scan the halved sequence, interleave back.
-    Work-efficient, and only ever composes left to right (no identity
-    needed on the right). The recursion needs only the pairwise
-    products, never the scanned transitions."""
-    m = g.shape[0]
-    if m == 1:
-        return g
-    half = m // 2
-    a_even, a_odd = a[0 : 2 * half : 2], a[1 : 2 * half : 2]
-    g_even, g_odd = g[0 : 2 * half : 2], g[1 : 2 * half : 2]
-    sg = _scan_affine(a_odd @ a_even, a_odd @ g_even + g_odd)
-    out = np.empty(g.shape)
-    out[0] = g[0]
-    # position 2i+1 is exactly the halved scan's entry i
-    out[1::2] = sg
-    if m > 2:
-        # position 2i (i >= 1) is the halved scan's entry i-1 composed
-        # with the raw element
-        n_evens = len(range(2, m, 2))
-        out[2::2] = a[2::2] @ sg[:n_evens] + g[2::2]
-    return out
+    one transition per step, a of shape (m, ..., N, N), in place: g, of
+    shape (m, ..., N, d), holds the inputs, is overwritten with h and
+    returned. Pairs (a, g) compose as (a2 a1, a2 g1 + g2). Going up, each
+    level composes its adjacent pairs into its odd entries, which are the
+    next level (a strided view of g, with the pairs' products as its
+    transitions); coming down, each even entry past the first composes
+    the solved odd entry before it. Work-efficient, and only ever
+    composes left to right (no identity needed on the right)."""
+    levels = []
+    while len(g) > 1:
+        even = len(g) - len(g) % 2
+        g[1:even:2] += a[1:even:2] @ g[0:even:2]
+        levels.append((a, g))
+        a, g = a[1:even:2] @ a[0:even:2], g[1:even:2]
+    for a, g in reversed(levels):
+        g[2::2] += a[2::2] @ g[1 : len(g) - 1 : 2]
+    # the last level down is the first, g as passed in
+    return g
 
 
 # the block length of a chain longer than one block: no more than this
@@ -385,10 +381,10 @@ def sweep_shared(dp: DiscreteSSM2D, x: np.ndarray, row_chain: _SharedChain):
 def _sweep_cells(dp: DiscreteSSM2D, x: np.ndarray):
     """The row sweep for per-cell parameters on x's grid, with the state
     axes innermost: each row's time chain is one `_scan_affine` tree scan
-    over its per-step transitions. A stack of per-cell sets, batch shape
-    (B, V, T), sweeps a stack of series, x of shape (B, V, T, d), with
-    the stack axis outside every product, so item b is its own set's
-    sweep of x[b], bit for bit."""
+    over its per-step transitions, which solves the row in place. A stack
+    of per-cell sets, batch shape (B, V, T), sweeps a stack of series, x
+    of shape (B, V, T, d), with the stack axis outside every product, so
+    item b is its own set's sweep of x[b], bit for bit."""
     batch = dp.Abar1.shape[:-2]
     if len(batch) == 3 and batch != x.shape[:-1]:
         raise ValueError(f"a stack of per-cell parameters of batch shape {batch} does not match x of shape {x.shape}")
@@ -409,10 +405,10 @@ def _sweep_cells(dp: DiscreteSSM2D, x: np.ndarray):
         if v > 0:
             # cross-variate state: pointwise in t given the previous row
             h2_rows[v] += abar3[v] @ h1_rows[v - 1] + abar4[v] @ h2_rows[v - 1]
-        # cross-time state: one inclusive scan along the row
+        # cross-time state: one inclusive scan along the row, in place
         g = h1_rows[v]
         g[1:] += abar2[v, 1:] @ h2_rows[v, :-1]
-        h1_rows[v] = _scan_affine(abar1[v], g)
+        _scan_affine(abar1[v], g)
     # the readout is one dot product per cell with no matrix to share;
     # at small N and d einsum's inner loop runs it about twice as fast as
     # matmul, which makes one BLAS call per cell

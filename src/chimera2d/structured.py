@@ -155,17 +155,13 @@ def expm(a, t=1.0, stacked: bool = False) -> np.ndarray:
     out[..., :: n + 1] += 1.0  # the k = 0 term, on each flattened diagonal
     out = out.reshape(-1, n, n)
     if squarings:
+        # sorted by s, each pass squares one trailing run of the results
         s = s.reshape(-1)
-        if s.min() == squarings:
-            for _ in range(squarings):
-                out = out @ out
-        else:
-            # sorted by s, each pass squares one trailing run of the results
-            order = np.argsort(s)
-            work = out[order]
-            for start in np.searchsorted(s[order], np.arange(squarings), side="right"):
-                work[start:] = work[start:] @ work[start:]
-            out[order] = work
+        order = np.argsort(s)
+        work = out[order]
+        for start in np.searchsorted(s[order], np.arange(squarings), side="right"):
+            work[start:] = work[start:] @ work[start:]
+        out[order] = work
         # the series is at most e^theta_18 in norm: only squaring can overflow
         _finite(out)
     return out.reshape(t.shape + (n, n))

@@ -156,9 +156,6 @@ def test_a_selective_block_stores_its_continuous_set_and_the_projection_fields()
     for prefix in m._ssm_blocks():
         names = {name.rpartition(".")[2] for name in m.params if name.rpartition(".")[0] == prefix}
         assert names == set(CONT_PARAM_NAMES) | set(proj_fields)
-        proj = m._block_proj(prefix)
-        for name in proj_fields:
-            assert getattr(proj, name) is m.params[f"{prefix}.{name}"], name
 
 
 def test_a_selective_pair_is_one_stack_equal_to_its_blocks_alone(monkeypatch):

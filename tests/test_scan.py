@@ -53,12 +53,46 @@ def test_tree_matches_sequential(count):
     rng = np.random.default_rng(count)
     a = 0.6 * rng.standard_normal((count, 3, 3))
     g = rng.standard_normal((count, 3, 2))
-    h = _scan_affine(a, g)
+    h = _scan_affine(a, g.copy())
     expected = g[0]
     for i in range(count):
         if i:
             expected = a[i] @ expected + g[i]
         assert np.max(np.abs(h[i] - expected)) < 1e-9 * (1.0 + np.max(np.abs(expected)))
+
+
+def _recursive_tree(a, g):
+    # the tree scan as a recursion that allocates each level's output: the
+    # reference for the in-place loop's products and sums, in their order
+    m = g.shape[0]
+    if m == 1:
+        return g
+    half = m // 2
+    a_even, a_odd = a[0 : 2 * half : 2], a[1 : 2 * half : 2]
+    g_even, g_odd = g[0 : 2 * half : 2], g[1 : 2 * half : 2]
+    sg = _recursive_tree(a_odd @ a_even, a_odd @ g_even + g_odd)
+    out = np.empty(g.shape)
+    out[0] = g[0]
+    out[1::2] = sg
+    if m > 2:
+        out[2::2] = a[2::2] @ sg[: len(range(2, m, 2))] + g[2::2]
+    return out
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+def test_tree_solves_in_place_as_the_recursion_bit_for_bit(layout):
+    # every length up to 65 and 1,024: odd and even levels at every depth
+    rng = np.random.default_rng(22)
+    for count in [*range(1, 66), 1024]:
+        # a stack axis of 2 behind the chained one, as a selective pair has
+        a = 0.6 * rng.standard_normal((count, 2, 3, 3))
+        g = rng.standard_normal((count, 2, 3, 4))
+        if layout == "transposed":
+            # a strided view with the chained axis last in memory
+            g = np.ascontiguousarray(g.transpose(3, 2, 1, 0)).transpose(3, 2, 1, 0)
+        expected = _recursive_tree(a, g.copy())
+        assert _scan_affine(a, g) is g
+        assert np.array_equal(g, expected), f"{layout} chain of {count}"
 
 
 def test_empty_scan_rejected():
@@ -396,7 +430,7 @@ def test_constant_parameters_take_the_shared_sweep(monkeypatch):
         calls.clear()
     # the same parameters with every field per-cell take the per-cell sweep
     scan_forward(materialized(dp, *x.shape[:2]), x)
-    # the tree recurses under its own name: count the whole rows
+    # one tree scan per row
     assert calls.count(("tree", x.shape[1])) == len(x)
     assert "chain" not in {kind for kind, _ in calls}
 
@@ -417,8 +451,8 @@ def test_only_per_cell_transitions_reach_the_tree_scan(monkeypatch):
     closed_loop_decode(dp, rng.standard_normal(2), rng.standard_normal(2), x, 3)
     assert seen == []
     scan_forward(materialized(dp, 4, 64), x)
-    # 4 rows, each a tree of log2(64) + 1 levels over per-step transitions
-    assert len(seen) == 4 * 7
+    # 4 rows, each one tree scan over its per-step transitions
+    assert len(seen) == 4
     assert seen[0] == (64, 2, 2)
 
 
