@@ -469,7 +469,7 @@ def _check_model_zero_seasonal_reduction():
     model.params["layer0.redisc.w"] = np.zeros_like(model.params["layer0.redisc.w"])
     x = rng.standard_normal((3, 8, cfg.channels))
     y = model.forward(x)
-    expected = (model.trend_forward(0, x) + model.gate(x)) @ model.params["head.w"].T
+    expected = (model.layer_forward(0, x)[0] + model.gate(x)) @ model.params["head.w"].T
     diff = np.max(np.abs(y - expected))
     assert diff < 1e-10, f"zero seasonal map does not reduce to trend path: {diff:.3e}"
 

@@ -18,12 +18,13 @@ Every SSM block stores `CONT_PARAM_NAMES`. A selective trend or seasonal
 block adds the six `PROJ_WEIGHT_NAMES`, in Mamba's form (Gu & Dao, arXiv
 2312.00752): its parameters are the `SelectiveProjections` fields, whose
 biases are its continuous set's b1..c2 and step raws, so with zero
-weights it is its constant block. The decoder is constant. A
-bidirectional selective layer runs each pair of blocks as one stack of
-two (one projection, discretization and per-cell sweep for both, the
-backward block on the series reversed over variates), and a single
-selective block is a stack of one; each equals its pass alone, bit for
-bit.
+weights it is its constant block. The decoder is constant. Every trend
+and seasonal block runs through one method, `ChimeraModel._passes`, which
+names the block in the error of a pass that fails. A bidirectional
+selective layer runs each pair of blocks as one stack of two (one
+projection, discretization and per-cell sweep for both, the backward
+block on the series reversed over variates), and a single selective
+block is a stack of one; each equals its pass alone, bit for bit.
 
 `fit` evaluates the differences one group of parameters at a time (one
 SSM block's, or one weight matrix), with the group's 2 x (coordinates)
@@ -114,6 +115,14 @@ def _flip(x: np.ndarray) -> np.ndarray:
 def _linear(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """x @ w^T over the channel axis."""
     return x @ w.swapaxes(-1, -2)
+
+
+def _naming(prefixes: tuple[str, ...], run):
+    """run(), with a ValueError raised again naming the blocks it ran."""
+    try:
+        return run()
+    except ValueError as exc:
+        raise ValueError(f"block{'s' * (len(prefixes) > 1)} {' and '.join(prefixes)}: {exc}") from exc
 
 
 @dataclass
@@ -257,21 +266,17 @@ class ChimeraModel:
                 return f"block {prefix} has joint transition spectral radius {rho:.4g} >= 1"
         return "every block's joint transition has spectral radius < 1"
 
-    def _ssm_pass(self, prefix: str, x: np.ndarray) -> np.ndarray:
-        """One block pass on x, (V, T, d) or a stack (B, V, T, d). A
-        constant block scans a stack in one call; a selective block is a
-        stack of one (`_selective_pass`)."""
+    def _passes(self, prefixes: tuple[str, ...], xs: tuple[np.ndarray, ...]):
+        """Block prefixes[k]'s pass on xs[k], each x (V, T, d) or a stack
+        (B, V, T, d), as item k of the result. A constant block is one
+        scan, of a stack too. Selective blocks, whose parameters depend on
+        their input, run as one stack: one projection, discretization and
+        per-cell sweep per series, item k bit for bit block k's pass
+        alone. A ValueError is raised again naming the block, or the
+        whole stack."""
         if not self.config.selective:
-            return scan_forward(self._block_dp(prefix), x)
-        return self._selective_pass((prefix,), x[..., None, :, :, :])[..., 0, :, :, :]
+            return [_naming((prefix,), lambda: scan_forward(self._block_dp(prefix), x)) for prefix, x in zip(prefixes, xs)]
 
-    def _selective_pass(self, prefixes: tuple[str, ...], xs: np.ndarray) -> np.ndarray:
-        """The K selective blocks `prefixes` as one stack, block k on
-        xs[..., k, :, :, :]: xs is (K, V, T, d), or (B, K, V, T, d) for a
-        stack of series. Their parameters depend on their input, so a
-        series is one stacked projection, discretization and per-cell
-        sweep, and a stack of series runs one series at a time. Item k is
-        block k's pass alone, bit for bit."""
         def stack(name):
             return np.array([self.params[f"{prefix}.{name}"] for prefix in prefixes])
 
@@ -281,35 +286,25 @@ class ChimeraModel:
         def scan(series):
             return scan_forward(project_grid_params(proj, series, a_set), series)
 
-        return scan(xs) if xs.ndim == 4 else np.stack([scan(series) for series in xs])
+        # block k on xs[..., k, :, :, :]
+        series = np.stack(xs, axis=-4)
+        ys = _naming(prefixes, lambda: scan(series) if series.ndim == 4 else np.stack([scan(s) for s in series]))
+        return np.moveaxis(ys, -4, 0)
 
     def _directional_pass(self, prefix: str, x: np.ndarray) -> np.ndarray:
         """The forward block `prefix`.f on x, plus with `bidirectional` the
-        backward block .b on x reversed over variates. A selective pair
-        runs as one stack of two."""
-        if self.config.selective and self.config.bidirectional:
-            ys = self._selective_pass((f"{prefix}.f", f"{prefix}.b"), np.stack((x, _flip(x)), axis=-4))
-            return ys[..., 0, :, :, :] + _flip(ys[..., 1, :, :, :])
-        return self._block_passes(prefix, x)
-
-    def _block_passes(self, prefix: str, x: np.ndarray) -> np.ndarray:
-        """`_directional_pass` one block at a time, through `_ssm_pass`."""
-        y = self._ssm_pass(f"{prefix}.f", x)
-        if self.config.bidirectional:
-            y = y + _flip(self._ssm_pass(f"{prefix}.b", _flip(x)))
-        return y
-
-    def trend_forward(self, layer: int, x: np.ndarray) -> np.ndarray:
-        return self._directional_pass(f"layer{layer}.trend", x)
-
-    def seasonal_forward(self, layer: int, x: np.ndarray) -> np.ndarray:
-        y = self._directional_pass(f"layer{layer}.seasonal", x)
-        return _linear(y, self.params[f"layer{layer}.redisc.w"])
+        backward block .b on x reversed over variates, in one `_passes`."""
+        if not self.config.bidirectional:
+            return self._passes((f"{prefix}.f",), (x,))[0]
+        ys = self._passes((f"{prefix}.f", f"{prefix}.b"), (x, _flip(x)))
+        return ys[0] + _flip(ys[1])
 
     def layer_forward(self, layer: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        trend = self.trend_forward(layer, x)
-        residual = self.seasonal_forward(layer, x - trend)
-        return trend, residual
+        """The layer's trend on x, and its residual: the re-discretized
+        seasonal pass on x minus the trend."""
+        trend = self._directional_pass(f"layer{layer}.trend", x)
+        seasonal = self._directional_pass(f"layer{layer}.seasonal", x - trend)
+        return trend, _linear(seasonal, self.params[f"layer{layer}.redisc.w"])
 
     def gate(self, x: np.ndarray) -> np.ndarray:
         p = self.params
@@ -421,12 +416,13 @@ class _StackedVariants(ChimeraModel):
     and the model its discretization and Abar1 row chain. The block's own
     variants are one stacked discretization, with each parameter a
     (B, ...) stack, and up to three stacked passes (`_variant_passes`).
-    It meets every block alone through `_ssm_pass`, a selective pair's
-    too, and a selective block runs each of its variants alone, as a
+    Of the forward's methods it overrides `_passes` alone, and runs each
+    block in it alone, a selective pair's too: as its variants' own
+    output, as its base pass, or, after the group, as one fresh pass on
+    the stack. A selective block runs each of its variants alone, as a
     stack of one, which is bit for bit its item of the pair's stack in
-    a fresh forward. Each block after the group runs once on the stack,
-    through the model's own pass. A perturbed weight matrix is a
-    (B, 1, d, d) stack in `params`."""
+    a fresh forward. A perturbed weight matrix is a (B, 1, d, d) stack
+    in `params`."""
 
     def __init__(self, model: ChimeraModel, x: np.ndarray):
         super().__init__(model.config, {k: v.copy() for k, v in model.params.items()})
@@ -435,21 +431,23 @@ class _StackedVariants(ChimeraModel):
         self.own: tuple[str, np.ndarray] | None = None  # perturbed block, its outputs
         self.y = self.forward(x)
 
-    def _directional_pass(self, prefix, x):
-        # each block alone, so that `_ssm_pass` meets it
-        return self._block_passes(prefix, x)
-
-    def _ssm_pass(self, prefix, x):
-        if self.own is not None and prefix == self.own[0]:
-            return self.own[1]
-        if prefix not in self.base:
-            # no variant reached x: the base pass
-            self.base[prefix] = self._base_pass(prefix, x)
-        return self.base[prefix].y if x.ndim == 3 else super()._ssm_pass(prefix, x)
+    def _passes(self, prefixes, xs):
+        ys = []
+        for prefix, x in zip(prefixes, xs):
+            if self.own is not None and prefix == self.own[0]:
+                ys.append(self.own[1])
+            elif x.ndim == 4:
+                ys.append(super()._passes((prefix,), (x,))[0])
+            else:
+                if prefix not in self.base:
+                    # no variant reached x: the base pass
+                    self.base[prefix] = self._base_pass(prefix, x)
+                ys.append(self.base[prefix].y)
+        return ys
 
     def _base_pass(self, prefix: str, x: np.ndarray) -> _BasePass:
         if self.config.selective:
-            return _BasePass(x, super()._ssm_pass(prefix, x))
+            return _BasePass(x, super()._passes((prefix,), (x,))[0])
         x = as_series(x)
         dp = self._block_dp(prefix)
         y, hidden = sweep_shared(dp, x, dp.chain("Abar1", x.shape[-2]))
@@ -494,7 +492,7 @@ class _StackedVariants(ChimeraModel):
                 for name, i, value in values:
                     flat = p[name].reshape(-1)
                     orig, flat[i] = flat[i], value
-                    outs.append(super()._ssm_pass(group, self.base[group].x))
+                    outs.append(super()._passes((group,), (self.base[group].x,))[0])
                     flat[i] = orig
                 self.own = (group, np.stack(outs))
             else:

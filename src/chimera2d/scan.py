@@ -398,9 +398,7 @@ def _sweep_cells(dp: DiscreteSSM2D, x: np.ndarray):
     k = len(batch) - 2
     rows = (k, k + 1, *range(k), k + 2, k + 3)
     h1_rows, h2_rows = h1.transpose(rows), h2.transpose(rows)
-    abar2, abar3, abar4 = (a.transpose(rows) for a in (p.Abar2, p.Abar3, p.Abar4))
-    # the tree scan takes each row's transitions contiguous
-    abar1 = np.ascontiguousarray(p.Abar1.transpose(rows))
+    abar1, abar2, abar3, abar4 = (a.transpose(rows) for a in (p.Abar1, p.Abar2, p.Abar3, p.Abar4))
     for v in range(len(h1_rows)):
         if v > 0:
             # cross-variate state: pointwise in t given the previous row

@@ -27,6 +27,15 @@ def _cont(**changed):
     return ContinuousSSM2D(**{**kw, **changed})
 
 
+def _overflowing_forward():
+    # one block whose exponential leaves the float range
+    m = ChimeraModel.init_random(ModelConfig(layers=1, state_dim=2, channels=1, seed=40))
+    m.params["layer0.seasonal.b.a1"][...] = 5.0
+    m.params["layer0.seasonal.b.dt1_raw"] = np.array(800.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return m.forward(X)
+
+
 def _scores(insample, season=1):
     return compute_metrics(np.ones((1, 2)), np.ones((1, 2)), insample, season=season)
 
@@ -43,6 +52,7 @@ CASES = {
                      "tol must be a nonnegative number or None, got True"),
     "fit_tol_string": (lambda: fit(MODEL, (X, X), steps=1, lr=1e-3, tol="a"),
                        "tol must be a nonnegative number or None, got 'a'"),
+    "forward_block_overflow": (_overflowing_forward, r"block layer0\.seasonal\.b: exp\(t M\) overflows the float range"),
     "decode_horizon_fraction": (lambda: MODEL.decode(X, 2.5), "horizon must be an integer, got 2.5"),
     "decode_horizon_bool": (lambda: MODEL.decode(X, True), "horizon must be an integer, got True"),
     "decode_horizon_negative": (lambda: MODEL.decode(X, -1), "horizon must be >= 0, got -1"),

@@ -185,8 +185,8 @@ def test_a_selective_pair_is_one_stack_equal_to_its_blocks_alone(monkeypatch):
     assert largest[0] < 0.5 and largest[1] > 1.2, largest
 
     class BlockByBlock(ChimeraModel):
-        def _directional_pass(self, prefix, x):
-            return self._block_passes(prefix, x)
+        def _passes(self, prefixes, xs):
+            return [ChimeraModel._passes(self, (prefix,), (x,))[0] for prefix, x in zip(prefixes, xs)]
 
     assert y.tobytes() == BlockByBlock(m.config, m.params).forward(x).tobytes()
 
@@ -346,6 +346,29 @@ def test_fit_names_the_first_unstable_block_when_a_variant_fails(monkeypatch):
     with pytest.raises(FloatingPointError, match=named):
         fit(m, (x, x), steps=1, lr=1e-3)
     assert len(calls) > 16
+
+
+def test_forward_names_the_constant_block_whose_exponential_overflows():
+    m = tiny_model(seed=0)
+    # a companion with coefficients 5 at a time step of 800
+    m.params["layer0.seasonal.b.a1"][...] = 5.0
+    m.params["layer0.seasonal.b.dt1_raw"] = np.array(800.0)
+    x = np.random.default_rng(0).standard_normal((2, 6, 1))
+    named = r"^block layer0\.seasonal\.b: exp\(t M\) overflows the float range$"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=named) as info:
+        m.forward(x)
+    assert str(info.value.__cause__) == "exp(t M) overflows the float range"
+
+
+def test_forward_names_both_blocks_of_a_selective_pair_that_overflows():
+    # the residual stream grows until a per-cell step of the seasonal pair,
+    # discretized as one stack, overflows its exponential
+    m = ChimeraModel.init_random(ModelConfig(layers=1, state_dim=3, channels=2, selective=True, season_hint=24.0, seed=3))
+    x = 0.1 * np.random.default_rng(3).standard_normal((6, 50, 2))
+    named = r"^blocks layer0\.seasonal\.f and layer0\.seasonal\.b: exp\(t M\) overflows the float range$"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=named) as info:
+        m.forward(x)
+    assert str(info.value.__cause__) == "exp(t M) overflows the float range"
 
 
 @pytest.mark.parametrize("lr", [np.nan, np.inf, 0.0, -1e-3])
