@@ -17,7 +17,7 @@ from .structured import (
 )
 from .discretize import ContinuousSSM2D, DiscreteSSM2D, zoh_pair, discretize_all
 from .recurrence import forward_recurrence, bidirectional_forward, transition_probe
-from .scan import ScanElement, op_star, inclusive_scan, scan_forward, closed_loop_decode
+from .scan import ScanElement, op_star, scan_forward, closed_loop_decode
 from .conv import impulse_kernels, conv_apply
 from .selective import SelectiveProjections, project_cell_params, project_grid_params
 from .variants import mamba2d_forward, materialize_matrices
@@ -40,7 +40,6 @@ __all__ = [
     "closed_loop_decode",
     "ScanElement",
     "op_star",
-    "inclusive_scan",
     "scan_forward",
     "impulse_kernels",
     "conv_apply",

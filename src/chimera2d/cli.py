@@ -110,15 +110,8 @@ class RunConfig:
         return RunConfig.from_dict(blob)
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            layers=self.layers,
-            state_dim=self.state_dim,
-            channels=1,
-            season_hint=self.season_hint,
-            selective=self.selective,
-            bidirectional=self.bidirectional,
-            seed=self.seed,
-        )
+        names = {f.name for f in dataclasses.fields(ModelConfig)} - {"channels"}
+        return ModelConfig(channels=1, **{name: getattr(self, name) for name in names})
 
 
 # ----------------------------------------------------------------------
@@ -264,14 +257,9 @@ def cmd_eval(args) -> int:
 
 def cmd_selftest(args) -> int:
     results = invariants.run_all()
-    failures = 0
+    failures = sum(not res.passed for res in results)
     for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        line = f"{status} {res.name}"
-        if not res.passed:
-            line += f": {res.detail}"
-            failures += 1
-        print(line)
+        print(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}")
     print(f"{len(results) - failures}/{len(results)} invariants passed")
     print(json.dumps({
         "passed": len(results) - failures,
@@ -307,14 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("forecast", help="closed-loop multi-step forecast CSV"))
     p.add_argument("--checkpoint", required=True, help="model checkpoint JSON")
     p.set_defaults(fn=cmd_forecast)
-    p = common(sub.add_parser("eval", help="forecast metrics JSON"))
+    p = sub.add_parser("eval", help="forecast metrics JSON")
+    p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--pred", required=True, help="forecast CSV")
     p.add_argument("--truth", required=True, help="ground-truth CSV")
     p.add_argument("--insample", required=True, help="in-sample history CSV")
     p.add_argument("--season", type=int, default=1, help="seasonal period for MASE")
     p.set_defaults(fn=cmd_eval)
-    common(sub.add_parser("selftest", help="run the invariant registry")) \
-        .set_defaults(fn=cmd_selftest)
+    sub.add_parser("selftest", help="run the invariant registry").set_defaults(fn=cmd_selftest)
     return parser
 
 

@@ -151,10 +151,9 @@ class ChimeraModel:
             p[f"{prefix}.dt1_raw"] = np.array(inv_softplus(dt_time))
             p[f"{prefix}.dt2_raw"] = np.array(inv_softplus(DT_INIT))
             if selective:
-                lim = 1.0 / np.sqrt(d)
-                for names, shape in ((PROJ_WEIGHT_NAMES[:4], (n, d)), (CONT_PARAM_NAMES[6:], n), (PROJ_WEIGHT_NAMES[4:], d)):
-                    for name in names:
-                        p[f"{prefix}.{name}"] = rng.uniform(-lim, lim, shape)
+                # every field but the step raws, which the block sets above
+                proj = SelectiveProjections.init_random(n, d, seed=rng)
+                p.update({f"{prefix}.{name}": getattr(proj, name) for name in PROJ_FIELDS if f"{prefix}.{name}" not in p})
             else:
                 for name in CONT_PARAM_NAMES[6:]:
                     p[f"{prefix}.{name}"] = rng.normal(0.0, 1.0 / np.sqrt(n), n)
@@ -534,15 +533,25 @@ class _StackedVariants(ChimeraModel):
         return grads
 
 
+def _paired(model: ChimeraModel, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as series of one shape, x with the model's channel count."""
+    x, y = model._series(x), as_series(y)
+    if x.shape != y.shape:
+        raise ValueError(f"inputs x {x.shape} and targets y {y.shape} must have the same shape")
+    return x, y
+
+
 def stacked_fd_gradient(model: ChimeraModel, x, y, names: list[str] | None = None) -> dict[str, np.ndarray]:
     """`fd_gradient` of the MSE between model(x) and y, bit for bit,
     evaluated one group at a time with the group's variants stacked.
 
-    Raises FloatingPointError naming the parameter when a variant's loss
-    is not finite, and ValueError when a pass cannot be formed (as a
-    forward would)."""
+    Raises ValueError, before any pass, unless x has the model's channel
+    count and x and y have one shape; FloatingPointError naming the
+    parameter when a variant's loss is not finite; and ValueError when a
+    pass cannot be formed (as a forward would)."""
+    x, y = _paired(model, x, y)
     names = list(model.params) if names is None else names
-    return _StackedVariants(model, as_series(x)).gradient(as_series(y), names)
+    return _StackedVariants(model, x).gradient(y, names)
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
@@ -569,11 +578,7 @@ def fit(
     check_real("lr", lr, "positive")
     if tol is not None and (isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0):
         raise ValueError(f"tol must be a nonnegative number or None, got {tol!r}")
-    x, y = data
-    x = model._series(x)
-    y = as_series(y)
-    if x.shape != y.shape:
-        raise ValueError(f"inputs x {x.shape} and targets y {y.shape} must have the same shape")
+    x, y = _paired(model, *data)
     model = model.copy()
     # the decoder is not trained: forward never reads it
     names = [n for n in model.params if not n.startswith("decoder.")]

@@ -150,17 +150,6 @@ def op_star(p: ScanElement, q: ScanElement) -> ScanElement:
     )
 
 
-def inclusive_scan(elems: list[ScanElement]) -> list[ScanElement]:
-    """Inclusive prefix scan: output[i] = elems[0] * ... * elems[i],
-    folded left to right."""
-    if not elems:
-        raise ValueError("empty input")
-    out = [elems[0]]
-    for e in elems[1:]:
-        out.append(op_star(out[-1], e))
-    return out
-
-
 def _scan_affine(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Inclusive scan of the affine chain h[i] = a[i] h[i-1] + g[i] with
     one transition per step, a of shape (m, ..., N, N), in place: g, of

@@ -72,9 +72,10 @@ class SelectiveProjections:
     dt2_raw: float = field(default=0.0)
 
     @staticmethod
-    def init_random(n: int, d: int, seed: int = 0) -> "SelectiveProjections":
-        """B/C weights ~ U(-1/sqrt(d), 1/sqrt(d)); step raws set so
-        softplus(raw) equals DT_INIT."""
+    def init_random(n: int, d: int, seed: int | np.random.Generator = 0) -> "SelectiveProjections":
+        """B/C weights ~ U(-1/sqrt(d), 1/sqrt(d)), drawn from seed, or from
+        the generator given as seed; step raws set so softplus(raw) equals
+        DT_INIT."""
         rng = np.random.default_rng(seed)
         lim = 1.0 / np.sqrt(d)
         u = lambda *shape: rng.uniform(-lim, lim, shape)

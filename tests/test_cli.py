@@ -205,6 +205,19 @@ def test_eval_scores_each_variate(tmp_path):
         assert cmd_dispatch(args + ["--insample", str(tmp_path / "insample.csv"), "--season", season]) == 2
 
 
+def test_eval_takes_only_out_of_the_common_flags(tmp_path, capsys):
+    # eval reads no run configuration and draws nothing
+    series = tmp_path / "series.csv"
+    with open(series, "w", encoding="utf-8") as fh:
+        write_series_csv(fh, np.arange(8.0).reshape(2, 4))
+    args = ["eval", "--pred", str(series), "--truth", str(series), "--insample", str(series), "--out", str(tmp_path)]
+    assert cmd_dispatch(args) == 0
+    for flag in (["--config", "nope.json"], ["--seed", "3"]):
+        capsys.readouterr()
+        assert cmd_dispatch(args + flag) == 2
+        assert capsys.readouterr().err.startswith(f"error: config: unrecognized arguments: {' '.join(flag)}")
+
+
 @pytest.mark.parametrize("command, config, csv, message", [
     ("fit", "{not json", "", "config is not valid JSON"),
     ("fit", "[1]", "", "config must be a JSON object"),
@@ -395,8 +408,19 @@ def test_selftest_exits_zero(capsys, monkeypatch):
     names = _two_checks(monkeypatch, invariants.REGISTRY["discretize.step_resolution"])
     assert cmd_dispatch(["selftest"]) == 0
     out = capsys.readouterr().out
-    for name in names:
-        assert f"PASS {name}" in out
+    summary = json.loads(out.splitlines()[-1])
+    for name, result in zip(names, summary["results"]):
+        # a passing check's line and detail carry the figure it measured
+        figure = invariants.REGISTRY[name]()
+        assert f"PASS {name}: {figure}\n" in out
+        assert result == {"name": name, "passed": True, "detail": figure}
+
+
+def test_selftest_takes_no_flags(capsys, monkeypatch):
+    _two_checks(monkeypatch, invariants.REGISTRY["discretize.step_resolution"])
+    for flag in (["--config", "nope.json"], ["--seed", "3"], ["--out", "no/such/dir"]):
+        assert cmd_dispatch(["selftest"] + flag) == 2
+        assert capsys.readouterr().err.startswith(f"error: config: unrecognized arguments: {' '.join(flag)}")
 
 
 def test_selftest_ends_with_json_summary(capsys, monkeypatch):

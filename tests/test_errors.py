@@ -10,6 +10,7 @@ from chimera2d import (
     op_star, sar_to_ssm, scan_forward, simulate_sar, zoh_pair,
 )
 from chimera2d.invariants import _random_dp
+from chimera2d.model import stacked_fd_gradient
 from chimera2d.selective import inv_softplus
 
 RNG = np.random.default_rng(40)
@@ -52,6 +53,8 @@ CASES = {
                      "tol must be a nonnegative number or None, got True"),
     "fit_tol_string": (lambda: fit(MODEL, (X, X), steps=1, lr=1e-3, tol="a"),
                        "tol must be a nonnegative number or None, got 'a'"),
+    "stacked_fd_gradient_shapes": (lambda: stacked_fd_gradient(MODEL, np.zeros((2, 5, 1)), np.zeros((2, 4, 1))),
+                                   r"inputs x \(2, 5, 1\) and targets y \(2, 4, 1\) must have the same shape"),
     "forward_block_overflow": (_overflowing_forward, r"block layer0\.seasonal\.b: exp\(t M\) overflows the float range"),
     "decode_horizon_fraction": (lambda: MODEL.decode(X, 2.5), "horizon must be an integer, got 2.5"),
     "decode_horizon_bool": (lambda: MODEL.decode(X, True), "horizon must be an integer, got True"),

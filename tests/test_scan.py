@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import chimera2d.scan
 from chimera2d import (
-    DiscreteSSM2D, ScanElement, closed_loop_decode, op_star, inclusive_scan, scan_forward, forward_recurrence,
+    DiscreteSSM2D, ScanElement, closed_loop_decode, op_star, scan_forward, forward_recurrence,
 )
 from chimera2d.invariants import _element_diff, _random_dp, _random_element
 from chimera2d.scan import _LONG_BLOCK, _SharedChain, _block_length, _scan_affine, readout, sweep_shared
@@ -31,20 +31,6 @@ def test_scalar_state_columns():
     out = op_star(p, q)
     assert out.p3[0, 0] == 78.0
     assert out.p6[0, 0] == 108.0
-
-
-def test_inclusive_scan_single_element():
-    rng = np.random.default_rng(2)
-    e = _random_element(rng, 2, 1)
-    out = inclusive_scan([e])
-    assert _element_diff(out[0], e) == 0.0
-
-
-def test_inclusive_scan_all_identities():
-    eye = ScanElement.identity(2, 1)
-    out = inclusive_scan([eye] * 5)
-    for o in out:
-        assert _element_diff(o, eye) == 0.0
 
 
 @pytest.mark.parametrize("count", [2, 3, 5, 8, 13, 32])
@@ -93,11 +79,6 @@ def test_tree_solves_in_place_as_the_recursion_bit_for_bit(layout):
         expected = _recursive_tree(a, g.copy())
         assert _scan_affine(a, g) is g
         assert np.array_equal(g, expected), f"{layout} chain of {count}"
-
-
-def test_empty_scan_rejected():
-    with pytest.raises(ValueError):
-        inclusive_scan([])
 
 
 def test_scan_1d_reduction_along_time():

@@ -19,26 +19,6 @@ def test_coupled_params_rejected():
         mamba2d_forward(dp, np.zeros((2, 2, 1)))
 
 
-def test_matches_two_1d_passes():
-    rng = np.random.default_rng(1)
-    n = 3
-    dp = _random_dp(rng, n, coupled=False)
-    x = rng.standard_normal((5, 6, 1))
-    y = mamba2d_forward(dp, x)
-    expected = np.zeros_like(y)
-    for v in range(5):
-        h = np.zeros((n, 1))
-        for t in range(6):
-            h = dp.Abar1 @ h + np.outer(dp.Bbar1, x[v, t])
-            expected[v, t] += dp.C1 @ h
-    for t in range(6):
-        h = np.zeros((n, 1))
-        for v in range(5):
-            h = dp.Abar4 @ h + np.outer(dp.Bbar2, x[v, t])
-            expected[v, t] += dp.C2 @ h
-    assert np.max(np.abs(y - expected)) < 1e-10
-
-
 def test_zero_variate_readout_is_pure_time_ssm():
     rng = np.random.default_rng(2)
     n = 2
