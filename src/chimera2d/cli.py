@@ -16,8 +16,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,21 +33,16 @@ class ConfigError(ValueError):
     """Configuration or usage problem; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a run needs beyond command-line flags; loaded from the
-    ``--config`` JSON file, with unknown keys rejected."""
+@dataclasses.dataclass(frozen=True)
+class RunConfig(ModelConfig):
+    """Everything a run needs beyond command-line flags, loaded from the
+    ``--config`` JSON file with unknown keys rejected. The model's keys and
+    defaults are :class:`ModelConfig`'s; ``channels`` is 1 and not a key."""
 
-    # model
-    layers: int = 2
-    state_dim: int = 4
-    season_hint: float = 1.0
-    selective: bool = False
-    bidirectional: bool = True
+    channels: int = dataclasses.field(default=1, init=False)
     # training
     steps: int = 100
     lr: float = 0.05
-    seed: int = 0
     tol: float = 0.0
     # data / forecasting
     data: str = ""
@@ -64,8 +59,7 @@ class RunConfig:
         try:
             if not isinstance(self.data, str):
                 raise ValueError(f"data must be a path string, got {self.data!r}")
-            # the model fields are checked where the model takes them
-            self.model_config()
+            super().__post_init__()
             for name, least in (("steps", 0), ("horizon", 1), ("variates", 1), ("length", 1), ("season", 1)):
                 check_integer(name, getattr(self, name), least)
             check_real("lr", self.lr, "positive")
@@ -82,11 +76,11 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.init}
 
     @staticmethod
     def from_dict(blob: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(RunConfig)}
+        known = {f.name for f in dataclasses.fields(RunConfig) if f.init}
         unknown = sorted(set(blob) - known)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -110,8 +104,7 @@ class RunConfig:
         return RunConfig.from_dict(blob)
 
     def model_config(self) -> ModelConfig:
-        names = {f.name for f in dataclasses.fields(ModelConfig)} - {"channels"}
-        return ModelConfig(channels=1, **{name: getattr(self, name) for name in names})
+        return ModelConfig(**{f.name: getattr(self, f.name) for f in dataclasses.fields(ModelConfig)})
 
 
 # ----------------------------------------------------------------------
@@ -310,10 +303,16 @@ def cmd_dispatch(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+        return status
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout: exit quietly, flushing the rest to devnull
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 1
         print(f"error: runtime: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -61,7 +61,7 @@ from .selective import DT_INIT, SelectiveProjections, continuous_set, inv_softpl
 from .structured import companion_from_coeffs, diagonal_matrix
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     """Hyperparameters. `channels` is the width d of the input, of the
     gate and of the readout; `season_hint` is the seasonal block's

@@ -1,12 +1,16 @@
 """Tests for the command-line surface and the invariant registry."""
 
+import dataclasses
 import json
+import os
 import re
+import sys
 
 import numpy as np
 import pytest
 
 from chimera2d import invariants
+from chimera2d.model import ModelConfig
 from chimera2d.cli import RunConfig, ConfigError, cmd_dispatch, read_series_csv, write_series_csv
 
 
@@ -94,6 +98,16 @@ def test_config_json_file_roundtrip(tmp_path):
 
 def test_seed_override():
     assert RunConfig.load(None, seed_override=123).seed == 123
+
+
+def test_run_config_takes_the_model_keys_and_defaults_from_model_config():
+    keys = RunConfig().to_dict()
+    model = ModelConfig()
+    for field in dataclasses.fields(ModelConfig):
+        if field.name != "channels":
+            assert keys[field.name] == getattr(model, field.name), field.name
+    assert "channels" not in keys
+    assert RunConfig().model_config() == ModelConfig(channels=1)
 
 
 # ----------------------------------------------------------------------
@@ -421,6 +435,17 @@ def test_selftest_takes_no_flags(capsys, monkeypatch):
     for flag in (["--config", "nope.json"], ["--seed", "3"], ["--out", "no/such/dir"]):
         assert cmd_dispatch(["selftest"] + flag) == 2
         assert capsys.readouterr().err.startswith(f"error: config: unrecognized arguments: {' '.join(flag)}")
+
+
+def test_closed_stdout_exits_1_with_no_error_line(capsys, monkeypatch):
+    # ``chimera2d selftest | head -1`` once head has exited
+    _two_checks(monkeypatch, invariants.REGISTRY["discretize.step_resolution"])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "w", buffering=1) as closed:  # each line's write raises BrokenPipeError
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert cmd_dispatch(["selftest"]) == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_selftest_ends_with_json_summary(capsys, monkeypatch):
