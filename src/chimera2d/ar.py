@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import DiscreteSSM2D
-from .recurrence import check_integer, forward_recurrence
+from .recurrence import check_integer, check_real, finite_array, forward_recurrence
 
 
 def simulate_sar(
@@ -32,9 +32,8 @@ def simulate_sar(
 ) -> np.ndarray:
     """Simulate SAR(p, q, s); `init` supplies the presample history and
     the returned series continues it for t_count further steps."""
-    phi = np.asarray(phi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    init = np.asarray(init, dtype=float)
+    phi, eta, init = finite_array("phi", phi), finite_array("eta", eta), finite_array("init", init)
+    check_real("noise_std", noise_std, "nonnegative")
     p, q = phi.size, eta.size
     check_integer("s", s, 1)
     check_integer("t_count", t_count, 1)
@@ -84,8 +83,7 @@ class SARRealization:
 def sar_to_ssm(phi, eta, s: int) -> SARRealization:
     """State-space realization whose one-step predictions reproduce the
     SAR recursion exactly on noise-free data."""
-    phi = np.asarray(phi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
+    phi, eta = finite_array("phi", phi), finite_array("eta", eta)
     if phi.size + eta.size == 0:
         raise ValueError("at least one coefficient set must be nonempty")
     check_integer("s", s, 1)

@@ -117,6 +117,12 @@ def _linear(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return x @ w.swapaxes(-1, -2)
 
 
+def _continuous(values: list[np.ndarray]) -> ContinuousSSM2D:
+    """A block's continuous set from its `CONT_PARAM_NAMES` values, or
+    from (B, ...) stacks of them."""
+    return continuous_set(_transitions(*values[:4]), *values[4:], stacked=values[4].ndim > 0)
+
+
 def _naming(prefixes: tuple[str, ...], run):
     """run(), with a ValueError raised again naming the blocks it ran."""
     try:
@@ -221,25 +227,18 @@ class ChimeraModel:
     # ------------------------------------------------------------------
     # forward pieces
 
-    def _block_cont(self, prefix: str) -> ContinuousSSM2D:
-        """The block's continuous set, stacked if its parameters are."""
+    def _block_dp(self, prefix: str) -> KeptSSM2D:
+        """The block's discretization, kept as a read-only `KeptSSM2D`,
+        which keeps its chain solvers too, and returned again while the
+        (shape, bytes) of each of the `CONT_PARAM_NAMES` values it came
+        from is unchanged, so an in-place update of any one discretizes
+        afresh and drops the solvers. Every copy, checkpoint load and
+        `_StackedVariants` starts with nothing kept."""
         values = [self.params[f"{prefix}.{name}"] for name in CONT_PARAM_NAMES]
-        return continuous_set(_transitions(*values[:4]), *values[4:], stacked=values[4].ndim > 0)
-
-    def _block_dp(self, prefix: str) -> DiscreteSSM2D:
-        """The block's discretization. A constant set is kept as a
-        read-only `KeptSSM2D`, which keeps its chain solvers too, and
-        returned again while the (shape, bytes) of each of the
-        `CONT_PARAM_NAMES` values it came from is unchanged, so an
-        in-place update of any one discretizes afresh and drops the
-        solvers. A stacked set of variants is never kept. Every copy,
-        checkpoint load and `_StackedVariants` starts with nothing kept."""
-        if self.params[f"{prefix}.dt1_raw"].ndim:
-            return discretize_all(self._block_cont(prefix))
-        key = tuple((v.shape, v.tobytes()) for v in (self.params[f"{prefix}.{name}"] for name in CONT_PARAM_NAMES))
+        key = tuple((v.shape, v.tobytes()) for v in values)
         kept = self._dp_memo.get(prefix)
         if kept is None or kept[0] != key:
-            kept = self._dp_memo[prefix] = (key, KeptSSM2D(**vars(discretize_all(self._block_cont(prefix)))))
+            kept = self._dp_memo[prefix] = (key, KeptSSM2D(**vars(discretize_all(_continuous(values)))))
         return kept[1]
 
     def _ssm_blocks(self) -> list[str]:
@@ -418,13 +417,14 @@ class _StackedVariants(ChimeraModel):
     Of the forward's methods it overrides `_passes` alone, and runs each
     block in it alone, a selective pair's too: as its variants' own
     output, as its base pass, or, after the group, as one fresh pass on
-    the stack. A selective block runs each of its variants alone, as a
-    stack of one, which is bit for bit its item of the pair's stack in
-    a fresh forward. A perturbed weight matrix is a (B, 1, d, d) stack
-    in `params`."""
+    the stack. It holds the model's own parameter arrays and writes into
+    none: a variant's are items of `_variant_stack`s. A selective block's
+    are swapped into `params` one variant at a time and run as a stack of
+    one, bit for bit its item of the pair's stack in a fresh forward. A
+    perturbed weight matrix is a (B, 1, d, d) stack in `params`."""
 
     def __init__(self, model: ChimeraModel, x: np.ndarray):
-        super().__init__(model.config, {k: v.copy() for k, v in model.params.items()})
+        super().__init__(model.config, dict(model.params))
         self.x = x
         self.base: dict[str, _BasePass] = {}
         self.own: tuple[str, np.ndarray] | None = None  # perturbed block, its outputs
@@ -460,11 +460,9 @@ class _StackedVariants(ChimeraModel):
         base grid; the others that keep Abar1 are one sweep on the kept
         row chain, and those that move it one sweep on a chain of their
         own stack of Abar1."""
-        p, base, kept = self.params, self.base[prefix], self._block_dp(prefix)
-        own = {name: p[name] for name in p if name.rpartition(".")[0] == prefix}
-        p.update({name: _variant_stack(value, name, values) for name, value in own.items()})
-        dp = self._block_dp(prefix)
-        p.update(own)
+        base, kept = self.base[prefix], self._block_dp(prefix)
+        names = [f"{prefix}.{name}" for name in CONT_PARAM_NAMES]
+        dp = discretize_all(_continuous([_variant_stack(self.params[name], name, values) for name in names]))
         # moved[f][b]: field f of variant b differs from the kept one in some bit
         bits = {f: (v.view(np.uint64) != getattr(kept, f).view(np.uint64)) for f, v in vars(dp).items()}
         moved = {f: b.reshape(len(values), -1).any(axis=1) for f, b in bits.items()}
@@ -487,12 +485,13 @@ class _StackedVariants(ChimeraModel):
         p = self.params
         if group in self.base:
             if self.config.selective:
+                own = {name: v for name, v in p.items() if name.rpartition(".")[0] == group}
+                stacks = {name: _variant_stack(v, name, values) for name, v in own.items()}
                 outs = []
-                for name, i, value in values:
-                    flat = p[name].reshape(-1)
-                    orig, flat[i] = flat[i], value
+                for b in range(len(values)):
+                    p.update({name: stack[b, ...] for name, stack in stacks.items()})
                     outs.append(super()._passes((group,), (self.base[group].x,))[0])
-                    flat[i] = orig
+                p.update(own)
                 self.own = (group, np.stack(outs))
             else:
                 self.own = (group, self._variant_passes(group, values))

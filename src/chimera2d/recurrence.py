@@ -54,9 +54,16 @@ def as_series(x, stacked: bool = False) -> np.ndarray:
         x = x[:, :, None]
     if not (x.ndim == 3 or stacked and x.ndim > 3) or min(x.shape) < 1:
         raise ValueError("series must have shape (V, T, d) with positive extents")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("series contains non-finite values")
-    return x
+    return finite_array("series", x)
+
+
+def finite_array(name: str, values) -> np.ndarray:
+    """values as a float array. Raises ValueError naming the field unless
+    every entry is finite."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} contains non-finite values")
+    return values
 
 
 def require_constant(dp: DiscreteSSM2D, caller: str) -> None:

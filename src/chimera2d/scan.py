@@ -103,7 +103,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import DiscreteSSM2D
-from .recurrence import as_series, check_integer, require_constant
+from .recurrence import as_series, check_integer, finite_array, require_constant
 from .structured import powers
 
 
@@ -444,8 +444,7 @@ def closed_loop_decode(
     check_integer("horizon", horizon, 0)
     require_constant(dp, "closed_loop_decode")
     x_ctx = as_series(x_ctx)
-    d1 = np.asarray(d1, dtype=float)
-    d2 = np.asarray(d2, dtype=float)
+    d1, d2 = finite_array("d1", d1), finite_array("d2", d2)
     for name, row in (("d1", d1), ("d2", d2)):
         if row.shape != (dp.n,):
             raise ValueError(f"{name} must have length N={dp.n}, got shape {row.shape}")

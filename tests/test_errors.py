@@ -63,12 +63,23 @@ CASES = {
                          r"d1 must have length N=2, got shape \(3,\)"),
     "decode_d2_length": (lambda: closed_loop_decode(DP2, np.ones(2), np.ones((2, 2)), X, 2),
                          r"d2 must have length N=2, got shape \(2, 2\)"),
+    "decode_d1_nan": (lambda: closed_loop_decode(DP2, np.array([1.0, np.nan]), np.ones(2), X, 2),
+                      "d1 contains non-finite values"),
+    "decode_d2_nan": (lambda: closed_loop_decode(DP2, np.ones(2), np.array([np.nan, 1.0]), X, 2),
+                      "d2 contains non-finite values"),
     "sar_stride_fraction": (lambda: simulate_sar([0.5], [], 1.5, [0.0], 0.0, 4), "s must be an integer, got 1.5"),
     "sar_stride_bool": (lambda: simulate_sar([0.5], [], True, [0.0], 0.0, 4), "s must be an integer, got True"),
     "sar_stride_zero": (lambda: simulate_sar([0.5], [], 0, [0.0], 0.0, 4), "s must be >= 1, got 0"),
     "sar_length_fraction": (lambda: simulate_sar([0.5], [], 1, [0.0], 0.0, 2.5), "t_count must be an integer, got 2.5"),
     "sar_length_zero": (lambda: simulate_sar([0.5], [], 1, [0.0], 0.0, 0), "t_count must be >= 1, got 0"),
+    "sar_noise_nan": (lambda: simulate_sar([0.5], [], 1, [0.0], float("nan"), 4),
+                      "noise_std must be nonnegative and finite, got nan"),
+    "sar_noise_negative": (lambda: simulate_sar([0.5], [], 1, [0.0], -1.0, 4),
+                           "noise_std must be nonnegative and finite, got -1.0"),
+    "sar_coefficient_nan": (lambda: simulate_sar([np.nan], [], 1, [0.0], 0.0, 4), "phi contains non-finite values"),
+    "sar_init_inf": (lambda: simulate_sar([0.5], [], 1, [np.inf], 0.0, 4), "init contains non-finite values"),
     "sar_to_ssm_stride": (lambda: sar_to_ssm([0.5], [], 0), "s must be >= 1, got 0"),
+    "sar_to_ssm_coefficient_nan": (lambda: sar_to_ssm([np.nan], [], 1), "phi contains non-finite values"),
     "metrics_season_fraction": (lambda: _scores(np.arange(6.0)[None], season=1.5), "season must be an integer, got 1.5"),
     "metrics_short_insample": (lambda: _scores(np.arange(2.0)[None], season=2),
                                "in-sample series too short for the seasonal naive scale"),

@@ -506,13 +506,40 @@ def test_an_in_place_move_rebuilds_the_chain_solver():
         assert rebuilt == (prefix in ("layer0.trend.f", "decoder")), prefix
 
 
-@pytest.mark.parametrize("cfg", [
-    ModelConfig(layers=2, state_dim=2, channels=1, seed=16),
-    ModelConfig(layers=1, state_dim=2, channels=1, seed=17, selective=True),
-], ids=["constant", "selective"])
-def test_fd_gradient_equals_rerun_on_every_coordinate(cfg):
-    x, y = np.random.default_rng(16).standard_normal((2, 2, 6, 1))
+@pytest.mark.parametrize("cfg, scale", [
+    (ModelConfig(layers=2, state_dim=2, channels=1, seed=16), 1.0),
+    (ModelConfig(layers=1, state_dim=2, channels=1, seed=17, selective=True), 1.0),
+    # selective passes after a redisc group; at unit scale this model's
+    # output reaches 7e16, at 0.3 it stays below 1.3
+    (ModelConfig(layers=2, state_dim=2, channels=1, seed=16, selective=True), 0.3),
+], ids=["constant", "selective", "selective-2-layers-bidirectional"])
+def test_fd_gradient_equals_rerun_on_every_coordinate(cfg, scale):
+    x, y = scale * np.random.default_rng(16).standard_normal((2, 2, 6, 1))
     _assert_fd_stacked_exact(cfg, x, y)
+
+
+@pytest.mark.parametrize("selective", [False, True], ids=["constant", "selective"])
+def test_stacked_variants_hold_the_models_own_arrays(selective):
+    m = tiny_model(seed=34, selective=selective)
+    work = chimera2d.model._StackedVariants(m, 0.3 * np.random.default_rng(34).standard_normal((2, 6, 1)))
+    assert work.params.keys() == m.params.keys()
+    for name, value in m.params.items():
+        assert work.params[name] is value, name
+
+
+@pytest.mark.parametrize("selective", [False, True], ids=["constant", "selective"])
+def test_stacked_fd_gradient_writes_no_parameter_array(selective):
+    m = tiny_model(seed=35, selective=selective)
+    x, y = 0.3 * np.random.default_rng(35).standard_normal((2, 2, 6, 1))
+    before = {name: value.tobytes() for name, value in m.params.items()}
+    for value in m.params.values():
+        value.flags.writeable = False
+    names = [n for n in m.params if not n.startswith("decoder.")]
+    grads = stacked_fd_gradient(m, x, y, names)
+    ref = fd_gradient(m, lambda mm: mse_loss(mm.forward(x), y), names)
+    for name in names:
+        assert np.array_equal(grads[name], ref[name]), name
+    assert {name: value.tobytes() for name, value in m.params.items()} == before
 
 
 @pytest.mark.parametrize("bidirectional", [False, True])
