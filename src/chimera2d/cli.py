@@ -191,8 +191,7 @@ def cmd_fit(args) -> int:
     x = series[:, :-1, None]
     y = series[:, 1:, None]
     model = ChimeraModel.init_random(cfg.model_config())
-    trained = fit(model, (x, y), steps=cfg.steps, lr=cfg.lr,
-                  tol=cfg.tol if cfg.tol > 0 else None)
+    trained = fit(model, (x, y), steps=cfg.steps, lr=cfg.lr, tol=cfg.tol)
     ckpt = _out_path(args, "checkpoint.json")
     trained.save(ckpt)
     losses = _out_path(args, "loss_log.json")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .discretize import DiscreteSSM2D
-from .recurrence import as_series, check_integer, require_constant
+from .recurrence import as_series, check_integer, finite_array, require_constant
 from .scan import scan_forward
 
 
@@ -41,7 +41,11 @@ def conv_apply(
     v_count, t_count, d = x.shape
     if k1.shape[0] < v_count or k1.shape[1] < t_count:
         raise ValueError("kernel extents must cover the input extents")
-    kern = k1 @ np.asarray(c1, dtype=float) + k2 @ np.asarray(c2, dtype=float)
+    c1, c2 = finite_array("c1", c1), finite_array("c2", c2)
+    for name, row in (("c1", c1), ("c2", c2)):
+        if row.shape != k1.shape[-1:]:
+            raise ValueError(f"{name} must have length N={k1.shape[-1]}, the kernels' last axis, got shape {row.shape}")
+    kern = k1 @ c1 + k2 @ c2
     y = np.zeros((v_count, t_count, d))
     for dv in range(v_count):
         for dt in range(t_count):

@@ -30,11 +30,14 @@ block is a stack of one; each equals its pass alone, bit for bit.
 SSM block's, or one weight matrix), with the group's 2 x (coordinates)
 perturbed copies stacked on a leading variant axis: the blocks before
 the group run once per gradient, and every later pass runs once on the
-(B, V, T, d) stack. A perturbed constant block discretizes its variants
-as one stack and runs them in at most two stacked sweeps and one
-readout, by the fields each moves. Each variant's loss is the one a
-fresh forward of it gives, bit for bit (`fd_gradient`, which reruns the
-whole model per evaluation, is the oracle).
+(B, V, T, d) stack. The variants stand in for the group in the table
+the forward reads, for one forward: a block's outputs for its base
+pass's, a weight matrix's stack for its `params` entry. A perturbed
+constant block discretizes its variants as one stack and runs them in
+at most two stacked sweeps and one readout, by the fields each moves; a
+selective block runs one variant per pass. Each variant's loss is the
+one a fresh forward of it gives, bit for bit (`fd_gradient`, which
+reruns the whole model per evaluation, is the oracle).
 
 A model keeps each constant block's discretization, the decoder's too,
 until one of the parameters it comes from changes (`_block_dp`), and
@@ -50,13 +53,13 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .discretize import ContinuousSSM2D, DiscreteSSM2D, discretize_all
 from .recurrence import as_series, check_integer, check_real, transition_probe
-from .scan import KeptSSM2D, _SharedChain, closed_loop_decode, readout, scan_forward, sweep_shared
+from .scan import KeptSSM2D, closed_loop_decode, readout, scan_forward, sweep_shared
 from .selective import DT_INIT, SelectiveProjections, continuous_set, inv_softplus, project_grid_params
 from .structured import companion_from_coeffs, diagonal_matrix
 
@@ -382,14 +385,14 @@ def fd_gradient(
     return grads
 
 
-def _variant_stack(base: np.ndarray, name: str, values: list[tuple[str, int, float]]) -> np.ndarray:
-    """base once per variant, (B, *base.shape), coordinate i of variant b
-    set to value where values[b] = (name, i, value) names this one."""
-    stack = np.repeat(base[None], len(values), axis=0)
-    for b, (moved, i, value) in enumerate(values):
-        if moved == name:
-            stack.reshape(len(values), -1)[b, i] = value
-    return stack
+def _variant_stacks(params: dict[str, np.ndarray], names, values: list[tuple[str, int, float]]) -> dict:
+    """params[name] once per variant for each of the names, (B, *shape),
+    coordinate i of variant b set to value in the stack of name for
+    (name, i, value) = values[b]; every variant moves one of the names."""
+    stacks = {name: np.repeat(params[name][None], len(values), axis=0) for name in names}
+    for b, (name, i, value) in enumerate(values):
+        stacks[name].reshape(len(values), -1)[b, i] = value
+    return stacks
 
 
 @dataclass
@@ -409,33 +412,28 @@ class _StackedVariants(ChimeraModel):
     array, and `gradient` the central differences of an MSE from them.
 
     Every block pass that no variant reaches is the base pass, run once
-    when the object is built; that forward is `y`, the unperturbed
-    model's output. A constant block's base pass keeps its solved grid,
-    and the model its discretization and Abar1 row chain. The block's own
-    variants are one stacked discretization, with each parameter a
-    (B, ...) stack, and up to three stacked passes (`_variant_passes`).
-    Of the forward's methods it overrides `_passes` alone, and runs each
-    block in it alone, a selective pair's too: as its variants' own
-    output, as its base pass, or, after the group, as one fresh pass on
-    the stack. It holds the model's own parameter arrays and writes into
-    none: a variant's are items of `_variant_stack`s. A selective block's
-    are swapped into `params` one variant at a time and run as a stack of
-    one, bit for bit its item of the pair's stack in a fresh forward. A
-    perturbed weight matrix is a (B, 1, d, d) stack in `params`."""
+    when the object is built and kept in `base`; that forward is `y`,
+    the unperturbed model's output. A constant block's base pass keeps
+    its solved grid, and the model its discretization and Abar1 row
+    chain. Of the forward's methods it overrides `_passes` alone, and
+    runs each block in it alone, a selective pair's too: as its base
+    pass, or, after the group, as one fresh pass on the stack. A group's
+    variants stand in for the group in the table the forward reads: a
+    block's outputs (`_variant_passes`) as the y of its base pass, a
+    weight matrix's as a (B, 1, d, d) stack in `params`. It holds the
+    model's own parameter arrays and writes into none: a variant's are
+    items of `_variant_stacks`."""
 
     def __init__(self, model: ChimeraModel, x: np.ndarray):
         super().__init__(model.config, dict(model.params))
         self.x = x
         self.base: dict[str, _BasePass] = {}
-        self.own: tuple[str, np.ndarray] | None = None  # perturbed block, its outputs
         self.y = self.forward(x)
 
     def _passes(self, prefixes, xs):
         ys = []
         for prefix, x in zip(prefixes, xs):
-            if self.own is not None and prefix == self.own[0]:
-                ys.append(self.own[1])
-            elif x.ndim == 4:
+            if x.ndim == 4:
                 ys.append(super()._passes((prefix,), (x,))[0])
             else:
                 if prefix not in self.base:
@@ -448,60 +446,58 @@ class _StackedVariants(ChimeraModel):
         if self.config.selective:
             return _BasePass(x, super()._passes((prefix,), (x,))[0])
         x = as_series(x)
-        dp = self._block_dp(prefix)
-        y, hidden = sweep_shared(dp, x, dp.chain("Abar1", x.shape[-2]))
-        return _BasePass(x, y, hidden)
+        return _BasePass(x, *sweep_shared(self._block_dp(prefix), x))
 
     def _variant_passes(self, prefix: str, values: list[tuple[str, int, float]]) -> np.ndarray:
-        """The constant block's pass for each variant, (B, V, T, d), from
-        one discretization of its parameters as (B, ...) stacks, routed by
-        the fields in which it differs, bit for bit, from the block's kept
-        one. The variants that move only C1 and C2 are one readout of the
-        base grid; the others that keep Abar1 are one sweep on the kept
-        row chain, and those that move it one sweep on a chain of their
-        own stack of Abar1."""
-        base, kept = self.base[prefix], self._block_dp(prefix)
+        """The block's pass on its base input for each variant, (B, V, T, d).
+        A selective block runs one variant per pass, with the one array it
+        moves swapped into `params`, as a stack of one. A constant block
+        discretizes its variants once, as (B, ...) stacks, and routes each
+        by the fields in which it differs, bit for bit, from the block's
+        kept discretization: the variants that move only C1 and C2 are one
+        readout of the base grid; the others that keep Abar1 are one sweep
+        on the kept row chain, and those that move it one sweep on a chain
+        of their own stack of Abar1."""
+        base, p = self.base[prefix], self.params
+        out = np.empty((len(values),) + base.y.shape)
+        if self.config.selective:
+            stacks = _variant_stacks(p, dict.fromkeys(name for name, _, _ in values), values)
+            for b, (name, _, _) in enumerate(values):
+                value, p[name] = p[name], stacks[name][b]
+                out[b] = super()._passes((prefix,), (base.x,))[0]
+                p[name] = value
+            return out
+        kept = self._block_dp(prefix)
         names = [f"{prefix}.{name}" for name in CONT_PARAM_NAMES]
-        dp = discretize_all(_continuous([_variant_stack(self.params[name], name, values) for name in names]))
+        stacks = _variant_stacks(p, names, values)
+        dp = discretize_all(_continuous([stacks[name] for name in names]))
         # moved[f][b]: field f of variant b differs from the kept one in some bit
         bits = {f: (v.view(np.uint64) != getattr(kept, f).view(np.uint64)) for f, v in vars(dp).items()}
         moved = {f: b.reshape(len(values), -1).any(axis=1) for f, b in bits.items()}
         reads = ~np.any([moved[f] for f in moved if f not in ("C1", "C2")], axis=0)
         rechained = moved["Abar1"]
-        out = np.empty((len(values),) + base.y.shape)
         if reads.any():
             out[reads] = readout(np.concatenate((dp.C1[reads], dp.C2[reads]), axis=-1), base.hidden)
-        t_count = base.x.shape[-2]
-        for group, chain in ((~(reads | rechained), kept.chain("Abar1", t_count)), (rechained, None)):
+        for group, chain in ((~(reads | rechained), kept.chain("Abar1", base.x.shape[-2])), (rechained, None)):
             if group.any():
                 part = DiscreteSSM2D(**{f: v[group] for f, v in vars(dp).items()})
-                out[group] = sweep_shared(part, base.x, chain or _SharedChain(part.Abar1, t_count))[0]
+                out[group] = sweep_shared(part, base.x, chain)[0]
         return out
 
     def outputs(self, group: str, values: list[tuple[str, int, float]]) -> np.ndarray:
         """The forward of each variant, variant b setting coordinate i of
         parameter name to value for (name, i, value) = values[b]; `group`
-        is an SSM block's prefix or the name of the one parameter."""
-        p = self.params
+        is an SSM block's prefix or the name of the one parameter. The
+        variants replace the group's entry in the table the forward reads
+        for one forward, and the entry is put back."""
         if group in self.base:
-            if self.config.selective:
-                own = {name: v for name, v in p.items() if name.rpartition(".")[0] == group}
-                stacks = {name: _variant_stack(v, name, values) for name, v in own.items()}
-                outs = []
-                for b in range(len(values)):
-                    p.update({name: stack[b, ...] for name, stack in stacks.items()})
-                    outs.append(super()._passes((group,), (self.base[group].x,))[0])
-                p.update(own)
-                self.own = (group, np.stack(outs))
-            else:
-                self.own = (group, self._variant_passes(group, values))
-            out = self.forward(self.x)
-            self.own = None
+            table, entry = self.base, self.base[group]
+            table[group] = replace(entry, y=self._variant_passes(group, values))
         else:
-            base = p[group]
-            p[group] = _variant_stack(base, group, values).reshape(len(values), 1, *base.shape)
-            out = self.forward(self.x)
-            p[group] = base
+            table, entry = self.params, self.params[group]
+            table[group] = _variant_stacks(table, (group,), values)[group].reshape(len(values), 1, *entry.shape)
+        out = self.forward(self.x)
+        table[group] = entry
         # a parameter the forward never reads leaves every variant at the base
         return np.broadcast_to(out, (len(values),) + self.x.shape)
 
@@ -562,21 +558,22 @@ def fit(
     data: tuple[np.ndarray, np.ndarray],
     steps: int,
     lr: float,
-    tol: float | None = None,
+    tol: float = 0.0,
 ) -> ChimeraModel:
     """Plain gradient descent on the MSE between model(x) and y.
 
     Returns an updated copy; the per-step losses are recorded on its
     `loss_history`; a step whose loss is below `tol` ends the descent
-    (np.inf stops after the first loss). Raises ValueError, before any
-    pass, unless lr is a positive finite number, tol None or a
-    nonnegative number, x has the model's channel count and x and y have
-    one shape; aborts with FloatingPointError if the loss diverges.
+    (the default 0.0 never does; np.inf stops after the first loss).
+    Raises ValueError, before any pass, unless lr is a positive finite
+    number, tol a nonnegative number, x has the model's channel count and
+    x and y have one shape; aborts with FloatingPointError if the loss
+    diverges.
     """
     check_integer("steps", steps, 0)
     check_real("lr", lr, "positive")
-    if tol is not None and (isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0):
-        raise ValueError(f"tol must be a nonnegative number or None, got {tol!r}")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0:
+        raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
     x, y = _paired(model, *data)
     model = model.copy()
     # the decoder is not trained: forward never reads it
@@ -592,7 +589,7 @@ def fit(
                 if not np.isfinite(loss):
                     raise ValueError(f"loss={loss}")
                 model.loss_history.append(loss)
-                if tol is not None and loss < tol:
+                if loss < tol:
                     break
                 grads = work.gradient(y, names)
             except ValueError as exc:

@@ -356,12 +356,15 @@ def readout(c: np.ndarray, hidden: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(y.swapaxes(-1, -2))
 
 
-def sweep_shared(dp: DiscreteSSM2D, x: np.ndarray, row_chain: _SharedChain):
+def sweep_shared(dp: DiscreteSSM2D, x: np.ndarray, row_chain: _SharedChain | None = None):
     """The row sweep for constant parameters on x, (..., V, T, d), with
-    `row_chain` Abar1's solver for rows of T steps: returns y and the
-    solved (..., V, d, 2N, T) grid. dp may also be a stack of parameter
-    sets (batch shape (B,)) on a chain of their shared or stacked Abar1;
+    `row_chain` Abar1's solver for rows of T steps, dp's own (`_chain`)
+    when none is given: returns y and the solved (..., V, d, 2N, T) grid.
+    dp may also be a stack of parameter sets (batch shape (B,)) on a
+    chain of their shared Abar1, given, or of their own stacked Abar1;
     its leading axis meets the grid's."""
+    if row_chain is None:
+        row_chain = _chain(dp, "Abar1", x.shape[-2])
     hidden = input_terms(np.concatenate((dp.Bbar1, dp.Bbar2), axis=-1), x)
     solve_rows(hidden, dp.Abar2, dp.Abar3, dp.Abar4, row_chain)
     return readout(np.concatenate((dp.C1, dp.C2), axis=-1), hidden), hidden
@@ -418,7 +421,7 @@ def scan_forward(dp: DiscreteSSM2D, x, return_hidden: bool = False):
     # only a (V, T) per-cell set takes a single series alone
     x = as_series(x, stacked=len(batch) != 2)
     if not batch:
-        y, hidden = sweep_shared(dp, x, _chain(dp, "Abar1", x.shape[-2]))
+        y, hidden = sweep_shared(dp, x)
         # (V, T, N, d) views of the grid's two halves
         h1, h2 = hidden[..., : dp.n, :].swapaxes(-1, -3), hidden[..., dp.n :, :].swapaxes(-1, -3)
     else:
@@ -449,9 +452,6 @@ def closed_loop_decode(
         if row.shape != (dp.n,):
             raise ValueError(f"{name} must have length N={dp.n}, got shape {row.shape}")
     v_count, t_count, d = x_ctx.shape
-    if horizon == 0:
-        return np.zeros((v_count, 0, d))
-
     n = dp.n
     bbar = np.concatenate((dp.Bbar1, dp.Bbar2))
     # the context's solved (V, d, 2N, T) grid, of which only the last column

@@ -110,6 +110,9 @@ def project_cell_params(
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input")
+    d = np.shape(proj.w_d1)[-1]
+    if x.ndim == 0 or x.shape[-1] != d:
+        raise ValueError(f"x has {x.shape[-1] if x.ndim else 0} channels, but the projections take d={d}")
     stacked = np.ndim(proj.dt1_raw) > 0
     if stacked and (x.ndim < 3 or len(x) != len(proj.dt1_raw)):
         k = len(proj.dt1_raw)

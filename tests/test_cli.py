@@ -4,11 +4,14 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chimera2d
 from chimera2d import invariants
 from chimera2d.model import ModelConfig
 from chimera2d.cli import RunConfig, ConfigError, cmd_dispatch, read_series_csv, write_series_csv
@@ -462,3 +465,17 @@ def test_selftest_ends_with_json_summary(capsys, monkeypatch):
     assert [r["name"] for r in summary["results"]] == names
     failed = [r for r in summary["results"] if not r["passed"]]
     assert failed == [{"name": "discretize.step_resolution", "passed": False, "detail": "off by one"}]
+
+
+# ----------------------------------------------------------------------
+# runtime dependencies
+
+
+def test_library_and_cli_import_no_scipy():
+    # numpy is the only runtime dependency (README, pyproject.toml); the
+    # tests use scipy as a reference, so the check runs in a fresh interpreter
+    src = str(Path(chimera2d.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, chimera2d, chimera2d.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -6,18 +6,20 @@ import pytest
 
 from chimera2d import (
     ChimeraModel, ContinuousSSM2D, DiscreteSSM2D, ModelConfig, ScanElement, bidirectional_forward, closed_loop_decode,
-    companion_from_coeffs, compute_metrics, diagonal_matrix, expm, fit, impulse_kernels, materialize_matrices,
-    op_star, sar_to_ssm, scan_forward, simulate_sar, zoh_pair,
+    companion_from_coeffs, compute_metrics, conv_apply, diagonal_matrix, expm, fit, impulse_kernels,
+    materialize_matrices, op_star, sar_to_ssm, scan_forward, simulate_sar, zoh_pair,
 )
 from chimera2d.invariants import _random_dp
 from chimera2d.model import stacked_fd_gradient
-from chimera2d.selective import inv_softplus
+from chimera2d.selective import SelectiveProjections, inv_softplus, project_grid_params
 
 RNG = np.random.default_rng(40)
 DP2, DP3 = _random_dp(RNG, 2), _random_dp(RNG, 3)
 X = RNG.standard_normal((2, 6, 1))
 MODEL = ChimeraModel.init_random(ModelConfig(layers=0, state_dim=2, channels=1, seed=40))
 EYE, ZERO = np.eye(2), np.zeros((2, 1))
+# DP2's impulse kernels over X's (2, 6) grid
+K1, K2 = impulse_kernels(DP2, 2, 6)
 # a stack of two per-cell sets on X's (2, 6) grid
 CELLS2 = DiscreteSSM2D(**{k: np.broadcast_to(a, (2, 2, 6) + a.shape) for k, a in vars(DP2).items()})
 
@@ -46,13 +48,13 @@ CASES = {
     "fit_steps_bool": (lambda: fit(MODEL, (X, X), steps=True, lr=1e-3), "steps must be an integer, got True"),
     "fit_steps_negative": (lambda: fit(MODEL, (X, X), steps=-1, lr=1e-3), "steps must be >= 0, got -1"),
     "fit_tol_nan": (lambda: fit(MODEL, (X, X), steps=1, lr=1e-3, tol=float("nan")),
-                    "tol must be a nonnegative number or None, got nan"),
+                    "tol must be a nonnegative number, got nan"),
     "fit_tol_negative": (lambda: fit(MODEL, (X, X), steps=1, lr=1e-3, tol=-1.0),
-                         "tol must be a nonnegative number or None, got -1.0"),
+                         "tol must be a nonnegative number, got -1.0"),
     "fit_tol_bool": (lambda: fit(MODEL, (X, X), steps=1, lr=1e-3, tol=True),
-                     "tol must be a nonnegative number or None, got True"),
+                     "tol must be a nonnegative number, got True"),
     "fit_tol_string": (lambda: fit(MODEL, (X, X), steps=1, lr=1e-3, tol="a"),
-                       "tol must be a nonnegative number or None, got 'a'"),
+                       "tol must be a nonnegative number, got 'a'"),
     "stacked_fd_gradient_shapes": (lambda: stacked_fd_gradient(MODEL, np.zeros((2, 5, 1)), np.zeros((2, 4, 1))),
                                    r"inputs x \(2, 5, 1\) and targets y \(2, 4, 1\) must have the same shape"),
     "forward_block_overflow": (_overflowing_forward, r"block layer0\.seasonal\.b: exp\(t M\) overflows the float range"),
@@ -105,6 +107,12 @@ CASES = {
                                     "v_count must be an integer, got 2.5"),
     "materialize_extent_bool": (lambda: materialize_matrices(DP2, DP2, True, 3), "v_count must be an integer, got True"),
     "materialize_time_extent": (lambda: materialize_matrices(DP2, DP2, 2, 1.5), "t_count must be an integer, got 1.5"),
+    "project_channels": (lambda: project_grid_params(SelectiveProjections.zeros(2, 1), np.ones((2, 6, 3)), (EYE,) * 4),
+                         "x has 3 channels, but the projections take d=1"),
+    "conv_readout_length": (lambda: conv_apply(K1, K2, np.ones(3), np.ones(2), X),
+                            r"c1 must have length N=2, the kernels' last axis, got shape \(3,\)"),
+    "conv_readout_nan": (lambda: conv_apply(K1, K2, np.ones(2), np.array([np.nan, 1.0]), X),
+                         "c2 contains non-finite values"),
     "bidirectional_n": (lambda: bidirectional_forward(DP2, DP3, X), "forward and backward modules must share N"),
     "inv_softplus_zero": (lambda: inv_softplus(0.0), "softplus output must be positive"),
 }

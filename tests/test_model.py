@@ -521,10 +521,21 @@ def test_fd_gradient_equals_rerun_on_every_coordinate(cfg, scale):
 @pytest.mark.parametrize("selective", [False, True], ids=["constant", "selective"])
 def test_stacked_variants_hold_the_models_own_arrays(selective):
     m = tiny_model(seed=34, selective=selective)
-    work = chimera2d.model._StackedVariants(m, 0.3 * np.random.default_rng(34).standard_normal((2, 6, 1)))
+    x = 0.3 * np.random.default_rng(34).standard_normal((2, 6, 1))
+    work = chimera2d.model._StackedVariants(m, x)
     assert work.params.keys() == m.params.keys()
     for name, value in m.params.items():
         assert work.params[name] is value, name
+    # every group's stand-in is put back: the parameters, and the base
+    # passes that the base forward stored
+    entries = dict(work.base)
+    assert entries.keys() == set(m._ssm_blocks())
+    work.gradient(x, list(m.params))
+    for name, value in m.params.items():
+        assert work.params[name] is value, name
+    assert work.base.keys() == entries.keys()
+    for prefix, entry in entries.items():
+        assert work.base[prefix] is entry, prefix
 
 
 @pytest.mark.parametrize("selective", [False, True], ids=["constant", "selective"])
@@ -602,17 +613,19 @@ def test_fd_variants_are_routed_by_what_their_discretization_moves(monkeypatch):
     m = ChimeraModel.init_random(ModelConfig(layers=1, state_dim=2, channels=1, seed=36))
     x, y = 0.3 * np.random.default_rng(36).standard_normal((2, 3, 8, 1))
     chained, read = [], []
-    new_chain, read_grid = chimera2d.model._SharedChain, chimera2d.model.readout
+    new_chain, read_grid = chimera2d.scan._SharedChain, chimera2d.model.readout
 
     def counted_chain(a, length):
-        chained.append(len(a))
+        # a stack of transitions; the kept chains are built from one
+        if np.ndim(a) == 3:
+            chained.append(len(a))
         return new_chain(a, length)
 
     def counted_readout(c, hidden):
         read.append(len(c))
         return read_grid(c, hidden)
 
-    monkeypatch.setattr(chimera2d.model, "_SharedChain", counted_chain)
+    monkeypatch.setattr(chimera2d.scan, "_SharedChain", counted_chain)
     monkeypatch.setattr(chimera2d.model, "readout", counted_readout)
     stacked_fd_gradient(m, x, y, [n for n in m.params if not n.startswith("decoder.")])
     assert chained == [6] * len(m._ssm_blocks())
