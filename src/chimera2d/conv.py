@@ -39,6 +39,8 @@ def conv_apply(
     with the scalar kernel k = C1 K1 + C2 K2, applied per channel."""
     x = as_series(x)
     v_count, t_count, d = x.shape
+    if k1.ndim != 3 or k2.shape != k1.shape:
+        raise ValueError(f"kernels k1 {k1.shape} and k2 {k2.shape} must have one (V, T, N) shape")
     if k1.shape[0] < v_count or k1.shape[1] < t_count:
         raise ValueError("kernel extents must cover the input extents")
     c1, c2 = finite_array("c1", c1), finite_array("c2", c2)

@@ -27,6 +27,7 @@ from .discretize import ContinuousSSM2D, DiscreteSSM2D, zoh_pair, discretize_all
 from .recurrence import forward_recurrence, bidirectional_forward
 from .scan import (
     ScanElement, _LONG_BLOCK, _SharedChain, _block_length, _scan_affine, closed_loop_decode, op_star, scan_forward,
+    sweep_shared,
 )
 from .conv import impulse_kernels, conv_apply
 from .selective import SelectiveProjections, softplus, project_grid_params
@@ -382,6 +383,46 @@ def _check_scan_shared_matches_grid():
             assert diff < 1e-13, f"N={n} chain of {m}: blocked vs tree diff {diff:.3e}"
             worst_tree = max(worst_tree, diff)
     return f"per-cell {worst_grid:.2e}, recurrence {worst_rec:.2e}, blocked vs tree {worst_tree:.2e}"
+
+
+def _assert_one_channel_pairs_exact(dps: list[DiscreteSSM2D], x: np.ndarray) -> tuple[float, float]:
+    """Stacks of 1, 2, 3 and S of the (S, V, T, 1) series x on dps[0], and
+    x[:len(dps)] on a stack of dps with their own Abar1, give each item
+    its lone `scan_forward`, bit for bit, and a lone series' grids, h2
+    among them, are the per-cell sweep's. Returns the largest differences
+    from `forward_recurrence` and from the per-cell sweep."""
+    dp = dps[0]
+    lone = [scan_forward(dp, series) for series in x]
+    worst_rec = max(_max_diff(y, forward_recurrence(dp, series)[0]) for y, series in zip(lone, x))
+    for size in sorted({1, 2, 3, len(x)}):
+        y = scan_forward(dp, x[:size])
+        for b in range(size):
+            assert np.array_equal(y[b], lone[b]), f"N={dp.n} T={x.shape[2]}: series {b} of a stack of {size}"
+    own = DiscreteSSM2D(**{f: np.stack([vars(p)[f] for p in dps]) for f in vars(dp)})
+    y = sweep_shared(own, x[: len(dps)])[0]
+    for b, p in enumerate(dps):
+        assert np.array_equal(y[b], scan_forward(p, x[b])), f"N={dp.n} T={x.shape[2]}: set {b} of its own Abar1"
+        worst_rec = max(worst_rec, _max_diff(y[b], forward_recurrence(p, x[b])[0]))
+    assert worst_rec < 1e-10, f"N={dp.n} T={x.shape[2]}: recurrence diff {worst_rec:.3e}"
+    y, hidden = scan_forward(dp, x[0], return_hidden=True)
+    y_grid, hidden_grid = scan_forward(dp.on_grid(*x.shape[1:3]), x[0], return_hidden=True)
+    worst_grid = max(_max_diff(a, b) / (1.0 + np.max(np.abs(b))) for a, b in zip((y, *hidden), (y_grid, *hidden_grid)))
+    assert worst_grid < 1e-13, f"N={dp.n} T={x.shape[2]}: shared vs per-cell diff {worst_grid:.3e}"
+    return worst_rec, worst_grid
+
+
+@invariant("scan.one_channel_pairs_exact")
+def _check_scan_one_channel_pairs_exact():
+    # a one-channel grid whose rows are one block pairs two series per block
+    # product and gives a series with no partner its own h2 half as the
+    # second row: every item must still be its lone sweep, bit for bit
+    rng = np.random.default_rng(46)
+    worst_rec = worst_grid = 0.0
+    for n, t_count in [(2, 1), (2, 33), (2, _block_length(2)), (3, _block_length(3))]:
+        rec, grid = _assert_one_channel_pairs_exact([_random_dp(rng, n) for _ in range(3)],
+                                                    rng.standard_normal((36, 3, t_count, 1)))
+        worst_rec, worst_grid = max(worst_rec, rec), max(worst_grid, grid)
+    return f"stacks of 1-36 bit for bit, recurrence {worst_rec:.2e}, per-cell {worst_grid:.2e}"
 
 
 # ----------------------------------------------------------------------

@@ -35,9 +35,12 @@ the forward reads, for one forward: a block's outputs for its base
 pass's, a weight matrix's stack for its `params` entry. A perturbed
 constant block discretizes its variants as one stack and runs them in
 at most two stacked sweeps and one readout, by the fields each moves; a
-selective block runs one variant per pass. Each variant's loss is the
-one a fresh forward of it gives, bit for bit (`fd_gradient`, which
-reruns the whole model per evaluation, is the oracle).
+selective block runs one variant per pass. On one channel, a stacked
+pass whose variants share a row chain solves it two variants per block
+product (`scan.solve_rows`), so the stack streams each chain operator
+half as often as it has variants. Each variant's loss is the one a
+fresh forward of it gives, bit for bit (`fd_gradient`, which reruns the
+whole model per evaluation, is the oracle).
 
 A model keeps each constant block's discretization, the decoder's too,
 until one of the parameters it comes from changes (`_block_dp`), and

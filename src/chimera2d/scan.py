@@ -44,22 +44,29 @@ gated on the sequential oracle by the test suite:
   and every row's time chain goes through one `_SharedChain`: blocks of
   K steps, each one matmul with a block-Toeplitz operator of the powers
   of Abar1, the chunked schedule of the state-space duality in Mamba-2
-  (Dao & Gu 2024, "Transformers are SSMs"). The block length trades the
+  (Dao & Gu 2024, "Transformers are SSMs"). A row of one block is one
+  (d, N K) @ (N K, N K) product per series; on one channel, where that
+  would be a gemv, it takes two rows (`_one_channel_chains`): two series
+  of a stack on one chain, streaming the operator once, or a series and
+  its own h2 half, read and not written. The block length trades the
   within-block product (quadratic in K) against the recurrence between
   blocks: a chain of up to `_block_length(N)` steps (64 at N <= 2, 28 at
   N = 3, 16 at N = 4, 8 from N = 8 on) is one block, and a longer one is
   cut into blocks of min(that, 32) steps, which at N = 2 takes a row of
   1,024 steps, 4 channels, from about 61 to 49 us (`_block_length` has
   the timings). The readout (`readout`) is one [C1 C2] product with the
-  grid per channel slab. A stack of
-  series, x of shape (..., V, T, d), keeps its leading axes outside
-  every product, so numpy makes the same BLAS call per series as for
-  one series alone and each result is bit-identical to its own call
-  (folding the stack into the channel axis would turn the chain's
-  one-row products into multi-row ones, which round differently). The
-  same holds for a stack of parameter sets (batch shape (B,)) on one
-  chain, of a shared Abar1 or of their stacked ones, and for a stack of
-  readout rows on one solved grid; `fit`'s finite differences use all.
+  grid per channel slab. A stack of series, x of shape (..., V, T, d),
+  keeps its leading axes outside every product but those pairs, so each
+  series meets a BLAS call of the shape it meets alone, and each result
+  is bit-identical to its own call: a gemm of one shape rounds each row
+  alone, while its rows round differently with the row count for many
+  shapes (OpenBLAS 0.3.31 on 2 cores: from 4 rows on where N K = 1, 2
+  or 3 mod 8 from 17, and from 64-256 rows on where N K = 4 mod 8 from
+  68, 84 among them), so folding more of a stack into one product would
+  not be exact. The same holds for a stack of parameter sets (batch
+  shape (B,)) on one chain, of a shared Abar1 or of their stacked ones,
+  and for a stack of readout rows on one solved grid; `fit`'s finite
+  differences use all.
 - Per-cell parameters (the selective path, every field of batch shape
   (V, T), or (B, V, T) for a stack of sets on x of shape (B, V, T, d)):
   `_sweep_cells` keeps the oracle's (V, T, N, d) layout, state
@@ -214,7 +221,8 @@ class _SharedChain:
     with one transition A shared by every step, for chains of up to
     `length` steps; built once and applied to many chains. A (B, N, N)
     stack of transitions solves g of shape (B, c, N, m), item b as A[b]
-    alone would, bit for bit.
+    alone would, bit for bit. Every product of a chain of one block is
+    `block_product`, which `solve_rows` also calls on the rows it pairs.
 
     With block length K (set from N and `length`, see `_block_length`),
     a block's K steps of one leading index are a row of N K entries
@@ -268,7 +276,7 @@ class _SharedChain:
         blocks = -(-m // k)
         padded = g if m == blocks * k else np.concatenate((g, np.zeros((*lead, n, blocks * k - m))), axis=-1)
         if blocks == 1:
-            padded[...] = (padded.reshape(*lead, n * k) @ self.operator).reshape(padded.shape)
+            padded[...] = self.block_product(padded.reshape(*lead, n * k)).reshape(padded.shape)
         else:
             # one row per block, ordered (block, state, step)
             rows = padded.reshape(*lead, n, blocks, k).swapaxes(-3, -2).reshape(*lead, blocks, n * k)
@@ -279,6 +287,11 @@ class _SharedChain:
         if padded is not g:
             g[...] = padded[..., :m]
         return g
+
+    def block_product(self, rows: np.ndarray) -> np.ndarray:
+        """rows @ the block operator, for rows (..., r, N K) of one block's
+        inputs ordered (state, step): their states, as a new array."""
+        return rows @ self.operator
 
 
 class KeptSSM2D(DiscreteSSM2D):
@@ -329,8 +342,10 @@ def solve_rows(hidden: np.ndarray, abar2, abar3, abar4, row_chain: _SharedChain)
     hidden states in place, row by row, and returns it. Abar2-4 are
     (N, N), or (B, N, N) for a grid with the one leading axis (B,), one
     transition set per leading index; `row_chain` solves Abar1's chain
-    over rows of T steps. Each leading index gets the result it gets
-    alone, bit for bit."""
+    over rows of T steps. A grid of one channel whose rows are one block
+    of the chain solves each row's chains two rows per block product
+    (`_one_channel_chains`); any other grid calls `row_chain`. Each
+    leading index gets the result it gets alone, bit for bit."""
     n = abar2.shape[-1]
     # variate rows first: rows[v] is row v of every leading index
     rows = hidden.swapaxes(0, -4)
@@ -338,6 +353,7 @@ def solve_rows(hidden: np.ndarray, abar2, abar3, abar4, row_chain: _SharedChain)
     # the transitions meet the grid's leading axes outside its channel axis
     cross = np.concatenate((abar3, abar4), axis=-1)[..., None, :, :]
     abar2 = abar2[..., None, :, :]
+    two_rows = hidden.shape[-3] == 1 and row_chain.k == hidden.shape[-1]
     for v in range(len(rows)):
         if v > 0:
             # cross-variate state: pointwise in t given the previous row
@@ -345,8 +361,32 @@ def solve_rows(hidden: np.ndarray, abar2, abar3, abar4, row_chain: _SharedChain)
         # cross-time state: one chain along the row
         g = h1[v]
         g[..., 1:] += abar2 @ h2[v, ..., :-1]
-        row_chain(g)
+        if two_rows:
+            _one_channel_chains(rows[v], row_chain)
+        else:
+            row_chain(g)
     return hidden
+
+
+def _one_channel_chains(row: np.ndarray, row_chain: _SharedChain) -> None:
+    """Solves the h1 chains of a one-channel row of one block, row of
+    shape (..., 1, 2N, K), in place, two rows of N K per block product:
+    two series on one operator (paired along the last leading axis), or
+    a series with no partner and its own h2 half, read and not written.
+    A gemm of one shape rounds each row alone; a gemv would not match."""
+    *lead, _, width, k = row.shape
+    n = width // 2
+    # with one channel, the leading index's [h1; h2] rows
+    halves = row.reshape(*lead, 2, n * k)
+    h1 = row[..., 0, :n, :]
+    count = lead[-1] if lead and row_chain.operator.ndim == 2 else 0
+    paired = count - count % 2
+    if paired:
+        pairs = halves[..., :paired, 0, :].reshape(*lead[:-1], paired // 2, 2, n * k)
+        h1[..., :paired, :, :] = row_chain.block_product(pairs).reshape(*lead[:-1], paired, n, k)
+        halves, h1 = halves[..., paired:, :, :], h1[..., paired:, :, :]
+    if h1.size:
+        h1[...] = row_chain.block_product(halves)[..., 0, :].reshape(h1.shape)
 
 
 def readout(c: np.ndarray, hidden: np.ndarray) -> np.ndarray:

@@ -111,6 +111,8 @@ CASES = {
                          "x has 3 channels, but the projections take d=1"),
     "conv_readout_length": (lambda: conv_apply(K1, K2, np.ones(3), np.ones(2), X),
                             r"c1 must have length N=2, the kernels' last axis, got shape \(3,\)"),
+    "conv_kernel_shapes": (lambda: conv_apply(K1, K2[:1], np.ones(2), np.ones(2), X),
+                           r"kernels k1 \(2, 6, 2\) and k2 \(1, 6, 2\) must have one \(V, T, N\) shape"),
     "conv_readout_nan": (lambda: conv_apply(K1, K2, np.ones(2), np.array([np.nan, 1.0]), X),
                          "c2 contains non-finite values"),
     "bidirectional_n": (lambda: bidirectional_forward(DP2, DP3, X), "forward and backward modules must share N"),

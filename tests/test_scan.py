@@ -11,7 +11,7 @@ import chimera2d.scan
 from chimera2d import (
     DiscreteSSM2D, ScanElement, closed_loop_decode, op_star, scan_forward, forward_recurrence,
 )
-from chimera2d.invariants import _element_diff, _random_dp, _random_element
+from chimera2d.invariants import _assert_one_channel_pairs_exact, _element_diff, _random_dp, _random_element
 from chimera2d.scan import _LONG_BLOCK, _SharedChain, _block_length, _scan_affine, readout, sweep_shared
 
 
@@ -363,6 +363,44 @@ def test_stacked_chain_is_each_chain_alone(n):
         for b, dp in enumerate(dps):
             assert np.array_equal(y[b], scan_forward(dp, x)), f"T={t_count} set {b}"
             assert np.array_equal(solved[b], _SharedChain(dp.Abar1, t_count)(g[b].copy())), f"T={t_count} set {b}"
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_one_channel_stacks_are_each_series_alone(n):
+    # the registry's check at the state sizes it leaves out, on rows of one
+    # whole block and of one step
+    rng = np.random.default_rng(60 + n)
+    for t_count in (1, _block_length(n)):
+        _assert_one_channel_pairs_exact([_random_dp(rng, n) for _ in range(2)], rng.standard_normal((5, 2, t_count, 1)))
+
+
+def test_one_channel_rows_of_one_block_take_two_rows_per_block_product(monkeypatch):
+    # two series of a one-channel stack on one operator are one product; a
+    # series with no partner, each set of a stack of operators among them,
+    # pairs its h1 with its own h2; a grid of several channels keeps one
+    # row per channel
+    shapes = []
+    product = _SharedChain.block_product
+
+    def recorded(self, rows):
+        shapes.append(rows.shape)
+        return product(self, rows)
+
+    monkeypatch.setattr(_SharedChain, "block_product", recorded)
+    rng = np.random.default_rng(14)
+    dps = [_random_dp(rng, 2) for _ in range(3)]
+    own = DiscreteSSM2D(**{f: np.stack([vars(dp)[f] for dp in dps]) for f in vars(dps[0])})
+    v_count, t_count = 3, _block_length(2)
+    nk = 2 * t_count
+    x = rng.standard_normal((36, v_count, t_count, 4))
+    for run, row_shapes in ((lambda: scan_forward(dps[0], x[..., :1]), [(18, 2, nk)]),
+                            (lambda: scan_forward(dps[0], x[:3, ..., :1]), [(1, 2, nk), (1, 2, nk)]),
+                            (lambda: scan_forward(dps[0], x[0, ..., :1]), [(2, nk)]),
+                            (lambda: sweep_shared(own, x[:3, ..., :1]), [(3, 2, nk)]),
+                            (lambda: scan_forward(dps[0], x[0]), [(4, nk)])):
+        run()
+        assert shapes == row_shapes * v_count
+        shapes.clear()
 
 
 @pytest.mark.parametrize("length, steps", [(10, 100), (100, 5000), (65, 66)])
