@@ -28,19 +28,19 @@ block is a stack of one; each equals its pass alone, bit for bit.
 
 `fit` evaluates the differences one group of parameters at a time (one
 SSM block's, or one weight matrix), with the group's 2 x (coordinates)
-perturbed copies stacked on a leading variant axis: the blocks before
-the group run once per gradient, and every later pass runs once on the
-(B, V, T, d) stack. The variants stand in for the group in the table
+perturbed copies stacked on a leading variant axis: a pass no variant
+reaches runs once per gradient, and a later one once on the (B, V, T,
+d) stack, both as `ChimeraModel._passes` runs them, a selective pair as
+one stack of two. The variants stand in for the group in the table
 the forward reads, for one forward: a block's outputs for its base
 pass's, a weight matrix's stack for its `params` entry. A perturbed
 constant block discretizes its variants as one stack and runs them in
 at most two stacked sweeps and one readout, by the fields each moves; a
 selective block runs one variant per pass. On one channel, a stacked
-pass whose variants share a row chain solves it two variants per block
-product (`scan.solve_rows`), so the stack streams each chain operator
-half as often as it has variants. Each variant's loss is the one a
-fresh forward of it gives, bit for bit (`fd_gradient`, which reruns the
-whole model per evaluation, is the oracle).
+pass solves a shared row chain two variants per block product
+(`scan.solve_rows`). Each variant's loss is the one a fresh forward of
+it gives, bit for bit (`fd_gradient`, which reruns the whole model per
+evaluation, is the oracle).
 
 A model keeps each constant block's discretization, the decoder's too,
 until one of the parameters it comes from changes (`_block_dp`), and
@@ -203,6 +203,9 @@ class ChimeraModel:
 
     @staticmethod
     def from_checkpoint(blob: dict) -> "ChimeraModel":
+        for key in ("config", "params"):
+            if not isinstance(blob, dict) or not isinstance(blob.get(key), dict):
+                raise TypeError(f"checkpoint {key} must be a JSON object")
         unknown = sorted(set(blob["config"]) - {f.name for f in fields(ModelConfig)})
         if unknown:
             raise TypeError(f"unknown model config keys: {', '.join(unknown)}")
@@ -414,18 +417,17 @@ class _StackedVariants(ChimeraModel):
     leading axis: `outputs` gives their B forwards as one (B, V, T, d)
     array, and `gradient` the central differences of an MSE from them.
 
-    Every block pass that no variant reaches is the base pass, run once
-    when the object is built and kept in `base`; that forward is `y`,
-    the unperturbed model's output. A constant block's base pass keeps
-    its solved grid, and the model its discretization and Abar1 row
-    chain. Of the forward's methods it overrides `_passes` alone, and
-    runs each block in it alone, a selective pair's too: as its base
-    pass, or, after the group, as one fresh pass on the stack. A group's
-    variants stand in for the group in the table the forward reads: a
-    block's outputs (`_variant_passes`) as the y of its base pass, a
-    weight matrix's as a (B, 1, d, d) stack in `params`. It holds the
-    model's own parameter arrays and writes into none: a variant's are
-    items of `_variant_stacks`."""
+    Of the forward's methods it overrides `_passes` alone. A call on the
+    stack, after the group, is the model's own. A call that no variant
+    reaches runs once, when the object is built, and keeps its blocks'
+    base passes in `base`: a selective pair's as one stack, a constant
+    block's with its solved grid, and a failure names its blocks as the
+    model's own pass does. That forward is `y`, the unperturbed model's
+    output. A group's variants stand in for the group in the table the
+    forward reads: a block's outputs (`_variant_passes`) as the y of its
+    base pass, a weight matrix's as a (B, 1, d, d) stack in `params`. It
+    holds the model's own parameter arrays and writes into none: a
+    variant's are items of `_variant_stacks`."""
 
     def __init__(self, model: ChimeraModel, x: np.ndarray):
         super().__init__(model.config, dict(model.params))
@@ -434,22 +436,17 @@ class _StackedVariants(ChimeraModel):
         self.y = self.forward(x)
 
     def _passes(self, prefixes, xs):
-        ys = []
-        for prefix, x in zip(prefixes, xs):
-            if x.ndim == 4:
-                ys.append(super()._passes((prefix,), (x,))[0])
+        if xs[0].ndim == 4:
+            # a variant reached the input
+            return super()._passes(prefixes, xs)
+        if prefixes[0] not in self.base:
+            # no variant reached the input: the base passes
+            if self.config.selective:
+                ys = [(y,) for y in super()._passes(prefixes, xs)]
             else:
-                if prefix not in self.base:
-                    # no variant reached x: the base pass
-                    self.base[prefix] = self._base_pass(prefix, x)
-                ys.append(self.base[prefix].y)
-        return ys
-
-    def _base_pass(self, prefix: str, x: np.ndarray) -> _BasePass:
-        if self.config.selective:
-            return _BasePass(x, super()._passes((prefix,), (x,))[0])
-        x = as_series(x)
-        return _BasePass(x, *sweep_shared(self._block_dp(prefix), x))
+                ys = [_naming((p,), lambda: sweep_shared(self._block_dp(p), as_series(x))) for p, x in zip(prefixes, xs)]
+            self.base.update({p: _BasePass(x, *y) for p, x, y in zip(prefixes, xs, ys)})
+        return [self.base[p].y for p in prefixes]
 
     def _variant_passes(self, prefix: str, values: list[tuple[str, int, float]]) -> np.ndarray:
         """The block's pass on its base input for each variant, (B, V, T, d).
@@ -546,7 +543,7 @@ def stacked_fd_gradient(model: ChimeraModel, x, y, names: list[str] | None = Non
     Raises ValueError, before any pass, unless x has the model's channel
     count and x and y have one shape; FloatingPointError naming the
     parameter when a variant's loss is not finite; and ValueError when a
-    pass cannot be formed (as a forward would)."""
+    pass cannot be formed, naming its blocks as a forward does."""
     x, y = _paired(model, x, y)
     names = list(model.params) if names is None else names
     return _StackedVariants(model, x).gradient(y, names)

@@ -15,9 +15,10 @@ p4 h1 + p5 h2 + p6) on the stacked hidden pair, and composition
 
 The translation column (p3, p6) carries the hidden states. Composing
 the matrix part blockwise (q1 p1, q2 p2, ...) instead would agree on
-any left-to-right fold but is not associative, so tree scans require
-the full block product used here. Scans are inclusive; the identity
-element is (I, 0, 0; 0, I, 0).
+any left-to-right fold but is not associative. `ScanElement` and
+`op_star` are this cell operator, identity (I, 0, 0; 0, I, 0), whose
+associativity acceptance criterion 1 checks. No sweep composes them:
+each below solves a row's 1D chain, by blocks of powers or (a, g) pairs.
 
 This module holds the fast paths; their oracle is the explicit-loop
 recurrence in `chimera2d.recurrence`. `scan_forward` is the forward

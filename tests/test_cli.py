@@ -277,7 +277,7 @@ def test_missing_config_file_exits_2(tmp_path):
 
 @pytest.mark.parametrize("case", [
     "missing", "not_json", "unknown_key", "missing_param", "misshapen_param", "non_bool_config",
-    "nan_param", "infinite_param",
+    "nan_param", "infinite_param", "params_not_object", "config_not_object",
 ])
 def test_bad_checkpoint_exits_2_naming_it(tmp_path, capsys, case):
     from chimera2d import ChimeraModel, ModelConfig
@@ -313,6 +313,11 @@ def test_bad_checkpoint_exits_2_naming_it(tmp_path, capsys, case):
         if case == "infinite_param":
             blob["params"]["decoder.a1"][1] = np.inf
         ckpt.write_text(json.dumps(blob))
+    elif case == "params_not_object":
+        ckpt.write_text(json.dumps({"config": {}, "params": []}))
+    elif case == "config_not_object":
+        # iterating "ab" would read it as the config keys a and b
+        ckpt.write_text(json.dumps({"config": "ab", "params": {}}))
     args = ["forecast", "--config", str(cfg), "--out", str(tmp_path), "--checkpoint", str(ckpt)]
     assert cmd_dispatch(args) == 2
     err = capsys.readouterr().err.strip()
@@ -322,6 +327,8 @@ def test_bad_checkpoint_exits_2_naming_it(tmp_path, capsys, case):
         "non_bool_config": "bidirectional must be true or false, got 'false'",
         "nan_param": "layer0.trend.f.c1 has non-finite values",
         "infinite_param": "decoder.a1 has non-finite values; layer0.trend.f.c1 has non-finite values",
+        "params_not_object": "TypeError: checkpoint params must be a JSON object",
+        "config_not_object": "TypeError: checkpoint config must be a JSON object",
     }
     if case in named:
         assert named[case] in err

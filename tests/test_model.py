@@ -330,7 +330,16 @@ def test_fit_names_the_first_unstable_block_when_a_variant_fails(monkeypatch):
     assert len(calls) > 16
 
 
-def test_forward_names_the_constant_block_whose_exponential_overflows():
+# a failing pass raises the same error from a forward and from the base
+# passes of the stacked finite-difference gradient
+PASS_RUNNERS = pytest.mark.parametrize("run", [
+    lambda m, x: m.forward(x),
+    lambda m, x: stacked_fd_gradient(m, x, x),
+], ids=["forward", "stacked_fd_gradient"])
+
+
+@PASS_RUNNERS
+def test_forward_names_the_constant_block_whose_exponential_overflows(run):
     m = tiny_model(seed=0)
     # a companion with coefficients 5 at a time step of 800
     m.params["layer0.seasonal.b.a1"][...] = 5.0
@@ -338,18 +347,19 @@ def test_forward_names_the_constant_block_whose_exponential_overflows():
     x = np.random.default_rng(0).standard_normal((2, 6, 1))
     named = r"^block layer0\.seasonal\.b: exp\(t M\) overflows the float range$"
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=named) as info:
-        m.forward(x)
+        run(m, x)
     assert str(info.value.__cause__) == "exp(t M) overflows the float range"
 
 
-def test_forward_names_both_blocks_of_a_selective_pair_that_overflows():
+@PASS_RUNNERS
+def test_forward_names_both_blocks_of_a_selective_pair_that_overflows(run):
     # the residual stream grows until a per-cell step of the seasonal pair,
     # discretized as one stack, overflows its exponential
     m = ChimeraModel.init_random(ModelConfig(layers=1, state_dim=3, channels=2, selective=True, season_hint=24.0, seed=3))
     x = 0.1 * np.random.default_rng(3).standard_normal((6, 50, 2))
     named = r"^blocks layer0\.seasonal\.f and layer0\.seasonal\.b: exp\(t M\) overflows the float range$"
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=named) as info:
-        m.forward(x)
+        run(m, x)
     assert str(info.value.__cause__) == "exp(t M) overflows the float range"
 
 
@@ -603,6 +613,29 @@ def test_fd_gradient_scans_only_reached_blocks(monkeypatch):
     assert len(calls) == 8 + 8 * 2 + 28
     # 4 per base pass, and 4 per block for all of its 36 variants stacked
     assert len(expms) == 8 * 4 + 8 * 4
+
+
+def test_fd_gradient_runs_each_selective_pair_as_one_stack(monkeypatch):
+    # a bidirectional selective pair's passes are stacks of two, unperturbed
+    # or after a group on each variant; only a perturbed block's own
+    # variants run alone, one per pass
+    m = ChimeraModel.init_random(ModelConfig(layers=2, state_dim=2, channels=1, selective=True, seed=3))
+    x, y = 0.1 * np.random.default_rng(3).standard_normal((2, 2, 6, 1))
+    sizes = []
+    project = chimera2d.model.project_grid_params
+
+    def recorded(proj, series, a_set):
+        sizes.append(len(proj.dt1_raw))
+        return project(proj, series, a_set)
+
+    monkeypatch.setattr(chimera2d.model, "project_grid_params", recorded)
+    stacked_fd_gradient(m, x, y, ["layer0.trend.f.a1", "layer0.redisc.w", "layer1.seasonal.b.w_d1", "head.w"])
+    assert sizes == (
+        [2] * 4  # the base passes of the four pairs
+        + [1] * 4 + [2] * 3 * 4  # a1's 4 variants, then the 3 later pairs on each
+        + [2] * 2 * 2  # redisc.w's 2 variants through layer 1's 2 pairs
+        + [1] * 2  # w_d1's 2 variants, in the last pair; head.w reaches no pass
+    )
 
 
 def test_fd_variants_are_routed_by_what_their_discretization_moves(monkeypatch):
