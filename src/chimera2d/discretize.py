@@ -44,6 +44,15 @@ from .structured import at_steps, expm
 DT_FLOOR = 1e-12
 
 
+def finite_array(name: str, values) -> np.ndarray:
+    """values as a float array. Raises ValueError naming the field unless
+    every entry is finite."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} contains non-finite values")
+    return values
+
+
 def _checked_step(name: str, dt) -> np.ndarray:
     dt = np.asarray(dt, dtype=float)
     if not 0.0 < dt.min() <= dt.max() < np.inf:  # a NaN fails every comparison
@@ -58,7 +67,8 @@ class ContinuousSSM2D:
     batch shape (...): () for one cell, (V, T) for a selective grid. A
     `stacked` set is one set per item of the steps' first axis (B,),
     which leads every field: A (B, N, N) or (B, N), B and C (B, ..., N)
-    for steps of shape (B, ...)."""
+    for steps of shape (B, ...). A B or C vector with a non-finite entry
+    is refused by name."""
 
     A1: np.ndarray
     A2: np.ndarray
@@ -82,9 +92,11 @@ class ContinuousSSM2D:
             if shape not in (lead + n, lead + n + n):
                 stack = f" behind the stack axes {lead}" if lead else ""
                 raise ValueError(f"{name} has shape {shape}: every A must be (N,) or (N, N){stack}, N from A1 {np.shape(self.A1)}")
-        for vec in (self.B1, self.B2, self.C1, self.C2):
+        for name in ("B1", "B2", "C1", "C2"):
+            vec = getattr(self, name)
             if np.shape(vec)[-1:] != n:
                 raise ValueError("B and C vectors must have length N")
+            finite_array(name, vec)
 
 
 @dataclass(frozen=True)

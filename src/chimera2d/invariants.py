@@ -125,7 +125,8 @@ def _check_expm_stack_exact():
     # fit exponentiates a block's variants in one stacked call, and a
     # bidirectional selective layer a pair's two (V, T) grids of steps: each
     # item must be its own call, bit for bit. Steps from 1e-6 to 30 span
-    # degrees 3 to 18 and up to 6 squarings; the diagonal stack is square
+    # norms from far below theta_18 to 6 squarings; the diagonal stack is
+    # square
     rng = np.random.default_rng(15)
 
     def own_calls(gens, steps, what):
@@ -137,11 +138,11 @@ def _check_expm_stack_exact():
     items = 0
     for gens in (0.5 * rng.standard_normal((9, 3, 3)), rng.uniform(-1, 0.5, (3, 3))):
         items += own_calls(gens, np.geomspace(1e-6, 30.0, len(gens)), f"{gens.shape} stack")
-    # a (2, V, T) stack whose items differ in degree and squarings: item 0
-    # is the cyclic shift of 3 states at steps just under theta_10, taking
-    # degree 10 and no squaring; its entries two places off the diagonal
-    # start at x^2 / 2 and the first omitted term (x^11 / 11!) lands there,
-    # so item 1's degree 18 (steps up to 300, up to 9 squarings) moves them
+    # a (2, V, T) stack whose items differ in squarings: item 0 is the
+    # cyclic shift of 3 states at steps near 0.12, taking no squaring, whose
+    # entries two places off the diagonal start at x^2 / 2 and run through
+    # every third term of the series; item 1 steps up to 300 (up to 9
+    # squarings)
     steps = np.stack((rng.uniform(0.11, 0.135, (3, 4)), np.geomspace(1e-4, 300.0, 12).reshape(3, 4)))
     shift = companion_from_coeffs([1.0, 0.0, 0.0])
     for gens in (np.stack((shift, 0.5 * rng.standard_normal((3, 3)))), rng.uniform(-1, 0.5, (2, 3))):
@@ -150,6 +151,9 @@ def _check_expm_stack_exact():
     gens = 0.5 * rng.standard_normal((4, 3, 3))
     steps = rng.uniform(5.0, 8.0, (4, 2, 3)) / np.abs(gens).sum(axis=-2).max(axis=-1)[:, None, None]
     items += own_calls(gens, steps, "equal squarings")
+    # one state: each item's series is a (steps, 18) @ (18, 1) product,
+    # whose column must be laid out as in its own call
+    items += own_calls(rng.uniform(-1, 0.5, (5, 1, 1)), np.geomspace(1e-6, 30.0, 5), "(5, 1, 1) stack")
     # an item that overflows fails the stack, as it fails alone
     gens = companion_from_coeffs([[-0.3, -0.2], [1.0, 0.5]])
     for args in ((gens[1], 800.0), (gens, np.array([1.0, 800.0]), True)):

@@ -210,10 +210,18 @@ class ChimeraModel:
         if unknown:
             raise TypeError(f"unknown model config keys: {', '.join(unknown)}")
         config = ModelConfig(**blob["config"])
-        params = {k: np.asarray(v, dtype=float) for k, v in blob["params"].items()}
+        given, params = blob["params"], {}
+        for k, v in given.items():
+            try:
+                v = np.asarray(v)
+            except ValueError:  # a ragged list
+                continue
+            if v.dtype.kind in "iuf":  # not text, a bool, an object or an int past 64 bits
+                params[k] = v.astype(float)
         expected = {k: v.shape for k, v in ChimeraModel.init_random(config).params.items()}
-        problems = [f"missing {k}" for k in sorted(expected.keys() - params.keys())]
-        problems += [f"unexpected {k}" for k in sorted(params.keys() - expected.keys())]
+        problems = [f"missing {k}" for k in sorted(expected.keys() - given.keys())]
+        problems += [f"unexpected {k}" for k in sorted(given.keys() - expected.keys())]
+        problems += [f"{k} is not an array of numbers" for k in sorted(given.keys() - params.keys())]
         problems += [
             f"{k} has shape {params[k].shape}, expected {expected[k]}"
             for k in sorted(expected.keys() & params.keys())

@@ -23,7 +23,7 @@ import numbers
 
 import numpy as np
 
-from .discretize import DiscreteSSM2D
+from .discretize import DiscreteSSM2D, finite_array
 
 
 def check_integer(name: str, value, least: int) -> None:
@@ -55,15 +55,6 @@ def as_series(x, stacked: bool = False) -> np.ndarray:
     if not (x.ndim == 3 or stacked and x.ndim > 3) or min(x.shape) < 1:
         raise ValueError("series must have shape (V, T, d) with positive extents")
     return finite_array("series", x)
-
-
-def finite_array(name: str, values) -> np.ndarray:
-    """values as a float array. Raises ValueError naming the field unless
-    every entry is finite."""
-    values = np.asarray(values, dtype=float)
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} contains non-finite values")
-    return values
 
 
 def require_constant(dp: DiscreteSSM2D, caller: str) -> None:

@@ -46,18 +46,15 @@ def dense_matrix(entries) -> np.ndarray:
     return entries
 
 
-# Degree m of exp(X)'s Taylor series is accurate while ||X||_1 <= theta_m:
-# the remainder is at most twice the first omitted term, which theta_m puts
-# at 2^-53 ||X||_1, so a block that shrinks with X (the integral in the Van
-# Loan matrix of `discretize`) stays exact. Above theta_18 = 1.11 the terms
-# of a decaying exponential cancel, so X is halved first.
+# Degree 18 of exp(X)'s Taylor series is accurate while ||X||_1 <= theta_18
+# = 1.11: the remainder is at most twice the first omitted term, which
+# theta_18 puts at 2^-53 ||X||_1, so a block that shrinks with X (the
+# integral in the Van Loan matrix of `discretize`) stays exact. Above
+# theta_18 the terms of a decaying exponential cancel, so X is halved first.
 _DEGREE = 18
-_THETAS = [(2.0**-53 * factorial(m + 1) / 2) ** (1 / m) for m in range(1, _DEGREE + 1)]
-_THETA_TOP = _THETAS[-1]
+_THETA_TOP = (2.0**-53 * factorial(_DEGREE + 1) / 2) ** (1 / _DEGREE)
 _TINY = np.finfo(float).tiny
-_INV_FACTORIALS = np.array([1.0 / factorial(k) for k in range(_DEGREE + 1)])
-# searchsorted on these gives the degree: the least m with |x| <= theta_m
-_DEGREE_BOUNDS = np.array([-1.0] + _THETAS[:-1])
+_INV_FACTORIALS = np.array([1.0 / factorial(k) for k in range(1, _DEGREE + 1)])
 
 
 def powers(a: np.ndarray, k: int, product=np.matmul) -> np.ndarray:
@@ -79,18 +76,6 @@ def _finite(e: np.ndarray) -> np.ndarray:
     return e
 
 
-def _runs(keys: np.ndarray) -> list[tuple[int, np.ndarray | slice]]:
-    """(key, its items) per distinct key, keys ascending: the items'
-    indices, or their slice when they are consecutive."""
-    if len(keys) == 1 or (keys == keys[0]).all():
-        return [(int(keys[0]), slice(None))]
-    runs = []
-    for key in sorted(set(keys.tolist())):
-        idx = np.flatnonzero(keys == key)
-        runs.append((key, slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx))
-    return runs
-
-
 def at_steps(a: np.ndarray, t: np.ndarray, stacked: bool) -> np.ndarray:
     """Generators a as they broadcast against the step sizes t: with
     `stacked`, a's first axis meets t's, so item b meets the steps t[b]."""
@@ -106,11 +91,11 @@ def expm(a, t=1.0, stacked: bool = False) -> np.ndarray:
 
     Diagonal is elementwise exp. Otherwise each t A is halved s times
     (its own s) to x Z, Z = A / ||A||_1 and |x| <= theta_18, summed as
-    a Taylor series in Z^k / k! and squared back s times. Each generator
-    takes the degree m of its largest step, and its steps share its
-    terms in one (steps, m) @ (m, N^2) matmul, so an item of a stack is
-    its own call, bit for bit. Raises ValueError if t * A has a
-    non-finite entry or exp(t * A) overflows.
+    a Taylor series of degree 18 in Z^k / k! and squared back s times.
+    Every generator's steps share its terms in one batched
+    (steps, 18) @ (18, N^2) product, each generator's blocks contiguous,
+    so an item of a stack is its own call, bit for bit. Raises
+    ValueError if t * A has a non-finite entry or exp(t * A) overflows.
     """
     a, t = np.asarray(a, dtype=float), np.asarray(t, dtype=float)
     lead = t.shape[:1] if stacked else ()
@@ -130,28 +115,22 @@ def expm(a, t=1.0, stacked: bool = False) -> np.ndarray:
     norm = np.abs(z).sum(axis=-2).max(axis=-1, initial=_TINY)
     z = z / norm[:, None, None]
     x = t.reshape(len(z), -1) * norm[:, None]  # one row of steps per generator
-    size = np.abs(x)
-    largest = size.max()
+    largest = np.abs(x).max()
     if not largest < np.inf:  # a NaN fails every comparison
         raise ValueError("non-finite entries")
     squarings = 0
     if largest > _THETA_TOP:
-        # s = ceil(log2(size / theta_18)), or 0 when size <= theta_18
-        frac, e = np.frexp(np.maximum(size, _THETA_TOP) / _THETA_TOP)
+        # s = ceil(log2(|x| / theta_18)), or 0 when |x| <= theta_18
+        frac, e = np.frexp(np.maximum(np.abs(x), _THETA_TOP) / _THETA_TOP)
         s = e - (frac == 0.5)
-        x, size, squarings = np.ldexp(x, -s), np.ldexp(size, -s), int(s.max())
-    # the generators of each degree, in increasing degree
-    runs = _runs(_DEGREE_BOUNDS.searchsorted(size.max(axis=1)))
-    top = runs[-1][0]
-    # the series terms Z^k / k!, (generators, m, N^2)
-    terms = powers(z, top).swapaxes(0, 1).reshape(len(z), top, n * n)
-    terms *= _INV_FACTORIALS[1 : top + 1, None]
-    # x^k by doubling (a float ** table is slower), (generators, m, steps):
-    # a generator's (steps, m) block has its own call's strides
-    x_powers = np.ascontiguousarray(powers(x, top, np.multiply).swapaxes(0, 1))
-    out = np.empty(x.shape + (n * n,))
-    for m, idx in runs:
-        out[idx] = x_powers[idx, :m].swapaxes(1, 2) @ terms[idx, :m]
+        x, squarings = np.ldexp(x, -s), int(s.max())
+    # the series terms Z^k / k!, (generators, 18, N^2), and x^k by doubling
+    # (a float ** table is slower), (generators, 18, steps): each
+    # generator's blocks are contiguous, with its own call's strides
+    terms = np.ascontiguousarray(powers(z, _DEGREE).swapaxes(0, 1)).reshape(len(z), _DEGREE, n * n)
+    terms *= _INV_FACTORIALS[:, None]
+    x_powers = np.ascontiguousarray(powers(x, _DEGREE, np.multiply).swapaxes(0, 1))
+    out = x_powers.swapaxes(1, 2) @ terms
     out[..., :: n + 1] += 1.0  # the k = 0 term, on each flattened diagonal
     out = out.reshape(-1, n, n)
     if squarings:

@@ -275,9 +275,17 @@ def test_missing_config_file_exits_2(tmp_path):
     assert cmd_dispatch(["generate", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+# values of the (2,) parameter layer0.trend.f.a1 that are not arrays of numbers
+NOT_NUMBERS = {
+    "text_param": "abc", "numeric_text_param": ["-0.1", "-0.2"], "bool_param": [True, False],
+    "ragged_param": [[1.0], [1.0, 2.0]], "object_param": {"a": 1.0}, "huge_param": [10**400, 1],
+}
+
+
 @pytest.mark.parametrize("case", [
     "missing", "not_json", "unknown_key", "missing_param", "misshapen_param", "non_bool_config",
     "nan_param", "infinite_param", "params_not_object", "config_not_object",
+    *NOT_NUMBERS,
 ])
 def test_bad_checkpoint_exits_2_naming_it(tmp_path, capsys, case):
     from chimera2d import ChimeraModel, ModelConfig
@@ -318,6 +326,10 @@ def test_bad_checkpoint_exits_2_naming_it(tmp_path, capsys, case):
     elif case == "config_not_object":
         # iterating "ab" would read it as the config keys a and b
         ckpt.write_text(json.dumps({"config": "ab", "params": {}}))
+    elif case in NOT_NUMBERS:
+        blob = ChimeraModel.init_random(ModelConfig(layers=1, state_dim=2, channels=1)).to_checkpoint()
+        blob["params"]["layer0.trend.f.a1"] = NOT_NUMBERS[case]
+        ckpt.write_text(json.dumps(blob))
     args = ["forecast", "--config", str(cfg), "--out", str(tmp_path), "--checkpoint", str(ckpt)]
     assert cmd_dispatch(args) == 2
     err = capsys.readouterr().err.strip()
@@ -329,6 +341,7 @@ def test_bad_checkpoint_exits_2_naming_it(tmp_path, capsys, case):
         "infinite_param": "decoder.a1 has non-finite values; layer0.trend.f.c1 has non-finite values",
         "params_not_object": "TypeError: checkpoint params must be a JSON object",
         "config_not_object": "TypeError: checkpoint config must be a JSON object",
+        **dict.fromkeys(NOT_NUMBERS, "invalid checkpoint parameters: layer0.trend.f.a1 is not an array of numbers"),
     }
     if case in named:
         assert named[case] in err

@@ -11,7 +11,7 @@ from chimera2d import (
 )
 from chimera2d.invariants import _random_dp
 from chimera2d.model import stacked_fd_gradient
-from chimera2d.selective import SelectiveProjections, inv_softplus, project_grid_params
+from chimera2d.selective import SelectiveProjections, inv_softplus, project_cell_params, project_grid_params
 
 RNG = np.random.default_rng(40)
 DP2, DP3 = _random_dp(RNG, 2), _random_dp(RNG, 3)
@@ -22,6 +22,8 @@ EYE, ZERO = np.eye(2), np.zeros((2, 1))
 K1, K2 = impulse_kernels(DP2, 2, 6)
 # a stack of two per-cell sets on X's (2, 6) grid
 CELLS2 = DiscreteSSM2D(**{k: np.broadcast_to(a, (2, 2, 6) + a.shape) for k, a in vars(DP2).items()})
+# a stack of two blocks' projections, N = 2 and d = 3
+PROJ2 = SelectiveProjections(**{k: np.stack((v, v)) for k, v in vars(SelectiveProjections.zeros(2, 3)).items()})
 
 
 def _cont(**changed):
@@ -86,6 +88,7 @@ CASES = {
     "metrics_short_insample": (lambda: _scores(np.arange(2.0)[None], season=2),
                                "in-sample series too short for the seasonal naive scale"),
     "cont_b_length": (lambda: _cont(B2=np.zeros(3)), "B and C vectors must have length N"),
+    "cont_c_nan": (lambda: _cont(C1=np.array([np.nan, 1.0])), "C1 contains non-finite values"),
     "zoh_non_finite_b": (lambda: zoh_pair(np.array([-0.1]), np.array([np.nan]), 0.1), "non-finite input matrix"),
     "companion_empty": (lambda: companion_from_coeffs([]), "companion coefficients must be nonempty vectors"),
     "diagonal_scalar": (lambda: diagonal_matrix(1.0), "diagonal must be a nonempty vector"),
@@ -109,6 +112,9 @@ CASES = {
     "materialize_time_extent": (lambda: materialize_matrices(DP2, DP2, 2, 1.5), "t_count must be an integer, got 1.5"),
     "project_channels": (lambda: project_grid_params(SelectiveProjections.zeros(2, 1), np.ones((2, 6, 3)), (EYE,) * 4),
                          "x has 3 channels, but the projections take d=1"),
+    "project_stack_lead": (lambda: project_cell_params(PROJ2, np.ones((3, 4, 5, 3)), (np.stack((EYE, EYE)),) * 4),
+                           r"a stack of 2 projections takes x of shape \(2, \.\.\., d\) with a cell axis, "
+                           r"got \(3, 4, 5, 3\)"),
     "conv_readout_length": (lambda: conv_apply(K1, K2, np.ones(3), np.ones(2), X),
                             r"c1 must have length N=2, the kernels' last axis, got shape \(3,\)"),
     "conv_kernel_shapes": (lambda: conv_apply(K1, K2[:1], np.ones(2), np.ones(2), X),

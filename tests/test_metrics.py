@@ -108,6 +108,14 @@ def test_owa_rewards_beating_naive():
     assert out_good["OWA"] < out_naive["OWA"]
 
 
+def test_owa_when_the_seasonal_naive_forecast_is_exact():
+    # the last season of the in-sample series repeats as the truth, so
+    # the naive forecast scores 0 and only a perfect forecast matches it
+    insample, truth = np.array([[0.0, 1.0, 2.0, 3.0, 5.0, 1.0, 2.0, 3.0]]), np.array([[5.0, 1.0, 2.0, 3.0]])
+    assert compute_metrics(truth, truth, insample, season=4)["OWA"] == 0.0
+    assert compute_metrics(truth + 0.5, truth, insample, season=4)["OWA"] == float("inf")
+
+
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
         compute_metrics(np.ones(3), np.ones(4), INSAMPLE)

@@ -162,9 +162,8 @@ def test_a_selective_pair_is_one_stack_equal_to_its_blocks_alone(monkeypatch):
     # a bidirectional selective layer projects, discretizes and sweeps each
     # trend and seasonal pair as one stack; the forward must equal, byte for
     # byte, the sum of its blocks' passes alone. The backward seasonal
-    # block's raised time step makes it square, which puts its Taylor degree
-    # at 14 or more, while its forward twin (steps near season_hint) takes
-    # degree 13 or less and no squaring
+    # block's raised time step makes it square, while its forward twin
+    # (steps near season_hint) takes no squaring
     m = ChimeraModel.init_random(ModelConfig(layers=1, state_dim=2, channels=2, selective=True, season_hint=0.05, seed=35))
     m.params["layer0.seasonal.b.dt1_raw"] = np.array(inv_softplus(30.0))
     x = 0.1 * np.random.default_rng(35).standard_normal((4, 12, 2))
@@ -522,7 +521,9 @@ def test_an_in_place_move_rebuilds_the_chain_solver():
     # selective passes after a redisc group; at unit scale this model's
     # output reaches 7e16, at 0.3 it stays below 1.3
     (ModelConfig(layers=2, state_dim=2, channels=1, seed=16, selective=True), 0.3),
-], ids=["constant", "selective", "selective-2-layers-bidirectional"])
+    # one state: every exponential's series is a product with a single column
+    (ModelConfig(layers=2, state_dim=1, channels=1, seed=21), 1.0),
+], ids=["constant", "selective", "selective-2-layers-bidirectional", "one-state"])
 def test_fd_gradient_equals_rerun_on_every_coordinate(cfg, scale):
     x, y = scale * np.random.default_rng(16).standard_normal((2, 2, 6, 1))
     _assert_fd_stacked_exact(cfg, x, y)
