@@ -105,7 +105,9 @@ def sar_predict(real: SARRealization, series) -> np.ndarray:
     times as coarsely, consumes the subsampled phase of the series that
     contains the lags x_{t+1-js}.
     """
-    series = np.asarray(series, dtype=float)
+    series = finite_array("series", series)
+    if series.ndim != 1 or series.size == 0:
+        raise ValueError(f"sar_predict takes one nonempty univariate series, got shape {series.shape}")
     out = np.zeros(series.size)
     if real.trend is not None:
         out += _head_outputs(real.trend, series)

@@ -239,7 +239,10 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"prediction shape {pred.shape} != truth shape {truth.shape}")
     if insample.shape[0] != pred.shape[0]:
         raise ConfigError(f"in-sample has {insample.shape[0]} variates, the prediction {pred.shape[0]}")
-    metrics = compute_metrics(pred, truth, insample, season=args.season)
+    try:
+        metrics = compute_metrics(pred, truth, insample, season=args.season)
+    except ValueError as exc:  # an in-sample series too short or too flat to scale by
+        raise ConfigError(f"cannot score against in-sample {args.insample}: {exc}") from None
     path = _out_path(args, "metrics.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(metrics, fh, indent=2)

@@ -67,8 +67,8 @@ class ContinuousSSM2D:
     batch shape (...): () for one cell, (V, T) for a selective grid. A
     `stacked` set is one set per item of the steps' first axis (B,),
     which leads every field: A (B, N, N) or (B, N), B and C (B, ..., N)
-    for steps of shape (B, ...). A B or C vector with a non-finite entry
-    is refused by name."""
+    for steps of shape (B, ...). An A, B or C with a non-finite entry is
+    refused by name."""
 
     A1: np.ndarray
     A2: np.ndarray
@@ -92,6 +92,7 @@ class ContinuousSSM2D:
             if shape not in (lead + n, lead + n + n):
                 stack = f" behind the stack axes {lead}" if lead else ""
                 raise ValueError(f"{name} has shape {shape}: every A must be (N,) or (N, N){stack}, N from A1 {np.shape(self.A1)}")
+            finite_array(name, getattr(self, name))
         for name in ("B1", "B2", "C1", "C2"):
             vec = getattr(self, name)
             if np.shape(vec)[-1:] != n:

@@ -435,8 +435,7 @@ def _check_scan_one_channel_pairs_exact():
 
 def _assert_conv_matches_recurrence(dp: DiscreteSSM2D, x: np.ndarray) -> float:
     v_count, t_count = x.shape[:2]
-    k1, k2 = impulse_kernels(dp, v_count, t_count)
-    diff = _max_diff(conv_apply(k1, k2, dp.C1, dp.C2, x), forward_recurrence(dp, x)[0])
+    diff = _max_diff(conv_apply(impulse_kernels(dp, v_count, t_count), x), forward_recurrence(dp, x)[0])
     assert diff < 1e-10, f"{v_count}x{t_count}: conv vs recurrence diff {diff:.3e}"
     return diff
 

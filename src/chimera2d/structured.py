@@ -12,7 +12,7 @@ Appl. 31(3), 2009, and SIAM J. Sci. Comput. 33(2), 2011).
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
@@ -114,8 +114,8 @@ def expm(a, t=1.0, stacked: bool = False) -> np.ndarray:
     # ||A||_1, at least the smallest normal float (so A = 0 has Z = 0)
     norm = np.abs(z).sum(axis=-2).max(axis=-1, initial=_TINY)
     z = z / norm[:, None, None]
-    x = t.reshape(len(z), -1) * norm[:, None]  # one row of steps per generator
-    largest = np.abs(x).max()
+    x = t.reshape(len(z), prod(t.shape[len(lead):])) * norm[:, None]  # one row of steps per generator
+    largest = np.abs(x).max(initial=0.0)
     if not largest < np.inf:  # a NaN fails every comparison
         raise ValueError("non-finite entries")
     squarings = 0

@@ -222,6 +222,20 @@ def test_eval_scores_each_variate(tmp_path):
         assert cmd_dispatch(args + ["--insample", str(tmp_path / "insample.csv"), "--season", season]) == 2
 
 
+@pytest.mark.parametrize("insample, season, message", [
+    (np.arange(3.0)[None], "5", "in-sample series too short for the seasonal naive scale"),
+    (np.ones((1, 6)), "1", "MASE undefined: in-sample naive error is zero"),
+], ids=["short_for_season", "flat"])
+def test_eval_unscorable_insample_exits_2_naming_it(tmp_path, capsys, insample, season, message):
+    for name, arr in (("series", np.arange(4.0)[None]), ("insample", insample)):
+        with open(tmp_path / f"{name}.csv", "w", encoding="utf-8") as fh:
+            write_series_csv(fh, arr)
+    series, path = tmp_path / "series.csv", tmp_path / "insample.csv"
+    assert cmd_dispatch(["eval", "--pred", str(series), "--truth", str(series), "--insample", str(path),
+                         "--season", season, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: config: cannot score against in-sample {path}: {message}\n"
+
+
 def test_eval_takes_only_out_of_the_common_flags(tmp_path, capsys):
     # eval reads no run configuration and draws nothing
     series = tmp_path / "series.csv"

@@ -7,7 +7,7 @@ import pytest
 from chimera2d import (
     ChimeraModel, ContinuousSSM2D, DiscreteSSM2D, ModelConfig, ScanElement, bidirectional_forward, closed_loop_decode,
     companion_from_coeffs, compute_metrics, conv_apply, diagonal_matrix, expm, fit, impulse_kernels,
-    materialize_matrices, op_star, sar_to_ssm, scan_forward, simulate_sar, zoh_pair,
+    materialize_matrices, op_star, sar_predict, sar_to_ssm, scan_forward, simulate_sar, zoh_pair,
 )
 from chimera2d.invariants import _random_dp
 from chimera2d.model import stacked_fd_gradient
@@ -18,8 +18,8 @@ DP2, DP3 = _random_dp(RNG, 2), _random_dp(RNG, 3)
 X = RNG.standard_normal((2, 6, 1))
 MODEL = ChimeraModel.init_random(ModelConfig(layers=0, state_dim=2, channels=1, seed=40))
 EYE, ZERO = np.eye(2), np.zeros((2, 1))
-# DP2's impulse kernels over X's (2, 6) grid
-K1, K2 = impulse_kernels(DP2, 2, 6)
+# DP2's scalar impulse kernel over X's (2, 6) grid
+KERNEL = impulse_kernels(DP2, 2, 6)
 # a stack of two per-cell sets on X's (2, 6) grid
 CELLS2 = DiscreteSSM2D(**{k: np.broadcast_to(a, (2, 2, 6) + a.shape) for k, a in vars(DP2).items()})
 # a stack of two blocks' projections, N = 2 and d = 3
@@ -84,11 +84,17 @@ CASES = {
     "sar_init_inf": (lambda: simulate_sar([0.5], [], 1, [np.inf], 0.0, 4), "init contains non-finite values"),
     "sar_to_ssm_stride": (lambda: sar_to_ssm([0.5], [], 0), "s must be >= 1, got 0"),
     "sar_to_ssm_coefficient_nan": (lambda: sar_to_ssm([np.nan], [], 1), "phi contains non-finite values"),
+    "sar_predict_grid": (lambda: sar_predict(sar_to_ssm([0.5], [], 1), np.ones((2, 5))),
+                         r"sar_predict takes one nonempty univariate series, got shape \(2, 5\)"),
+    "sar_predict_empty": (lambda: sar_predict(sar_to_ssm([0.5], [], 1), []),
+                          r"sar_predict takes one nonempty univariate series, got shape \(0,\)"),
     "metrics_season_fraction": (lambda: _scores(np.arange(6.0)[None], season=1.5), "season must be an integer, got 1.5"),
     "metrics_short_insample": (lambda: _scores(np.arange(2.0)[None], season=2),
                                "in-sample series too short for the seasonal naive scale"),
     "cont_b_length": (lambda: _cont(B2=np.zeros(3)), "B and C vectors must have length N"),
     "cont_c_nan": (lambda: _cont(C1=np.array([np.nan, 1.0])), "C1 contains non-finite values"),
+    "cont_a_nan": (lambda: _cont(A3=np.array([np.nan, -0.2])), "A3 contains non-finite values"),
+    "cont_a_dense_inf": (lambda: _cont(A1=np.array([[-0.1, 0.0], [np.inf, -0.2]])), "A1 contains non-finite values"),
     "zoh_non_finite_b": (lambda: zoh_pair(np.array([-0.1]), np.array([np.nan]), 0.1), "non-finite input matrix"),
     "companion_empty": (lambda: companion_from_coeffs([]), "companion coefficients must be nonempty vectors"),
     "diagonal_scalar": (lambda: diagonal_matrix(1.0), "diagonal must be a nonempty vector"),
@@ -115,12 +121,11 @@ CASES = {
     "project_stack_lead": (lambda: project_cell_params(PROJ2, np.ones((3, 4, 5, 3)), (np.stack((EYE, EYE)),) * 4),
                            r"a stack of 2 projections takes x of shape \(2, \.\.\., d\) with a cell axis, "
                            r"got \(3, 4, 5, 3\)"),
-    "conv_readout_length": (lambda: conv_apply(K1, K2, np.ones(3), np.ones(2), X),
-                            r"c1 must have length N=2, the kernels' last axis, got shape \(3,\)"),
-    "conv_kernel_shapes": (lambda: conv_apply(K1, K2[:1], np.ones(2), np.ones(2), X),
-                           r"kernels k1 \(2, 6, 2\) and k2 \(1, 6, 2\) must have one \(V, T, N\) shape"),
-    "conv_readout_nan": (lambda: conv_apply(K1, K2, np.ones(2), np.array([np.nan, 1.0]), X),
-                         "c2 contains non-finite values"),
+    # a (V, T, N) per-state response, as the kernels once were
+    "conv_kernel_rank": (lambda: conv_apply(np.ones((2, 6, 2)), X),
+                         r"kernel must have shape \(V, T\), got shape \(2, 6, 2\)"),
+    "conv_kernel_extent": (lambda: conv_apply(KERNEL[:, :5], X), "kernel extents must cover the input extents"),
+    "conv_kernel_nan": (lambda: conv_apply(np.full((2, 6), np.nan), X), "kernel contains non-finite values"),
     "bidirectional_n": (lambda: bidirectional_forward(DP2, DP3, X), "forward and backward modules must share N"),
     "inv_softplus_zero": (lambda: inv_softplus(0.0), "softplus output must be positive"),
 }

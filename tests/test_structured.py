@@ -92,6 +92,16 @@ def test_expm_batched_steps():
             assert np.max(np.abs(out[idx] - alone)) <= 1e-14 * np.max(np.abs(alone))
 
 
+@pytest.mark.parametrize("mat", [companion_from_coeffs([-0.3, -0.2]), np.array([-1.0, 0.5])], ids=["dense", "diagonal"])
+def test_expm_of_no_steps_is_an_empty_stack(mat):
+    assert expm(mat, np.zeros(0)).shape == (0, 2, 2)
+    assert expm(mat, np.zeros((3, 0))).shape == (3, 0, 2, 2)
+    # a stack of two generators with no steps each, and a stack of none
+    pair = np.stack((mat, mat))
+    assert expm(pair, np.zeros((2, 0)), stacked=True).shape == (2, 0, 2, 2)
+    assert expm(pair[:0], np.zeros(0), stacked=True).shape == (0, 2, 2)
+
+
 def test_expm_rejects_nonfinite_product():
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
         expm(companion_from_coeffs([-4.0, 0.0]), 1e308)
