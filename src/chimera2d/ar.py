@@ -6,9 +6,9 @@ the recursion as one-step-ahead predictors: each head keeps a sliding
 buffer of the needed lags via a shift-structured transition (a companion
 matrix with zero coefficient column), injects the input at the first
 state, and reads the prediction out with the AR coefficients. The
-seasonal head advances with stride s, i.e. it runs on the time axis
-subsampled by s (the operational meaning of a step size s times the
-trend head's).
+seasonal head advances with stride s (the operational meaning of a step
+size s times the trend head's): `sar_predict` runs each head once on the
+series folded into its stride's phases, one variate per phase.
 """
 
 from __future__ import annotations
@@ -92,35 +92,25 @@ def sar_to_ssm(phi, eta, s: int) -> SARRealization:
     return SARRealization(trend=trend, seasonal=seasonal, s=s)
 
 
-def _head_outputs(dp: DiscreteSSM2D, series: np.ndarray) -> np.ndarray:
-    """1D pass of a predictor head over a univariate series: one variate,
-    one channel of the 2D recurrence (the head's cross terms are zero)."""
-    return forward_recurrence(dp, series[None, :, None])[0][0, :, 0]
-
-
 def sar_predict(real: SARRealization, series) -> np.ndarray:
     """One-step-ahead predictions: out[t] forecasts series[t + 1].
 
-    The trend head consumes every sample; the seasonal head, stepping s
-    times as coarsely, consumes the subsampled phase of the series that
-    contains the lags x_{t+1-js}.
+    Each head runs once on the series folded by its stride k (1 for the
+    trend head, s for the seasonal one): sample i = m k + p is cell
+    (p, m) of a (k, ceil(T/k)) grid. The heads' cross terms are zero, so
+    the phases do not couple, and each is causal, so the zeros padding
+    the last column change no sample. Sample i's prediction targets
+    series[i + k].
     """
     series = finite_array("series", series)
     if series.ndim != 1 or series.size == 0:
         raise ValueError(f"sar_predict takes one nonempty univariate series, got shape {series.shape}")
     out = np.zeros(series.size)
-    if real.trend is not None:
-        out += _head_outputs(real.trend, series)
-    if real.seasonal is not None:
-        s = real.s
-        for phase in range(s):
-            idx = np.arange(phase, series.size, s)
-            if idx.size == 0:
-                continue
-            sub_out = _head_outputs(real.seasonal, series[idx])
-            # the prediction made at subsample m targets series[phase+(m+1)s],
-            # so it contributes to out at time phase+(m+1)s-1
-            targets = idx + s - 1
-            keep = targets < series.size
-            out[targets[keep]] += sub_out[keep]
+    for head, k in ((real.trend, 1), (real.seasonal, real.s)):
+        if head is not None:
+            folded = np.zeros(-(-series.size // k) * k)
+            folded[: series.size] = series
+            pred = forward_recurrence(head, folded.reshape(-1, k).T[..., None])[0][..., 0].T.ravel()
+            tail = out[k - 1 :]
+            tail += pred[: tail.size]
     return out

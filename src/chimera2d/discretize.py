@@ -60,6 +60,11 @@ def _checked_step(name: str, dt) -> np.ndarray:
     return dt
 
 
+def _broadcasts(shape: tuple, to: tuple) -> bool:
+    """Whether an array of `shape` broadcasts to `to` unchanged."""
+    return len(shape) <= len(to) and all(a in (1, b) for a, b in zip(shape[::-1], to[::-1]))
+
+
 @dataclass(frozen=True)
 class ContinuousSSM2D:
     """Continuous-time parameter set, before discretization. Each A is
@@ -67,8 +72,9 @@ class ContinuousSSM2D:
     batch shape (...): () for one cell, (V, T) for a selective grid. A
     `stacked` set is one set per item of the steps' first axis (B,),
     which leads every field: A (B, N, N) or (B, N), B and C (B, ..., N)
-    for steps of shape (B, ...). An A, B or C with a non-finite entry is
-    refused by name."""
+    for steps of shape (B, ...). dt2 takes dt1's shape, and B's batch
+    shape broadcasts to it. A field of another shape, or an A, B or C
+    with a non-finite entry, is refused by name."""
 
     A1: np.ndarray
     A2: np.ndarray
@@ -85,7 +91,10 @@ class ContinuousSSM2D:
     def __post_init__(self):
         _checked_step("dt1", self.dt1)
         _checked_step("dt2", self.dt2)
-        lead = np.shape(self.dt1)[:1] if self.stacked else ()
+        steps = np.shape(self.dt1)
+        if np.shape(self.dt2) != steps:
+            raise ValueError(f"step sizes dt2 have shape {np.shape(self.dt2)}, but dt1 {steps}: every field takes one batch shape")
+        lead = steps[:1] if self.stacked else ()
         n = np.shape(self.A1)[-1:]  # (N,)
         for name in ("A1", "A2", "A3", "A4"):
             shape = np.shape(getattr(self, name))
@@ -94,10 +103,12 @@ class ContinuousSSM2D:
                 raise ValueError(f"{name} has shape {shape}: every A must be (N,) or (N, N){stack}, N from A1 {np.shape(self.A1)}")
             finite_array(name, getattr(self, name))
         for name in ("B1", "B2", "C1", "C2"):
-            vec = getattr(self, name)
-            if np.shape(vec)[-1:] != n:
-                raise ValueError("B and C vectors must have length N")
-            finite_array(name, vec)
+            shape = np.shape(getattr(self, name))
+            if shape[-1:] != n:
+                raise ValueError(f"{name} has shape {shape}: B and C vectors must have length N, N from A1 {np.shape(self.A1)}")
+            if name[0] == "B" and not _broadcasts(shape[:-1], steps):
+                raise ValueError(f"{name} has shape {shape}: its batch shape does not broadcast to the steps' shape {steps}")
+            finite_array(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -174,6 +185,8 @@ def _zoh(a, b, dt: np.ndarray, stacked: bool) -> tuple[np.ndarray, np.ndarray]:
         phi = np.where(diag == 0.0, dt[..., None], np.expm1(diag) / np.where(diag == 0.0, 1.0, a_at))
         return expm(a, dt, stacked), phi * b
     n = a.shape[-1]
+    if a.shape[-2] != n:
+        raise ValueError(f"A has shape {a.shape}: a dense transition must be square")
     aug = np.zeros(a.shape[:-2] + (2 * n, 2 * n))
     aug[...] = np.eye(2 * n, k=n)  # [[0, I], [0, 0]]
     aug[..., :n, :n] = a

@@ -95,7 +95,8 @@ def expm(a, t=1.0, stacked: bool = False) -> np.ndarray:
     Every generator's steps share its terms in one batched
     (steps, 18) @ (18, N^2) product, each generator's blocks contiguous,
     so an item of a stack is its own call, bit for bit. Raises
-    ValueError if t * A has a non-finite entry or exp(t * A) overflows.
+    ValueError if A is not square, t * A has a non-finite entry or
+    exp(t * A) overflows.
     """
     a, t = np.asarray(a, dtype=float), np.asarray(t, dtype=float)
     lead = t.shape[:1] if stacked else ()
@@ -110,6 +111,8 @@ def expm(a, t=1.0, stacked: bool = False) -> np.ndarray:
         out[..., idx, idx] = _finite(np.exp(z))
         return out
     n = a.shape[-1]
+    if a.shape[-2] != n:
+        raise ValueError(f"generators of shape {a.shape} are not square")
     z = a.reshape(-1, n, n)  # the generators
     # ||A||_1, at least the smallest normal float (so A = 0 has Z = 0)
     norm = np.abs(z).sum(axis=-2).max(axis=-1, initial=_TINY)

@@ -7,7 +7,9 @@ SSM along variates within each time step, and the output mixes both.
 In bi-directional form the whole map materializes, per variate, as a
 lower-triangular time matrix and, per time step, as a quasi-separable
 variate matrix (forward pass below the diagonal, backward pass above,
-local responses on the diagonal).
+local responses on the diagonal). Each is built from its 1D chains by
+one function, Mamba-2's semiseparable matrix, whose entry (i, j) is
+c[i] a[i]...a[j+1] b[j] (Dao & Gu, arXiv 2405.21060).
 """
 
 from __future__ import annotations
@@ -23,6 +25,19 @@ MAX_NAIVE_CELLS = 64
 def _ensure_decoupled(abar2: np.ndarray, abar3: np.ndarray):
     if np.abs(abar2).max() != 0.0 or np.abs(abar3).max() != 0.0:
         raise ValueError("decoupled variant requires zero cross blocks (Abar2, Abar3)")
+
+
+def _semiseparable(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The lower-triangular matrices of a stack of 1D chains
+    h[i] = a[i] h[i-1] + b[i] u[i], y[i] = c[i] . h[i], with a (..., L, N, N)
+    and b, c (..., L, N): M[..., i, j] = c[i] a[i]...a[j+1] b[j] for j <= i."""
+    m = np.zeros(b.shape[:-1] + b.shape[-2:-1])
+    g = np.zeros_like(b)  # g[..., j, :] = a[i]...a[j+1] b[j] at row i, zero for j > i
+    for i in range(b.shape[-2]):
+        g[..., :i, :] = (a[..., i, None, :, :] @ g[..., :i, :, None])[..., 0]
+        g[..., i, :] = b[..., i, :]
+        m[..., i, :] = (g @ c[..., i, :, None])[..., 0]
+    return m
 
 
 def mamba2d_forward(dp: DiscreteSSM2D, x) -> np.ndarray:
@@ -57,33 +72,10 @@ def materialize_matrices(
     _ensure_decoupled(cf.Abar2, cf.Abar3)
     _ensure_decoupled(cb.Abar2, cb.Abar3)
 
-    m_time = np.zeros((v_count, t_count, t_count))
-    for v in range(v_count):
-        vr = v_count - 1 - v
-        for mod_cells, row in ((cf, v), (cb, vr)):
-            for t in range(t_count):
-                acc = np.eye(mod_cells.n)
-                for th in range(t, -1, -1):
-                    # acc = prod_{i=th+1..t} Abar1[row, i]
-                    m_time[v, t, th] += mod_cells.C1[row, t] @ acc @ mod_cells.Bbar1[row, th]
-                    acc = acc @ mod_cells.Abar1[row, th]
-
-    m_var = np.zeros((t_count, v_count, v_count))
-    for t in range(t_count):
-        for v in range(v_count):
-            # forward pass: strictly lower part plus its diagonal response
-            acc = np.eye(cf.n)
-            for vh in range(v, -1, -1):
-                m_var[t, v, vh] += cf.C2[v, t] @ acc @ cf.Bbar2[vh, t]
-                acc = acc @ cf.Abar4[vh, t]
-            # backward pass (reversed grid): strictly upper plus diagonal
-            vr = v_count - 1 - v
-            acc = np.eye(cb.n)
-            for vhr in range(vr, -1, -1):
-                vh = v_count - 1 - vhr
-                m_var[t, v, vh] += cb.C2[vr, t] @ acc @ cb.Bbar2[vhr, t]
-                acc = acc @ cb.Abar4[vhr, t]
-    return m_time, m_var
+    time = lambda c: _semiseparable(c.Abar1, c.Bbar1, c.C1)
+    var = lambda c: _semiseparable(*(np.swapaxes(f, 0, 1) for f in (c.Abar4, c.Bbar2, c.C2)))
+    # the backward module's chains run on the variate-reversed grid
+    return time(cf) + time(cb)[::-1], var(cf) + var(cb)[:, ::-1, ::-1]
 
 
 def matrix_form_apply(m_time: np.ndarray, m_var: np.ndarray, x) -> np.ndarray:

@@ -4,7 +4,7 @@ realization."""
 import numpy as np
 import pytest
 
-from chimera2d import simulate_sar, sar_to_ssm, sar_predict
+from chimera2d import forward_recurrence, simulate_sar, sar_to_ssm, sar_predict
 
 
 def test_ar1_geometric_decay():
@@ -81,3 +81,32 @@ def test_prediction_on_noisy_series_is_conditional_mean():
     # innovations should be the noise draws: uncorrelated with the past values
     corr = np.corrcoef(innovations[1:], full[1:-1])[0, 1]
     assert abs(corr) < 0.3
+
+
+def _per_phase_predict(real, series):
+    """sar_predict as one 1D pass per head and seasonal phase: the seasonal
+    head's prediction at subsample m of phase p targets series[p + (m + 1)s]."""
+    head_outputs = lambda dp, sub: forward_recurrence(dp, sub[None, :, None])[0][0, :, 0]
+    out = np.zeros(series.size)
+    if real.trend is not None:
+        out += head_outputs(real.trend, series)
+    if real.seasonal is not None:
+        for phase in range(real.s):
+            idx = np.arange(phase, series.size, real.s)
+            if idx.size:
+                targets = idx + real.s - 1
+                keep = targets < series.size
+                out[targets[keep]] += head_outputs(real.seasonal, series[idx])[keep]
+    return out
+
+
+# every series length 1, s - 1, s, s + 1 and 3s + 2 that is positive
+@pytest.mark.parametrize("heads", ["trend", "seasonal", "both"])
+@pytest.mark.parametrize("s, t_count", [(s, t) for s in (1, 2, 5) for t in sorted({1, s - 1, s, s + 1, 3 * s + 2} - {0})])
+def test_folded_heads_equal_the_per_phase_passes_bit_for_bit(heads, s, t_count):
+    rng = np.random.default_rng(100 * s + t_count)
+    phi = rng.uniform(-0.5, 0.5, 2) if heads != "seasonal" else []
+    eta = rng.uniform(-0.5, 0.5, 2) if heads != "trend" else []
+    real = sar_to_ssm(phi, eta, s)
+    series = rng.standard_normal(t_count)
+    assert sar_predict(real, series).tobytes() == _per_phase_predict(real, series).tobytes()

@@ -246,6 +246,21 @@ def test_mixed_constant_and_per_cell_set_rejected_by_name():
         replace(cells, Abar3=dp.Abar3)
 
 
+def test_b_of_a_batch_shape_that_broadcasts_to_the_steps_is_valid():
+    # a constant B1 and a B2 of one time row take per-cell (2, 5) steps
+    rng = np.random.default_rng(10)
+    p = _system(n=3)
+    dt = rng.uniform(0.05, 0.2, (2, 5))
+    c = rng.standard_normal((2, 5, 3))
+    b2 = rng.standard_normal((1, 5, 3))
+    mixed = discretize_all(replace(p, B2=b2, C1=c, C2=c, dt1=dt, dt2=dt))
+    full = discretize_all(replace(
+        p, B1=np.broadcast_to(p.B1, c.shape), B2=np.broadcast_to(b2, c.shape), C1=c, C2=c, dt1=dt, dt2=dt,
+    ))
+    for name, a in vars(full).items():
+        assert np.array_equal(getattr(mixed, name), a), name
+
+
 def test_on_grid_broadcasts_constant_and_passes_grid_through():
     rng = np.random.default_rng(7)
     n = 3

@@ -91,7 +91,12 @@ CASES = {
     "metrics_season_fraction": (lambda: _scores(np.arange(6.0)[None], season=1.5), "season must be an integer, got 1.5"),
     "metrics_short_insample": (lambda: _scores(np.arange(2.0)[None], season=2),
                                "in-sample series too short for the seasonal naive scale"),
-    "cont_b_length": (lambda: _cont(B2=np.zeros(3)), "B and C vectors must have length N"),
+    "cont_b_length": (lambda: _cont(B2=np.zeros(3)),
+                      r"B2 has shape \(3,\): B and C vectors must have length N, N from A1 \(2,\)"),
+    "cont_dt2_shape": (lambda: _cont(dt1=np.full((2, 3), 0.1), dt2=np.full((3, 2), 0.1)),
+                       r"step sizes dt2 have shape \(3, 2\), but dt1 \(2, 3\): every field takes one batch shape"),
+    "cont_b_batch": (lambda: _cont(dt1=np.full((2, 3), 0.1), dt2=np.full((2, 3), 0.1), B1=np.zeros((4, 2))),
+                     r"B1 has shape \(4, 2\): its batch shape does not broadcast to the steps' shape \(2, 3\)"),
     "cont_c_nan": (lambda: _cont(C1=np.array([np.nan, 1.0])), "C1 contains non-finite values"),
     "cont_a_nan": (lambda: _cont(A3=np.array([np.nan, -0.2])), "A3 contains non-finite values"),
     "cont_a_dense_inf": (lambda: _cont(A1=np.array([[-0.1, 0.0], [np.inf, -0.2]])), "A1 contains non-finite values"),
@@ -100,6 +105,9 @@ CASES = {
     "diagonal_scalar": (lambda: diagonal_matrix(1.0), "diagonal must be a nonempty vector"),
     "expm_stack_lead": (lambda: expm(np.zeros((2, 2, 2)), np.ones(3), stacked=True),
                         r"generators of shape \(2, 2, 2\) do not lead with the step sizes' shape \(3,\)"),
+    "expm_non_square": (lambda: expm(np.ones((2, 3))), r"generators of shape \(2, 3\) are not square"),
+    "zoh_non_square": (lambda: zoh_pair(np.ones((2, 3)), np.ones(3), 0.1),
+                       r"A has shape \(2, 3\): a dense transition must be square"),
     "expm_non_finite_diagonal": (lambda: expm(np.array([np.inf, -1.0])), "non-finite entries"),
     "scan_stack_lead": (lambda: scan_forward(CELLS2, np.ones((3, 2, 6, 1))),
                         r"per-cell parameters of batch shape \(2, 2, 6\) does not match x of shape \(3, 2, 6, 1\)"),

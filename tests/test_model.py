@@ -8,9 +8,13 @@ import pytest
 import chimera2d.discretize
 import chimera2d.model
 import chimera2d.scan
-from chimera2d import ChimeraModel, ModelConfig, fd_gradient, fit, simulate_sar, transition_probe
+from chimera2d import (
+    ChimeraModel, ContinuousSSM2D, DiscreteSSM2D, ModelConfig, companion_from_coeffs, diagonal_matrix, discretize_all,
+    fd_gradient, fit, forward_recurrence, project_cell_params, simulate_sar, transition_probe,
+)
+from chimera2d.discretize import DT_FLOOR
 from chimera2d.invariants import _assert_fd_stacked_exact
-from chimera2d.model import CONT_PARAM_NAMES, PROJ_WEIGHT_NAMES, mse_loss, stacked_fd_gradient
+from chimera2d.model import CONT_PARAM_NAMES, PROJ_FIELDS, PROJ_WEIGHT_NAMES, mse_loss, stacked_fd_gradient
 from chimera2d.scan import _block_length
 from chimera2d.selective import SelectiveProjections, inv_softplus
 
@@ -730,3 +734,56 @@ def test_fit_step_is_the_fd_gradient_step(seed):
     fitted = fit(m, (x, y), steps=1, lr=lr)
     for name in names:
         assert np.array_equal(fitted.params[name], m.params[name] - lr * grads[name]), name
+
+
+# ----------------------------------------------------------------------
+# a sequential reference forward, from the model docstring's equations
+
+
+def _reference_block(model, prefix, x):
+    """Block `prefix` on x through `forward_recurrence`, its parameters
+    built cell by cell for a selective block."""
+    p = {name: model.params[f"{prefix}.{name}"] for name in CONT_PARAM_NAMES}
+    a_set = (companion_from_coeffs(p["a1"]), companion_from_coeffs(p["a2"]), diagonal_matrix(p["a3"]),
+             diagonal_matrix(p["a4"]))
+    if model.config.selective:
+        proj = SelectiveProjections(**{name: model.params[f"{prefix}.{name}"] for name in PROJ_FIELDS})
+        rows = [[vars(project_cell_params(proj, x[v, t], a_set)) for t in range(x.shape[1])] for v in range(x.shape[0])]
+        dp = DiscreteSSM2D(**{name: np.array([[cell[name] for cell in row] for row in rows]) for name in rows[0][0]})
+    else:
+        dt1, dt2 = (max(float(np.logaddexp(0.0, p[raw])), DT_FLOOR) for raw in ("dt1_raw", "dt2_raw"))
+        dp = discretize_all(ContinuousSSM2D(*a_set, p["b1"], p["b2"], p["c1"], p["c2"], dt1=dt1, dt2=dt2))
+    return forward_recurrence(dp, x)[0]
+
+
+def _reference_forward(model, x):
+    par, lin = model.params, lambda z, w: z @ w.T
+
+    def directional(prefix, z):
+        y = _reference_block(model, f"{prefix}.f", z)
+        if model.config.bidirectional:
+            y = y + _reference_block(model, f"{prefix}.b", z[::-1])[::-1]
+        return y
+
+    residual, combined = x, np.zeros_like(x)
+    for layer in range(model.config.layers):
+        trend = directional(f"layer{layer}.trend", residual)
+        seasonal = directional(f"layer{layer}.seasonal", residual - trend)
+        residual = lin(seasonal, par[f"layer{layer}.redisc.w"])
+        combined = combined + trend
+    if model.config.layers:
+        combined = combined + residual
+    u = lin(x, par["gate.w_in"])
+    gate = lin(u / (1.0 + np.exp(-u)) * lin(x, par["gate.w_val"]), par["gate.w_out"])
+    return lin(combined + gate, par["head.w"])
+
+
+@pytest.mark.parametrize("layers", [0, 1, 2])
+@pytest.mark.parametrize("bidirectional", [False, True], ids=["uni", "bi"])
+@pytest.mark.parametrize("selective", [False, True], ids=["constant", "selective"])
+def test_forward_matches_the_sequential_reference(selective, bidirectional, layers):
+    cfg = ModelConfig(layers=layers, state_dim=2, channels=2, selective=selective, bidirectional=bidirectional, seed=3)
+    m = ChimeraModel.init_random(cfg)
+    x = 0.3 * np.random.default_rng(3).standard_normal((4, 7, 2))
+    ref = _reference_forward(m, x)
+    assert np.max(np.abs(m.forward(x) - ref)) <= 1e-10 * np.max(np.abs(ref))

@@ -64,7 +64,8 @@ def test_time_matrix_rows_are_1d_kernel():
             assert abs(m_time[0, t, th] - expected) < 1e-11
 
 
-@pytest.mark.parametrize("grid", [(2, 2), (3, 4), (8, 8)])
+# one variate, one step and one cell too
+@pytest.mark.parametrize("grid", [(2, 2), (3, 4), (8, 8), (1, 6), (6, 1), (1, 1)])
 def test_matrix_form_matches_bidirectional(grid):
     rng = np.random.default_rng(sum(grid))
     dp_f = _random_dp(rng, 2, coupled=False)
